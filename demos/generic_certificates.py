@@ -33,7 +33,7 @@ def main():
             f"j={j}: a={a}, {report.generator_count} generators, "
             f"height {report.height}, status {report.status}, stci {report.stci}"
         )
-        for name, gen in zip(cert.gen_names(), cert.gens):
+        for name, gen in zip(cert.names(), cert.gens):
             text = str(gen)
             if len(text) > 70:
                 text = text[:67] + "..."

@@ -58,8 +58,8 @@ def main():
     for j in range(arr.n):
         part = sv_ara_partition(arr, j)
         valid, witness = sv_check_partition(part)
-        sums = sv_sums(part, arr.ring)
-        print(f"  j={j}  levels {len(part.parts)}  valid: {valid}  sums: {len(sums)}")
+        sums = sv_sums(part)
+        print(f"  j={j}  levels {len(part.levels)}  valid: {valid}  sums: {len(sums)}")
         assert valid, witness
 
 

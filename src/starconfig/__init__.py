@@ -50,12 +50,10 @@ from .polynomials import (
     ProductOfForms,
     Ring,
     normalize_linear_form,
-    product_divides,
 )
 from .stci import (
     CORRUPTION_MODES,
     CheckResult,
-    StciCertificate,
     SVPartition,
     VerificationReport,
     corrupt_certificate,
@@ -95,7 +93,6 @@ __all__ = [
     "RationalField",
     "Ring",
     "StarConfigError",
-    "StciCertificate",
     "SVPartition",
     "UsageError",
     "VerificationReport",
@@ -108,7 +105,6 @@ __all__ = [
     "intersect",
     "matrix_rank",
     "normalize_linear_form",
-    "product_divides",
     "radical_eq",
     "radical_member",
     "random_generic_arrangement",

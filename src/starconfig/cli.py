@@ -32,7 +32,6 @@ from .stci import (
     corrupt_certificate,
     sv_ara_partition,
     sv_check_partition,
-    sv_sums,
     theorem_generators,
     verify_certificate,
 )
@@ -288,6 +287,10 @@ def _read_input(path: str) -> str:
         raise ParseError(f"cannot read {path}: {e}") from e
 
 
+def _levels_json(partition):
+    return [[list(p) for p in level] for level in partition.levels]
+
+
 def run(argv=None) -> int:
     """Entry point; returns the process exit code instead of raising."""
     parser = _build_parser()
@@ -394,7 +397,12 @@ def run(argv=None) -> int:
         elif args.subcommand == "stci-gens":
             arguments = {"j": args.j}
             cert = theorem_generators(arr, args.j)
-            results = cert.describe()
+            results = {
+                "j": cert.j,
+                "count": len(cert.gens),
+                "levels": _levels_json(cert),
+                "generators": [str(g) for g in cert.gens],
+            }
 
         elif args.subcommand == "verify":
             if args.all_j:
@@ -445,13 +453,11 @@ def run(argv=None) -> int:
                     "j": j,
                     "valid": ok,
                     "witness": witness,
-                    "levels": [
-                        [sorted(p.labels()) for p in level] for level in part.parts
-                    ],
-                    "level_count": len(part.parts),
+                    "levels": _levels_json(part),
+                    "level_count": len(part.levels),
                 }
                 if not args.check_only:
-                    entry["sums"] = [str(q) for q in sv_sums(part, ring)]
+                    entry["sums"] = [str(q) for q in part.gens]
                 entries.append(entry)
             results = {"partitions": entries} if args.all_j else entries[0]
             exit_code = 0 if all_ok else 1

@@ -10,8 +10,6 @@ about factors without expanding anything.
 
 from __future__ import annotations
 
-from collections import Counter
-
 from .errors import DegenerateInputError, UsageError
 from .fields import Field
 from .orders import GREVLEX, MonomialOrder, mono_mul
@@ -400,9 +398,6 @@ class ProductOfForms:
             result = result * g.poly(ring)
         return result
 
-    def divides(self, other: "ProductOfForms") -> bool:
-        return product_divides(self, other)
-
     def labels(self):
         return tuple(g.label for g in self.factors)
 
@@ -418,12 +413,3 @@ class ProductOfForms:
 
     def __repr__(self):
         return " * ".join(f"({g!r})" for g in self.factors) if self.factors else "1"
-
-
-def product_divides(p: ProductOfForms, q: ProductOfForms) -> bool:
-    """Multiset inclusion of factors: does p divide q as a product?"""
-    if p.field != q.field:
-        raise UsageError("products live over different fields")
-    need = Counter(g.coeffs for g in p.factors)
-    have = Counter(g.coeffs for g in q.factors)
-    return all(have[c] >= m for c, m in need.items())

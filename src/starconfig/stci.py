@@ -1,22 +1,26 @@
 """Explicit generators cutting out a-fold product varieties, and checks.
 
-For an arrangement whose rank-many subsets are all independent, the
-ideal of (n-j)-fold products is, up to radical, cut out by j+1
-explicit polynomials: for u = 1..j the form times the sum of all
-(n-j-1)-fold products of later forms, plus the single tail product of
-the last n-j forms.  Certificates carry that combinatorial recipe so
-they can be serialized, mutated, and re-verified from scratch.
+The (n-j)-fold products of an arrangement fall into j+1 levels: level
+0 is the tail product of the last n-j forms, and level u holds the
+products whose smallest label is j-u+1.  The level sums are the
+explicit generators.  A certificate is that level partition, stored
+as label tuples so it can be serialized, mutated, and re-verified from
+scratch.
 
-Verification runs two independent routes.  The Groebner route tests
-radical membership of each generator of one ideal in the other.  The
-combinatorial route replaces one direction by exact linear reduction
-against every minimal prime.  Both must agree; a disagreement is
-reported as an internal inconsistency, never resolved silently.
+Two things are checked of it.  For any arrangement at all the levels
+satisfy the classical covering and divisibility conditions, so j+1
+level sums always suffice up to radical; that check works on labels
+alone.  For an arrangement whose rank-many subsets are all independent
+the level sums also cut out the a-fold product variety, which
+verify_certificate proves by computer algebra.
 
-The same sums also witness an arithmetic-rank bound with no
-genericity at all: the level sets P_0 = {tail}, P_u = products with
-minimum j-u+1, satisfy the classical covering and divisibility
-conditions, so j+1 elements always suffice up to radical.
+Both verification routes test literal containment of each level sum
+in the a-fold ideal and radical membership of each a-fold product in
+the certificate ideal.  For the other direction, the Groebner route
+tests each level sum for radical membership in the a-fold ideal and
+the combinatorial route reduces it against every minimal prime, which
+is exact.  Running both cross-checks those two answers; a disagreement
+is reported as an internal inconsistency, never resolved silently.
 """
 
 from __future__ import annotations
@@ -24,77 +28,66 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 from itertools import combinations
+from math import comb
 
 from .arrangements import Arrangement
 from .errors import GenericityError, UsageError
 from .groebner import Ideal, radical_member, reduce
-from .polynomials import Polynomial, ProductOfForms, Ring, product_divides
+from .polynomials import ProductOfForms
 
 
-class StciCertificate:
-    """A claimed generating set, stored as a combinatorial recipe.
+def _product_label(labels) -> str:
+    """A product of forms by its labels, as l1*l2*l4."""
+    return "*".join(f"l{i}" for i in labels) or "1"
 
-    blocks is a tuple of (base label, tuple of index subsets); each
-    block expands to base form times the sum of the subset products.
-    The tail is a single product of forms.  Polynomials are built once
-    at construction, in the arrangement's ring.
+
+class SVPartition:
+    """The certificate: the (n-j)-fold products in ordered levels.
+
+    levels holds sorted label tuples, level 0 first.  The ground set,
+    every (n-j)-subset of the labels 1..n, follows from the arrangement
+    and j and is not stored.  gens, the level sums, is built on first
+    use, so generator i is the sum of level i.
     """
 
-    __slots__ = ("arrangement", "j", "blocks", "tail_labels", "gens")
+    __slots__ = ("arrangement", "j", "levels", "_gens")
 
-    def __init__(self, arrangement: Arrangement, j: int, blocks, tail_labels):
+    def __init__(self, arrangement: Arrangement, j: int, levels):
         self.arrangement = arrangement
         self.j = j
-        self.blocks = tuple((b, tuple(tuple(i) for i in sets)) for b, sets in blocks)
-        self.tail_labels = tuple(tail_labels)
-        ring = arrangement.ring
-        gens = []
-        for base, sets in self.blocks:
-            base_poly = arrangement.form(base).poly(ring)
-            acc = ring.zero
-            for labels in sets:
-                term = ring.one
-                for i in labels:
-                    term = term * arrangement.form(i).poly(ring)
-                acc = acc + term
-            gens.append(base_poly * acc)
-        tail = ring.one
-        for i in self.tail_labels:
-            tail = tail * arrangement.form(i).poly(ring)
-        gens.append(tail)
-        self.gens = tuple(gens)
+        self.levels = tuple(tuple(tuple(sorted(p)) for p in level) for level in levels)
+        self._gens = None
 
-    def gen_names(self):
-        names = [f"F{base}" for base, _ in self.blocks]
-        names.append("tail")
-        return tuple(names)
+    @property
+    def gens(self):
+        if self._gens is None:
+            self._gens = sv_sums(self)
+        return self._gens
 
-    def describe(self) -> dict:
-        return {
-            "j": self.j,
-            "count": len(self.gens),
-            "blocks": [
-                {"base": base, "summands": [list(s) for s in sets]}
-                for base, sets in self.blocks
-            ],
-            "tail": list(self.tail_labels),
-            "generators": [str(g) for g in self.gens],
-        }
+    def names(self):
+        """Generator names by level: tail, then F{j}, ..., F1."""
+        return tuple(
+            f"F{self.j - u + 1}" if u else "tail" for u in range(len(self.levels))
+        )
 
     def __repr__(self):
-        return f"StciCertificate(j={self.j}, {len(self.gens)} generators)"
+        sizes = [len(level) for level in self.levels]
+        return f"SVPartition(j={self.j}, levels {sizes})"
 
 
-def theorem_generators(arrangement: Arrangement, j: int) -> StciCertificate:
+def _check_codim(n: int, j: int):
+    if not 0 <= j <= n - 1:
+        raise UsageError(f"codim parameter must lie in 0..{n - 1}, got {j}")
+
+
+def theorem_generators(arrangement: Arrangement, j: int) -> SVPartition:
     """The explicit j+1 generators for the (n-j)-fold product radical.
 
     j = 0 needs nothing and returns the single full product.  For
     j >= 1 the arrangement must have every rank-sized subset
     independent and j can be at most rank - 2.
     """
-    n = arrangement.n
-    if not 0 <= j <= n - 1:
-        raise UsageError(f"codim parameter must lie in 0..{n - 1}, got {j}")
+    _check_codim(arrangement.n, j)
     if j >= 1:
         r = arrangement.rank()
         if j > r - 2:
@@ -108,43 +101,36 @@ def theorem_generators(arrangement: Arrangement, j: int) -> StciCertificate:
                 f"is not {r}-generic",
                 subset=witness,
             )
-    blocks = []
-    for u in range(1, j + 1):
-        sets = tuple(combinations(range(u + 1, n + 1), n - j - 1))
-        blocks.append((u, sets))
-    return StciCertificate(arrangement, j, tuple(blocks), range(j + 1, n + 1))
+    return sv_ara_partition(arrangement, j)
 
 
 CORRUPTION_MODES = ("drop-summand", "swap-form", "truncate-tail")
 
 
-def corrupt_certificate(cert: StciCertificate, mode: str) -> StciCertificate:
+def corrupt_certificate(cert: SVPartition, mode: str) -> SVPartition:
     """A deliberately broken variant, for negative testing.
 
-    drop-summand removes one summand from the first block, swap-form
-    rebases the first block on the second form, truncate-tail shortens
-    the tail product by one factor.  Each breaks a different check.
+    drop-summand removes the first product of the last level (F1),
+    swap-form replaces form 1 by form 2 throughout the last level, and
+    truncate-tail drops one factor from the level-0 product.  Each
+    breaks a different check.
     """
     if mode not in CORRUPTION_MODES:
         raise UsageError(f"unknown corruption mode {mode!r}")
-    blocks = list(cert.blocks)
-    tail = cert.tail_labels
+    levels = list(cert.levels)
     if mode == "drop-summand":
-        if not blocks or len(blocks[0][1]) < 2:
-            raise UsageError("drop-summand needs a block with at least two summands")
-        base, sets = blocks[0]
-        blocks[0] = (base, sets[1:])
+        if len(levels) < 2 or len(levels[-1]) < 2:
+            raise UsageError("drop-summand needs a last level with at least two products")
+        levels[-1] = levels[-1][1:]
     elif mode == "swap-form":
-        if not blocks:
-            raise UsageError("swap-form needs at least one block")
-        base, sets = blocks[0]
-        new_base = 2 if base != 2 else 1
-        blocks[0] = (new_base, sets)
+        if len(levels) < 2:
+            raise UsageError("swap-form needs a level above level 0")
+        levels[-1] = tuple(tuple(2 if i == 1 else i for i in p) for p in levels[-1])
     else:
-        if len(tail) < 2:
+        if len(levels[0][0]) < 2:
             raise UsageError("truncate-tail needs a tail with at least two factors")
-        tail = tail[1:]
-    return StciCertificate(cert.arrangement, cert.j, tuple(blocks), tail)
+        levels[0] = (levels[0][0][1:],)
+    return SVPartition(cert.arrangement, cert.j, levels)
 
 
 @dataclass
@@ -188,22 +174,21 @@ class VerificationReport:
 
 
 def verify_certificate(
-    cert: StciCertificate,
+    cert: SVPartition,
     mode: str = "both",
     power_limit: int = 3,
     budget_seconds: float | None = None,
 ) -> VerificationReport:
     """Check that the certificate cuts out the a-fold product variety.
 
-    Always checks literal containment of every certificate generator
-    in the a-fold ideal.  The groebner route then tests each a-fold
-    generator against the certificate radical and (if containment
-    failed) certificate generators against the a-fold radical.  The
-    combinatorial route instead reduces certificate generators against
-    every minimal prime, which is exact, and shares the a-fold-side
-    radical tests.  Running both cross-checks the routes against each
-    other.  A budget turns remaining work into an inconclusive
-    verdict; it never flips a failure already found.
+    Every mode checks literal containment of each certificate generator
+    in the a-fold ideal and tests each a-fold product against the
+    certificate radical.  The groebner route then tests the generators
+    that containment did not settle against the a-fold radical.  The
+    combinatorial route instead reduces every generator against every
+    minimal prime, which is exact.  Running both cross-checks the two
+    answers for each generator.  A budget turns remaining work into an
+    inconclusive verdict; it never flips a failure already found.
     """
     if mode not in ("groebner", "combinatorial", "both"):
         raise UsageError(f"unknown verification mode {mode!r}")
@@ -214,113 +199,78 @@ def verify_certificate(
     a = arr.n - j
     ring = arr.ring
     afold = arr.afold_ideal(a)
+    named = tuple(zip(cert.names(), cert.gens))
     cert_ideal = Ideal(ring, cert.gens)
-    names = cert.gen_names()
     checks: list[CheckResult] = []
-
-    def out_of_time() -> bool:
-        return deadline is not None and time.monotonic() > deadline
 
     def run(name, fn, witness_fn):
         """Run one unit unless the budget is gone; record the outcome."""
-        if out_of_time():
+        if deadline is not None and time.monotonic() > deadline:
             checks.append(CheckResult(name, None, "budget exhausted"))
             return None
         ok = fn()
         checks.append(CheckResult(name, ok, None if ok else witness_fn()))
         return ok
 
-    # literal containment of each generator, any mode
-    containment_ok = {}
-    for idx, g in enumerate(cert.gens):
-        name = f"containment:{names[idx]}"
-        containment_ok[idx] = run(
-            name,
+    contained = [
+        run(
+            f"containment:{name}",
             lambda g=g: afold.contains(g),
-            lambda idx=idx: f"{names[idx]} does not lie in the {a}-fold product ideal",
+            lambda name=name: f"{name} does not lie in the {a}-fold product ideal",
+        )
+        for name, g in named
+    ]
+
+    groebner_side = []
+    if mode != "combinatorial":
+        # containment already implies radical membership, so only
+        # retest what failed or was skipped
+        for (name, g), ok in zip(named, contained):
+            groebner_side.append(ok or run(
+                f"radical-membership:{name}-in-afold",
+                lambda g=g: radical_member(g, afold, power_limit),
+                lambda name=name: f"{name} is not in the radical of the "
+                f"{a}-fold product ideal",
+            ))
+
+    for prod in arr.afold_products(a):
+        label = _product_label(sorted(prod.labels()))
+        run(
+            f"radical-membership:{label}-in-certificate",
+            lambda prod=prod: radical_member(prod.expand(ring), cert_ideal, power_limit),
+            lambda label=label: f"{a}-fold product {label} is not in the "
+            "radical of the certificate ideal",
         )
 
-    groebner_cert_side = {}
-    if mode in ("groebner", "both"):
-        # certificate generators inside the a-fold radical; containment
-        # already implies it, so only retest what failed or was skipped
-        for idx, g in enumerate(cert.gens):
-            if containment_ok.get(idx):
-                groebner_cert_side[idx] = True
-                continue
-            name = f"radical-membership:{names[idx]}-in-afold"
-            groebner_cert_side[idx] = run(
-                name,
-                lambda g=g: radical_member(g, afold, power_limit),
-                lambda idx=idx: f"{names[idx]} is not in the radical of the "
-                f"{a}-fold product ideal",
-            )
-        for prod in arr.afold_products(a):
-            label = "l" + "*l".join(str(i) for i in sorted(prod.labels()))
-            name = f"radical-membership:{label}-in-certificate"
-            run(
-                name,
-                lambda prod=prod: radical_member(
-                    prod.expand(ring), cert_ideal, power_limit
-                ),
-                lambda label=label: f"{a}-fold product {label} is not in the "
-                "radical of the certificate ideal",
+    comb_side = []
+    if mode != "groebner":
+        primes = arr.minimal_linear_primes(j)
+
+        def outside(g):
+            """The first minimal prime that does not contain g, if any."""
+            return next(
+                (p for p in primes if not reduce(g, p.gens_in(ring)).is_zero()), None
             )
 
-    comb_cert_side = {}
-    if mode in ("combinatorial", "both"):
-        primes = arr.minimal_linear_primes(j)
-        for idx, g in enumerate(cert.gens):
-            name = f"minimal-primes:{names[idx]}"
-            if out_of_time():
-                checks.append(CheckResult(name, None, "budget exhausted"))
-                comb_cert_side[idx] = None
-                continue
-            bad = None
-            for p in primes:
-                if not reduce(g, p.gens_in(ring)).is_zero():
-                    bad = p
-                    break
-            ok = bad is None
-            comb_cert_side[idx] = ok
-            checks.append(
-                CheckResult(
-                    name,
-                    ok,
-                    None
-                    if ok
-                    else f"{names[idx]} is not in the minimal prime spanned by "
-                    f"forms {list(bad.support)}",
-                )
-            )
-        if mode == "combinatorial":
-            for prod in arr.afold_products(a):
-                label = "l" + "*l".join(str(i) for i in sorted(prod.labels()))
-                name = f"radical-membership:{label}-in-certificate"
-                run(
-                    name,
-                    lambda prod=prod: radical_member(
-                        prod.expand(ring), cert_ideal, power_limit
-                    ),
-                    lambda label=label: f"{a}-fold product {label} is not in the "
-                    "radical of the certificate ideal",
-                )
+        for name, g in named:
+            comb_side.append(run(
+                f"minimal-primes:{name}",
+                lambda g=g: outside(g) is None,
+                lambda name=name, g=g: f"{name} is not in the minimal prime "
+                f"spanned by forms {list(outside(g).support)}",
+            ))
 
     if mode == "both":
         # the two routes answered the same question for each generator:
         # membership in the a-fold radical, which is the intersection of
         # the minimal primes; any disagreement is a bug, not a verdict
-        for idx in range(len(cert.gens)):
-            gside = groebner_cert_side.get(idx)
-            cside = comb_cert_side.get(idx)
-            if gside is None or cside is None:
-                continue
-            if gside != cside:
+        for (name, _), gside, cside in zip(named, groebner_side, comb_side):
+            if gside is not None and cside is not None and gside != cside:
                 checks.append(
                     CheckResult(
-                        f"cross-check:{names[idx]}",
+                        f"cross-check:{name}",
                         False,
-                        f"routes disagree on {names[idx]}: groebner says "
+                        f"routes disagree on {name}: groebner says "
                         f"{gside}, minimal primes say {cside}",
                     )
                 )
@@ -352,79 +302,73 @@ def verify_certificate(
     )
 
 
-class SVPartition:
-    """Ground set of form products split into ordered levels."""
-
-    __slots__ = ("field", "ground", "parts")
-
-    def __init__(self, field, ground, parts):
-        self.field = field
-        self.ground = tuple(ground)
-        self.parts = tuple(tuple(part) for part in parts)
-
-    def __repr__(self):
-        sizes = [len(p) for p in self.parts]
-        return f"SVPartition({len(self.ground)} products, levels {sizes})"
-
-
 def sv_check_partition(partition: SVPartition):
     """Validate the covering and divisibility conditions.
 
     Returns (ok, witness).  The conditions: the levels partition the
     ground set, level zero is a single product, and any two distinct
     products at one level have their pairwise product divisible by
-    something from a strictly earlier level.  An empty partition of an
-    empty ground set is vacuously valid.
+    something from a strictly earlier level.  Products are compared as
+    label bitmasks, where d divides p*q exactly when d & ~(p | q) == 0.
     """
-    ground = set(partition.ground)
-    parts = partition.parts
-    if not parts and not ground:
-        return True, None
-    if not parts:
-        return False, "ground set is nonempty but there are no levels"
+    n = partition.arrangement.n
+    a = n - partition.j
+    levels = partition.levels
+    if not levels:
+        return False, "there are no levels"
     seen = {}
-    for l, part in enumerate(parts):
-        if not part:
+    masks = []
+    for l, level in enumerate(levels):
+        if not level:
             return False, f"level {l} is empty"
-        for p in part:
-            if p in seen:
+        row = []
+        for p in level:
+            if len(set(p)) != a or len(p) != a or not all(1 <= i <= n for i in p):
+                return False, f"product {_product_label(p)} is not in the ground set"
+            mask = sum(1 << i for i in p)
+            if mask in seen:
                 return False, (
-                    f"product {p!r} appears in levels {seen[p]} and {l}"
+                    f"product {_product_label(p)} appears in levels {seen[mask]} and {l}"
                 )
-            seen[p] = l
-    extra = set(seen) - ground
-    if extra:
-        return False, f"product {next(iter(extra))!r} is not in the ground set"
-    missing = ground - set(seen)
-    if missing:
-        return False, f"product {next(iter(missing))!r} is missing from the levels"
-    if len(parts[0]) != 1:
-        return False, f"level 0 must hold exactly one product, found {len(parts[0])}"
-    for l in range(1, len(parts)):
-        for p, q in combinations(parts[l], 2):
-            pq = ProductOfForms(partition.field, p.factors + q.factors)
-            found = any(
-                product_divides(d, pq) for l2 in range(l) for d in parts[l2]
-            )
-            if not found:
+            seen[mask] = l
+            row.append(mask)
+        masks.append(row)
+    if len(seen) < comb(n, a):
+        missing = next(
+            s for s in combinations(range(1, n + 1), a)
+            if sum(1 << i for i in s) not in seen
+        )
+        return False, f"product {_product_label(missing)} is missing from the levels"
+    if len(levels[0]) != 1:
+        return False, f"level 0 must hold exactly one product, found {len(levels[0])}"
+    earlier = list(masks[0])
+    for l in range(1, len(levels)):
+        for (p, mp), (q, mq) in combinations(zip(levels[l], masks[l]), 2):
+            union = mp | mq
+            if not any(d & ~union == 0 for d in earlier):
                 return False, (
-                    f"no earlier product divides ({p!r}) * ({q!r}) at level {l}"
+                    f"no earlier product divides ({_product_label(p)}) * "
+                    f"({_product_label(q)}) at level {l}"
                 )
+        earlier.extend(masks[l])
     return True, None
 
 
-def sv_sums(partition: SVPartition, ring: Ring):
-    """The level sums: one polynomial per level, exponents all one.
+def sv_sums(partition: SVPartition):
+    """The level sums: one polynomial per level, a sum of products of forms.
 
     When the partition passes the checks, these cut out the same
     variety as the whole ground set, bounding the arithmetic rank by
     the number of levels.
     """
+    arr = partition.arrangement
+    ring = arr.ring
     out = []
-    for part in partition.parts:
+    for level in partition.levels:
         acc = ring.zero
-        for p in part:
-            acc = acc + p.expand(ring)
+        for labels in level:
+            prod = ProductOfForms(arr.field, [arr.form(i) for i in labels])
+            acc = acc + prod.expand(ring)
         out.append(acc)
     return tuple(out)
 
@@ -437,15 +381,11 @@ def sv_ara_partition(arrangement: Arrangement, j: int) -> SVPartition:
     arrangement, so j+1 polynomials always suffice up to radical.
     """
     n = arrangement.n
-    if not 0 <= j <= n - 1:
-        raise UsageError(f"codim parameter must lie in 0..{n - 1}, got {j}")
-    ground = arrangement.afold_products(n - j)
-    parts = [(arrangement.subset_product(range(j + 1, n + 1)),)]
+    _check_codim(n, j)
+    levels = [(tuple(range(j + 1, n + 1)),)]
     for u in range(1, j + 1):
         b = j - u + 1
-        part = tuple(
-            arrangement.subset_product((b,) + rest)
-            for rest in combinations(range(b + 1, n + 1), n - j - 1)
+        levels.append(
+            tuple((b,) + rest for rest in combinations(range(b + 1, n + 1), n - j - 1))
         )
-        parts.append(part)
-    return SVPartition(arrangement.field, ground, parts)
+    return SVPartition(arrangement, j, levels)

@@ -2,6 +2,7 @@
 
 import json
 import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -129,7 +130,8 @@ def test_afold_and_min_primes_and_radical(capsys):
 def test_stci_gens_and_verify(capsys):
     assert run(["stci-gens", "--j", "1", COORD_PLUS_SUM]) == 0
     desc = read_report(capsys)["results"]
-    assert desc["count"] == 2 and desc["tail"] == [2, 3, 4]
+    assert set(desc) == {"j", "count", "levels", "generators"}
+    assert desc["count"] == 2 and desc["levels"][0] == [[2, 3, 4]]
 
     assert run(["verify", "--j", "1", COORD_PLUS_SUM]) == 0
     rep = read_report(capsys)["results"]
@@ -209,11 +211,12 @@ def test_usage_errors_exit_two(capsys, tmp_path):
     capsys.readouterr()
 
 
-def test_console_script_runs():
+def test_console_script_runs(child_env):
     proc = subprocess.run(
-        ["starconfig", "min-distance", HARTSHORNE],
+        [sys.executable, "-m", "starconfig", "min-distance", HARTSHORNE],
         capture_output=True,
         text=True,
+        env=child_env,
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["results"]["min_distance"] == 2

@@ -20,7 +20,6 @@ from starconfig.polynomials import (
     ProductOfForms,
     Ring,
     normalize_linear_form,
-    product_divides,
 )
 
 
@@ -125,17 +124,17 @@ def test_linear_form_identity_ignores_label():
     assert a.support() == (0, 1)
 
 
-def test_product_of_forms_canonical_and_divides():
+def test_product_of_forms_canonical_with_repeats():
     x = LinearForm(QQ, (1, 0))
     y = LinearForm(QQ, (0, 1))
     xy = ProductOfForms(QQ, (x, y))
     yx = ProductOfForms(QQ, (y, x))
     assert xy == yx
-    assert product_divides(ProductOfForms(QQ, (x,)), xy)
-    # multiplicity matters: x*x does not divide x*y
+    # multiplicity matters, and a repeated factor expands as a power
     xx = ProductOfForms(QQ, (x, x))
-    assert not product_divides(xx, xy)
-    assert product_divides(xx, ProductOfForms(QQ, (x, x, y)))
+    assert xx != xy
+    ring = Ring(QQ, 2)
+    assert xx.expand(ring) == x.poly(ring) ** 2
 
 
 def test_product_expand(R):

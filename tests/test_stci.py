@@ -11,7 +11,6 @@ from starconfig.arrangements import Arrangement, random_generic_arrangement
 from starconfig.errors import GenericityError, UsageError
 from starconfig.fields import GF, QQ
 from starconfig.groebner import ideal_member
-from starconfig.polynomials import LinearForm, ProductOfForms
 from starconfig.stci import (
     CORRUPTION_MODES,
     SVPartition,
@@ -49,10 +48,11 @@ def test_certificate_shape(coord_plus_sum):
     n = coord_plus_sum.n
     cert = theorem_generators(coord_plus_sum, 1)
     assert len(cert.gens) == 2
-    assert cert.tail_labels == (2, 3, 4)
-    (base, sets), = cert.blocks
-    assert base == 1
-    assert len(sets) == comb(n - 1, n - 2)
+    assert cert.names() == ("tail", "F1")
+    tail, f1 = cert.levels
+    assert tail == ((2, 3, 4),)
+    assert all(p[0] == 1 for p in f1)
+    assert len(f1) == comb(n - 1, n - 2)
     a = n - 1
     assert all(g.total_degree() == a for g in cert.gens)
 
@@ -68,8 +68,7 @@ def test_certificate_gens_lie_in_the_afold_ideal(coord_plus_sum):
 def test_j_zero_is_the_full_product(hartshorne):
     cert = theorem_generators(hartshorne, 0)
     assert len(cert.gens) == 1
-    assert cert.blocks == ()
-    assert cert.tail_labels == (1, 2, 3, 4, 5, 6)
+    assert cert.levels == (((1, 2, 3, 4, 5, 6),),)
     assert cert.gens[0].total_degree() == 6
 
 
@@ -85,10 +84,11 @@ def test_preconditions(hartshorne, coord_plus_sum):
         theorem_generators(coord_plus_sum, 4)
 
 
-def test_describe_is_json_serializable(coord_plus_sum):
+def test_levels_round_trip_through_json(coord_plus_sum):
     cert = theorem_generators(coord_plus_sum, 1)
-    text = json.dumps(cert.describe())
-    assert "summands" in text
+    again = SVPartition(coord_plus_sum, 1, json.loads(json.dumps(cert.levels)))
+    assert again.levels == cert.levels
+    assert again.gens == cert.gens
 
 
 def test_verify_holds_in_every_mode(coord_plus_sum):
@@ -170,15 +170,14 @@ def test_ara_partition_structure(hartshorne):
     j = 3
     part = sv_ara_partition(hartshorne, j)
     n = hartshorne.n
-    assert len(part.parts) == j + 1
-    assert len(part.parts[0]) == 1
-    assert sorted(part.parts[0][0].labels()) == [4, 5, 6]
+    assert len(part.levels) == j + 1
+    assert part.levels[0] == ((4, 5, 6),)
     for u in range(1, j + 1):
         b = j - u + 1
-        assert len(part.parts[u]) == comb(n - b, n - j - 1)
-        assert all(min(p.labels()) == b for p in part.parts[u])
-    total = sum(len(p) for p in part.parts)
-    assert total == len(part.ground) == comb(n, n - j)
+        assert len(part.levels[u]) == comb(n - b, n - j - 1)
+        assert all(p[0] == b for p in part.levels[u])
+    total = sum(len(level) for level in part.levels)
+    assert total == comb(n, n - j)
 
 
 def test_ara_partition_valid_for_any_arrangement(hartshorne, coord_plus_sum):
@@ -191,8 +190,8 @@ def test_ara_partition_valid_for_any_arrangement(hartshorne, coord_plus_sum):
 def test_sums_match_certificate_for_generic(coord_plus_sum):
     cert = theorem_generators(coord_plus_sum, 1)
     part = sv_ara_partition(coord_plus_sum, 1)
-    sums = sv_sums(part, coord_plus_sum.ring)
-    assert set(sums) == set(cert.gens)
+    sums = sv_sums(part)
+    assert sums == cert.gens
     assert len(sums) == 2
 
 
@@ -200,60 +199,77 @@ def test_sums_bound_matches_height_for_generic():
     arr = random_generic_arrangement(4, 6, field=GF(101), seed=8)
     for j in (1, 2):
         part = sv_ara_partition(arr, j)
-        assert len(sv_sums(part, arr.ring)) == j + 1 == arr.height_afold(j)
-
-
-def test_empty_partition_is_vacuously_valid():
-    part = SVPartition(QQ, (), ())
-    ok, witness = sv_check_partition(part)
-    assert ok and witness is None
-    assert sv_sums(part, Arrangement(QQ, [(1,)]).ring) == ()
-
-
-def _forms(*rows):
-    return [LinearForm(QQ, r) for r in rows]
+        assert len(sv_sums(part)) == j + 1 == arr.height_afold(j)
 
 
 def test_partition_checker_rejects_bad_partitions():
-    x, y, z, w = _forms((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1))
-    xz = ProductOfForms(QQ, (x, z))
-    yw = ProductOfForms(QQ, (y, w))
-    xx = ProductOfForms(QQ, (x, x))
-    xy = ProductOfForms(QQ, (x, y))
+    arr = Arrangement(QQ, [(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)])
 
-    # a repeated factor blocks divisibility: x*x does not divide x*z*y*w
-    bad_iii = SVPartition(QQ, (xx, xz, yw), ((xx,), (xz, yw)))
-    ok, witness = sv_check_partition(bad_iii)
+    def check(*levels):
+        return sv_check_partition(SVPartition(arr, 2, levels))
+
+    # (1, 2) does not divide l1*l3*l4, the product of the level-1 pair
+    ok, witness = check([(1, 2)], [(3, 4), (1, 3)], [(1, 4), (2, 3), (2, 4)])
     assert not ok and "no earlier product divides" in witness
 
-    # xy does divide the pairwise product, so the same shape passes
-    good = SVPartition(QQ, (xy, xz, yw), ((xy,), (xz, yw)))
-    ok, witness = sv_check_partition(good)
+    # the partition by smallest label passes
+    ok, witness = check([(3, 4)], [(2, 3), (2, 4)], [(1, 2), (1, 3), (1, 4)])
     assert ok, witness
 
-    missing = SVPartition(QQ, (xy, xz), ((xy,),))
-    ok, witness = sv_check_partition(missing)
-    assert not ok and "missing" in witness
+    ok, witness = check([(3, 4)], [(2, 3), (2, 4)], [(1, 2), (1, 3)])
+    assert not ok and "l1*l4 is missing" in witness
 
-    extra = SVPartition(QQ, (xy,), ((xy,), (xz,)))
-    ok, witness = sv_check_partition(extra)
-    assert not ok and "not in the ground set" in witness
+    # wrong size, a repeated label, a label outside 1..n
+    for stray in ((1, 2, 3), (1, 1), (4, 5)):
+        ok, witness = check([(3, 4)], [(2, 3), (2, 4), stray], [(1, 2), (1, 3), (1, 4)])
+        assert not ok and "not in the ground set" in witness
 
-    doubled = SVPartition(QQ, (xy, xz), ((xy,), (xy, xz)))
-    ok, witness = sv_check_partition(doubled)
+    ok, witness = check([(3, 4)], [(3, 4), (2, 3), (2, 4)], [(1, 2), (1, 3), (1, 4)])
     assert not ok and "levels 0 and 1" in witness
 
-    fat_head = SVPartition(QQ, (xy, xz), ((xy, xz),))
-    ok, witness = sv_check_partition(fat_head)
+    ok, witness = check([(3, 4), (2, 3)], [(2, 4)], [(1, 2), (1, 3), (1, 4)])
     assert not ok and "level 0" in witness
 
-    hollow = SVPartition(QQ, (xy,), ((xy,), ()))
-    ok, witness = sv_check_partition(hollow)
+    ok, witness = check([(3, 4)], [])
     assert not ok and "empty" in witness
 
-    headless = SVPartition(QQ, (xy,), ())
-    ok, witness = sv_check_partition(headless)
+    ok, witness = check()
     assert not ok
+
+
+def test_corruptions_keep_their_polynomials_and_named_witnesses():
+    arr = random_generic_arrangement(4, 6, field=GF(32003), seed=0)
+    ring = arr.ring
+    cert = theorem_generators(arr, 2)
+    tail, f2, f1 = cert.gens
+
+    def prod(*labels):
+        return arr.subset_product(labels).expand(ring)
+
+    l2 = arr.form(2).poly(ring)
+    rest = sum((prod(*s) for s in combinations(range(2, 7), 3)), ring.zero)
+    expected = {
+        "drop-summand": ((tail, f2, f1 - prod(1, 2, 3, 4)), "l1*l2*l3*l4 is missing"),
+        "swap-form": ((tail, f2, l2 * rest), "l2*l2*l3*l4 is not in the ground set"),
+        "truncate-tail": ((prod(4, 5, 6), f2, f1), "l4*l5*l6 is not in the ground set"),
+    }
+    for mode in CORRUPTION_MODES:
+        bad = corrupt_certificate(cert, mode)
+        gens, needle = expected[mode]
+        assert bad.gens == gens, mode
+        assert bad.names() == ("tail", "F2", "F1")
+        ok, witness = sv_check_partition(bad)
+        assert not ok and needle in witness, (mode, witness)
+
+
+def test_check_names_unique_in_every_report():
+    arr = random_generic_arrangement(4, 6, field=GF(32003), seed=0)
+    cert = theorem_generators(arr, 2)
+    for corrupt in (None,) + CORRUPTION_MODES:
+        variant = corrupt_certificate(cert, corrupt) if corrupt else cert
+        for mode in ("groebner", "combinatorial", "both"):
+            names = [c.name for c in verify_certificate(variant, mode=mode).checks]
+            assert len(names) == len(set(names)), (corrupt, mode)
 
 
 @settings(max_examples=8, deadline=None)
@@ -268,4 +284,4 @@ def test_random_generic_verification_property(seed, k, extra):
         part = sv_ara_partition(arr, j)
         ok, witness = sv_check_partition(part)
         assert ok, witness
-        assert set(sv_sums(part, arr.ring)) == set(theorem_generators(arr, j).gens)
+        assert sv_sums(part) == theorem_generators(arr, j).gens
