@@ -42,7 +42,6 @@ from .orders import (
     Lex,
     MonomialOrder,
     cmp_monomials,
-    elimination_order,
 )
 from .polynomials import (
     LinearForm,
@@ -99,7 +98,6 @@ __all__ = [
     "buchberger",
     "cmp_monomials",
     "corrupt_certificate",
-    "elimination_order",
     "ideal_eq",
     "ideal_member",
     "intersect",

@@ -18,14 +18,7 @@ from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 
 from .arrangements import Arrangement, random_generic_arrangement
-from .errors import (
-    DegenerateInputError,
-    GenerationError,
-    GenericityError,
-    ParseError,
-    StarConfigError,
-    UsageError,
-)
+from .errors import ParseError, StarConfigError, UsageError
 from .fields import QQ, Field, GF, PrimeField, RationalField
 from .stci import (
     CORRUPTION_MODES,
@@ -307,20 +300,9 @@ def run(argv=None) -> int:
         override = parse_field_spec(field_flag) if field_flag else None
 
         if args.subcommand == "random":
-            field = override if override is not None else None
-            arr = random_generic_arrangement(args.k, args.n, field=field, seed=seed)
-            spec = field_spec_of(arr.field)
-
-            def show(c):
-                if isinstance(c, Fraction):
-                    return int(c) if c.denominator == 1 else str(c)
-                return int(c)
-
-            out = {
-                "field": spec,
-                "forms": [[show(c) for c in row] for row in arr.coeff_rows()],
-            }
-            json.dump(out, sys.stdout, indent=2, sort_keys=True)
+            arr = random_generic_arrangement(args.k, args.n, field=override, seed=seed)
+            afile = ArrangementFile(field_spec_of(arr.field), arr.coeff_rows())
+            json.dump(afile.to_json(), sys.stdout, indent=2, sort_keys=True)
             sys.stdout.write("\n")
             return 0
 
@@ -474,9 +456,6 @@ def run(argv=None) -> int:
         report.emit()
         return exit_code
 
-    except (ParseError, UsageError, DegenerateInputError, GenericityError, GenerationError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
     except StarConfigError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2

@@ -7,8 +7,7 @@ monic generators sorted by leading monomial, independent of input
 order, so two runs over shuffled generators must agree.
 
 Radical membership goes through the one-extra-variable trick:
-f lies in rad(I) iff 1 lies in I + <1 - y*f>.  A bounded power
-search runs first when asked; finding f^e in I is a sound early yes.
+f lies in rad(I) iff 1 lies in I + <1 - y*f>, which is exact both ways.
 """
 
 from __future__ import annotations
@@ -185,12 +184,7 @@ def buchberger(gens, seed=None):
 
 
 class Ideal:
-    """An ideal given by generators, with cached Groebner data.
-
-    Bases are cached per monomial order; radical membership answers
-    are memoized per generator-term tuple since verification asks the
-    same question for overlapping generator sets.
-    """
+    """An ideal given by generators, with its Groebner basis cached."""
 
     def __init__(self, ring: Ring, gens):
         gens = tuple(gens)
@@ -199,19 +193,16 @@ class Ideal:
                 raise UsageError("generators must live in the ideal's ring")
         self.ring = ring
         self.gens = gens
-        self._gb = {}
-        self._radical_memo = {}
+        self._gb = None
 
-    def groebner_basis(self, order=None, seed=None):
-        order = order if order is not None else self.ring.order
-        if seed is None and order in self._gb:
-            return self._gb[order]
-        target = self.ring.with_order(order)
-        gens = self.gens if target == self.ring else tuple(g.reorder(target) for g in self.gens)
-        gb = buchberger(gens, seed=seed)
-        if seed is None:
-            self._gb[order] = gb
-        return gb
+    def groebner_basis(self, seed=None):
+        """Reduced basis for the ring's order; a seed recomputes it with
+        shuffled generators and leaves the cache alone."""
+        if seed is not None:
+            return buchberger(self.gens, seed=seed)
+        if self._gb is None:
+            self._gb = buchberger(self.gens)
+        return self._gb
 
     def contains(self, f: Polynomial) -> bool:
         if f.ring != self.ring:
@@ -252,46 +243,28 @@ def intersect(a: Ideal, b: Ideal) -> Ideal:
     return Ideal(ring, tuple(g.contract(ring) for g in kept))
 
 
-def radical_member(f: Polynomial, ideal: Ideal, power_limit: int = 0) -> bool:
+def radical_member(f: Polynomial, ideal: Ideal) -> bool:
     """Does f lie in the radical of the ideal?
 
-    With a positive power_limit, f, f^2, ..., f^power_limit are tried
-    against the cached basis first; a hit is conclusive.  Misses fall
-    through to the one-extra-variable test, which is exact both ways.
+    Exact both ways: f is in rad(I) iff the ideal I + <1 - y*f> in one
+    more variable y, last under grevlex, is the whole ring.
     """
     if f.ring != ideal.ring:
         raise UsageError("element lives in a different ring")
-    memo = ideal._radical_memo
-    cached = memo.get(f.terms)
-    if cached is not None:
-        return cached
-    answer = None
     if f.is_zero():
-        answer = True
-    if answer is None and power_limit > 0:
-        gb = ideal.groebner_basis()
-        p = f
-        for _ in range(power_limit):
-            if reduce(p, gb).is_zero():
-                answer = True
-                break
-            p = p * f
-    if answer is None:
-        ring = ideal.ring
-        ext = ring.extended(1, prefix="u").with_order(GREVLEX)
-        y = ext.gen(ext.nvars - 1)
-        gens = [g.extend(ext) for g in ideal.gens]
-        gens.append(ext.one - y * f.extend(ext))
-        gb = buchberger(gens)
-        answer = len(gb) == 1 and gb[0] == ext.one
-    memo[f.terms] = answer
-    return answer
+        return True
+    ext = ideal.ring.extended(1, prefix="u").with_order(GREVLEX)
+    y = ext.gen(ext.nvars - 1)
+    gens = [g.extend(ext) for g in ideal.gens]
+    gens.append(ext.one - y * f.extend(ext))
+    gb = buchberger(gens)
+    return len(gb) == 1 and gb[0] == ext.one
 
 
-def radical_eq(a: Ideal, b: Ideal, power_limit: int = 4) -> bool:
+def radical_eq(a: Ideal, b: Ideal) -> bool:
     """Equality of radicals: generators of each lie in the other's radical."""
     if a.ring != b.ring:
         raise UsageError("ideals live in different rings")
-    return all(radical_member(g, b, power_limit) for g in a.gens) and all(
-        radical_member(g, a, power_limit) for g in b.gens
+    return all(radical_member(g, b) for g in a.gens) and all(
+        radical_member(g, a) for g in b.gens
     )

@@ -29,18 +29,11 @@ def mono_lcm(a, b):
     return tuple(max(x, y) for x, y in zip(a, b))
 
 
-def mono_degree(a):
-    return sum(a)
-
-
 class MonomialOrder:
     """A total order on monomials refining divisibility."""
 
     def key(self, exps):
         raise NotImplementedError
-
-    def negkey(self, exps):
-        return tuple(-x for x in self.key(exps))
 
 
 class GrevLex(MonomialOrder):
@@ -124,11 +117,6 @@ class BlockOrder(MonomialOrder):
 
 GREVLEX = GrevLex()
 LEX = Lex()
-
-
-def elimination_order(front) -> BlockOrder:
-    """Block order whose front block is the given variable-index set."""
-    return BlockOrder(front)
 
 
 def cmp_monomials(order: MonomialOrder, a, b) -> int:

@@ -150,9 +150,6 @@ class Polynomial:
             return -1
         return max(sum(e) for e, _ in self.terms)
 
-    def is_constant(self) -> bool:
-        return not self.terms or (len(self.terms) == 1 and sum(self.terms[0][0]) == 0)
-
     def monic(self) -> "Polynomial":
         if not self.terms:
             return self
@@ -238,12 +235,6 @@ class Polynomial:
                 base = base * base
             n = base_needed
         return result
-
-    def scale(self, c) -> "Polynomial":
-        f = self.ring.field
-        if c == f.zero:
-            return self.ring.zero
-        return Polynomial(self.ring, tuple((e, f.mul(c, v)) for e, v in self.terms))
 
     # -- ring moves ----------------------------------------------------
 
@@ -388,9 +379,6 @@ class ProductOfForms:
                 raise UsageError("factor field mismatch")
         self.field = field
         self.factors = tuple(sorted(factors, key=lambda g: g.coeffs))
-
-    def degree(self) -> int:
-        return len(self.factors)
 
     def expand(self, ring: Ring) -> Polynomial:
         result = ring.one

@@ -176,7 +176,6 @@ class VerificationReport:
 def verify_certificate(
     cert: SVPartition,
     mode: str = "both",
-    power_limit: int = 3,
     budget_seconds: float | None = None,
 ) -> VerificationReport:
     """Check that the certificate cuts out the a-fold product variety.
@@ -228,7 +227,7 @@ def verify_certificate(
         for (name, g), ok in zip(named, contained):
             groebner_side.append(ok or run(
                 f"radical-membership:{name}-in-afold",
-                lambda g=g: radical_member(g, afold, power_limit),
+                lambda g=g: radical_member(g, afold),
                 lambda name=name: f"{name} is not in the radical of the "
                 f"{a}-fold product ideal",
             ))
@@ -237,7 +236,7 @@ def verify_certificate(
         label = _product_label(sorted(prod.labels()))
         run(
             f"radical-membership:{label}-in-certificate",
-            lambda prod=prod: radical_member(prod.expand(ring), cert_ideal, power_limit),
+            lambda prod=prod: radical_member(prod.expand(ring), cert_ideal),
             lambda label=label: f"{a}-fold product {label} is not in the "
             "radical of the certificate ideal",
         )
