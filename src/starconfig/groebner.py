@@ -6,6 +6,10 @@ minimalization and interreduction.  The reduced basis is canonical:
 monic generators sorted by leading monomial, independent of input
 order, so two runs over shuffled generators must agree.
 
+The core runs on packed-integer monomials (see ``orders``): it packs
+each input once and unpacks the reduced basis once.  A monomial of
+total degree 2**15 or more does not fit and raises ``UsageError``.
+
 Radical membership goes through the one-extra-variable trick:
 f lies in rad(I) iff 1 lies in I + <1 - y*f>, which is exact both ways.
 """
@@ -13,11 +17,95 @@ f lies in rad(I) iff 1 lies in I + <1 - y*f>, which is exact both ways.
 from __future__ import annotations
 
 import random
-from heapq import heappop, heappush
+from heapq import heapify, heappop, heappush
 
 from .errors import UsageError
-from .orders import GREVLEX, BlockOrder, mono_div, mono_divides, mono_lcm, mono_mul
+from .orders import GREVLEX, BlockOrder, degree_error
 from .polynomials import Polynomial, Ring
+
+# The core works on packed terms: lists of (packed monomial, coefficient)
+# pairs, descending, with no zero coefficient.  A basis element is monic
+# and also kept as a divisor: its leading monomial and its tail.
+
+
+def _pack(f: Polynomial, layout):
+    pack = layout.pack
+    return [(pack(e), c) for e, c in f.terms]
+
+
+def _unpack(ring: Ring, layout, terms) -> Polynomial:
+    unpack = layout.unpack
+    return Polynomial(ring, tuple([(unpack(m), c) for m, c in terms]))
+
+
+def _monic(terms, fld):
+    c = terms[0][1]
+    if c == fld.one:
+        return terms
+    inv = fld.inv(c)
+    return [(m, fld.mul(inv, v)) for m, v in terms]
+
+
+def _reduce(work, divisors, fld, layout):
+    """Remainder of {packed monomial: coefficient} under division by monic
+    (leading monomial, tail) divisors, tried in order; consumes work.
+
+    Each new term is smaller than the term it replaces, so the heap
+    hands out the remainder's terms already descending.
+    """
+    guard = layout.guard
+    zero = fld.zero
+    mul, sub, neg = fld.mul, fld.sub, fld.neg
+    heap = [-m for m in work]
+    heapify(heap)
+    out = []
+    while heap:
+        m = -heappop(heap)
+        c = work.pop(m, None)
+        if c is None:
+            continue
+        for lm, tail in divisors:
+            q = m - lm
+            if q & guard:
+                continue
+            for mg, cg in tail:
+                mt = q + mg
+                cur = work.get(mt)
+                if cur is None:
+                    if mt & guard:
+                        raise degree_error(sum(layout.unpack(mt)))
+                    work[mt] = neg(mul(c, cg))
+                    heappush(heap, -mt)
+                else:
+                    s = sub(cur, mul(c, cg))
+                    if s == zero:
+                        del work[mt]
+                    else:
+                        work[mt] = s
+            break
+        else:
+            out.append((m, c))
+    return out
+
+
+def _spoly(l, a, b, fld, layout):
+    """S-polynomial of monic packed a and b with lcm l, as a dict."""
+    guard = layout.guard
+    zero = fld.zero
+    sub = fld.sub
+    qa, qb = l - a[0][0], l - b[0][0]
+    work = {qa + m: c for m, c in a[1:]}
+    for m, c in b[1:]:
+        mt = qb + m
+        s = sub(work.get(mt, zero), c)
+        if s == zero:
+            del work[mt]
+        else:
+            work[mt] = s
+    for mt in work:
+        if mt & guard:
+            raise degree_error(sum(layout.unpack(mt)))
+    return work
 
 
 def reduce(f: Polynomial, basis) -> Polynomial:
@@ -30,57 +118,16 @@ def reduce(f: Polynomial, basis) -> Polynomial:
     if f.is_zero():
         return f
     ring = f.ring
-    fld = ring.field
-    zero = fld.zero
-    key = ring.order.key
-    red = []
+    layout = ring.order.layout(ring.nvars)
+    divisors = []
     for g in basis:
         if g.is_zero():
             continue
         if g.ring != ring:
             raise UsageError("divisor lives in a different ring")
-        red.append((g.lm(), fld.inv(g.lc()), g.terms))
-    work = {}
-    heap = []
-    for e, c in f.terms:
-        work[e] = c
-        heappush(heap, (tuple(-x for x in key(e)), e))
-    out = {}
-    while heap:
-        _, e = heappop(heap)
-        c = work.get(e)
-        if c is None:
-            continue
-        for lm, lcinv, terms in red:
-            if mono_divides(lm, e):
-                q = mono_div(e, lm)
-                factor = fld.mul(c, lcinv)
-                del work[e]
-                for eg, cg in terms[1:]:
-                    et = mono_mul(q, eg)
-                    delta = fld.mul(factor, cg)
-                    cur = work.get(et)
-                    if cur is None:
-                        work[et] = fld.neg(delta)
-                        heappush(heap, (tuple(-x for x in key(et)), et))
-                    else:
-                        s = fld.sub(cur, delta)
-                        if s == zero:
-                            del work[et]
-                        else:
-                            work[et] = s
-                break
-        else:
-            del work[e]
-            out[e] = c
-    return ring.from_dict(out)
-
-
-def _shifted(f: Polynomial, exps, coeff) -> Polynomial:
-    """coeff * x^exps * f without going through generic multiplication."""
-    fld = f.ring.field
-    terms = tuple((mono_mul(exps, e), fld.mul(coeff, c)) for e, c in f.terms)
-    return Polynomial(f.ring, terms)
+        terms = _pack(g.monic(), layout)
+        divisors.append((terms[0][0], terms[1:]))
+    return _unpack(ring, layout, _reduce(dict(_pack(f, layout)), divisors, ring.field, layout))
 
 
 def s_polynomial(f: Polynomial, g: Polynomial) -> Polynomial:
@@ -89,11 +136,11 @@ def s_polynomial(f: Polynomial, g: Polynomial) -> Polynomial:
         raise UsageError("polynomials live in different rings")
     if f.is_zero() or g.is_zero():
         raise UsageError("S-polynomial of a zero polynomial")
-    fld = f.ring.field
-    l = mono_lcm(f.lm(), g.lm())
-    a = _shifted(f, mono_div(l, f.lm()), fld.inv(f.lc()))
-    b = _shifted(g, mono_div(l, g.lm()), fld.inv(g.lc()))
-    return a - b
+    ring = f.ring
+    layout = ring.order.layout(ring.nvars)
+    l = layout.pack(tuple(map(max, f.lm(), g.lm())))
+    work = _spoly(l, _pack(f.monic(), layout), _pack(g.monic(), layout), ring.field, layout)
+    return _unpack(ring, layout, sorted(work.items(), reverse=True))
 
 
 def buchberger(gens, seed=None):
@@ -113,27 +160,43 @@ def buchberger(gens, seed=None):
     if seed is not None:
         rng = random.Random(seed)
         rng.shuffle(polys)
-    key = ring.order.key
+    fld = ring.field
+    layout = ring.order.layout(ring.nvars)
+    guard = layout.guard
+    pack, unpack = layout.pack, layout.unpack
 
     basis = []
+    divisors = []
+    lm_exps = []
+
+    def append(terms):
+        terms = _monic(terms, fld)
+        basis.append(terms)
+        divisors.append((terms[0][0], terms[1:]))
+        lm_exps.append(unpack(terms[0][0]))
+
+    def lcm(i, j):
+        return pack(tuple(map(max, lm_exps[i], lm_exps[j])))
+
     for g in polys:
-        r = reduce(g, basis).monic() if basis else g.monic()
-        if not r.is_zero():
-            basis.append(r)
+        terms = _pack(g, layout)
+        if basis:
+            terms = _reduce(dict(terms), divisors, fld, layout)
+        if terms:
+            append(terms)
 
     pending = set()
     heap = []
     for j in range(len(basis)):
         for i in range(j):
-            l = mono_lcm(basis[i].lm(), basis[j].lm())
             pending.add((i, j))
-            heappush(heap, (key(l), i, j))
+            heappush(heap, (lcm(i, j), i, j))
 
     def chain_skippable(i, j, l):
-        for k in range(len(basis)):
+        for k, (lmk, _) in enumerate(divisors):
             if k == i or k == j:
                 continue
-            if mono_divides(basis[k].lm(), l):
+            if not (l - lmk) & guard:
                 a = (min(i, k), max(i, k))
                 b = (min(j, k), max(j, k))
                 if a not in pending and b not in pending:
@@ -141,46 +204,42 @@ def buchberger(gens, seed=None):
         return False
 
     while heap:
-        lkey, i, j = heappop(heap)
+        l, i, j = heappop(heap)
         if (i, j) not in pending:
             continue
         pending.discard((i, j))
-        lmi, lmj = basis[i].lm(), basis[j].lm()
-        l = mono_lcm(lmi, lmj)
-        if l == mono_mul(lmi, lmj):
+        if l == divisors[i][0] + divisors[j][0]:
             continue
         if chain_skippable(i, j, l):
             continue
-        r = reduce(s_polynomial(basis[i], basis[j]), basis)
-        if r.is_zero():
+        r = _reduce(_spoly(l, basis[i], basis[j], fld, layout), divisors, fld, layout)
+        if not r:
             continue
-        r = r.monic()
-        basis.append(r)
+        append(r)
         t = len(basis) - 1
         for i2 in range(t):
-            l2 = mono_lcm(basis[i2].lm(), r.lm())
             pending.add((i2, t))
-            heappush(heap, (key(l2), i2, t))
+            heappush(heap, (lcm(i2, t), i2, t))
 
     # keep only generators whose leading monomial is not covered
-    lms = [g.lm() for g in basis]
+    lms = [lm for lm, _ in divisors]
     keep = []
     for i, lm in enumerate(lms):
         covered = any(
-            mono_divides(lms[k], lm) and (lms[k] != lm or k < i)
+            not (lm - lms[k]) & guard and (lms[k] != lm or k < i)
             for k in range(len(basis))
             if k != i
         )
         if not covered:
             keep.append(i)
-    minimal = [basis[i] for i in keep]
+    minimal = [divisors[i] for i in keep]
 
     reduced = []
-    for i, g in enumerate(minimal):
+    for i in range(len(keep)):
         others = minimal[:i] + minimal[i + 1 :]
-        reduced.append(reduce(g, others).monic())
-    reduced.sort(key=lambda g: key(g.lm()))
-    return tuple(reduced)
+        reduced.append(_monic(_reduce(dict(basis[keep[i]]), others, fld, layout), fld))
+    reduced.sort(key=lambda terms: terms[0][0])
+    return tuple(_unpack(ring, layout, terms) for terms in reduced)
 
 
 class Ideal:

@@ -54,14 +54,14 @@ class Ring:
 
     def from_dict(self, coeffs: dict) -> "Polynomial":
         """Build a polynomial from {exponent tuple: coefficient}."""
-        key = self.order.key
+        pack = self.order.layout(self.nvars).pack
         terms = []
         for exps, c in coeffs.items():
             if len(exps) != self.nvars:
                 raise UsageError(f"exponent arity {len(exps)} in a {self.nvars}-variable ring")
             if c != self.field.zero:
                 terms.append((tuple(exps), c))
-        terms.sort(key=lambda t: key(t[0]), reverse=True)
+        terms.sort(key=lambda t: pack(t[0]), reverse=True)
         return Polynomial(self, tuple(terms))
 
     @property

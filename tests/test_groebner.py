@@ -23,8 +23,11 @@ from starconfig.groebner import (
     reduce,
     s_polynomial,
 )
-from starconfig.orders import mono_divides
+from starconfig.errors import UsageError
+from starconfig.orders import DEGREE_LIMIT, GREVLEX, LEX, BlockOrder, mono_divides
 from starconfig.polynomials import Ring
+
+import groebner_reference as ref
 
 
 def to_sympy(f, syms):
@@ -279,3 +282,41 @@ def test_product_splitting_lemma_gf101(data):
         Ideal(ring, tuple(base) + (f,)), Ideal(ring, tuple(base) + (g,))
     )
     assert radical_eq(left, right)
+
+
+def _random_polys(draw, ring, count):
+    exps = st.tuples(*[st.integers(0, 2)] * ring.nvars)
+    coeffs = st.integers(-5, 5).map(ring.field.from_int)
+    out = []
+    for _ in range(count):
+        d = draw(st.dictionaries(exps, coeffs, min_size=1, max_size=3))
+        out.append(ring.from_dict(d))
+    return out
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_packed_core_matches_tuple_reference(data):
+    """buchberger and reduce equal the tuple-exponent core term for term."""
+    field = data.draw(st.sampled_from([GF(32003), GF(101), QQ]))
+    order = data.draw(st.sampled_from([GREVLEX, LEX, BlockOrder({2}), BlockOrder({0, 2})]))
+    seed = data.draw(st.sampled_from([None, 1, 2]))
+    ring = Ring(field, 3, order=order, names=("x", "y", "z"))
+    gens = _random_polys(data.draw, ring, data.draw(st.integers(1, 3)))
+    gb = buchberger(gens, seed=seed)
+    assert gb == ref.buchberger(gens, seed=seed)
+    for f in _random_polys(data.draw, ring, 2):
+        assert reduce(f, gb) == ref.reduce(f, gb)
+        assert reduce(f, gens) == ref.reduce(f, gens)
+    nonzero = [g for g in gens if not g.is_zero()]
+    if len(nonzero) >= 2:
+        assert s_polynomial(nonzero[0], nonzero[1]) == ref.s_polynomial(nonzero[0], nonzero[1])
+
+
+def test_lex_reduction_past_degree_limit_raises():
+    """Lex division can raise the degree above every input's: x^200 by
+    x - y^200 would end at y^40000, which the packed core refuses."""
+    R = Ring(QQ, 2, order=LEX, names=("x", "y"))
+    x, y = R.gens()
+    with pytest.raises(UsageError, match=f"limit {DEGREE_LIMIT}"):
+        reduce(x ** 200, [x - y ** 200])

@@ -11,9 +11,10 @@ from starconfig.orders import (
     GREVLEX,
     LEX,
     BlockOrder,
+    DEGREE_LIMIT,
     cmp_monomials,
     mono_divides,
-    mono_lcm,
+    mono_mul,
 )
 from starconfig.polynomials import (
     LinearForm,
@@ -21,6 +22,12 @@ from starconfig.polynomials import (
     Ring,
     normalize_linear_form,
 )
+
+from groebner_reference import tuple_key
+
+
+def _orders(n):
+    return (GREVLEX, LEX, BlockOrder({n - 1}), BlockOrder({0, n - 1}))
 
 
 def test_grevlex_orders_by_degree_then_reverse():
@@ -41,14 +48,43 @@ def test_block_order_eliminates_front_block():
 
 
 def test_cmp_rejects_arity_mismatch():
-    with pytest.raises(UsageError):
-        cmp_monomials(GREVLEX, (1, 0), (1, 0, 0))
+    for order in _orders(3):
+        with pytest.raises(UsageError):
+            cmp_monomials(order, (1, 0), (1, 0, 0))
 
 
 def test_mono_helpers():
     assert mono_divides((1, 0, 2), (1, 1, 2))
     assert not mono_divides((2, 0), (1, 5))
-    assert mono_lcm((2, 1), (1, 3)) == (2, 3)
+    assert mono_mul((2, 1), (1, 3)) == (3, 4)
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_packed_keys_match_tuple_keys(data):
+    """The packed int of each order sorts like its tuple key, adds under
+    products, and its guard test is componentwise <=."""
+    n = data.draw(st.integers(1, 6))
+    exps = st.tuples(*[st.integers(0, 40)] * n)
+    monos = data.draw(st.lists(exps, min_size=2, max_size=12, unique=True))
+    for order in _orders(n):
+        layout = order.layout(n)
+        assert sorted(monos, key=order.key) == sorted(monos, key=lambda e: tuple_key(order, e))
+        for a in monos[:4]:
+            for b in monos:
+                assert order.key(mono_mul(a, b)) == order.key(a) + order.key(b)
+                assert not (order.key(mono_mul(a, b)) - order.key(a)) & layout.guard
+                packed_divides = not (order.key(b) - order.key(a)) & layout.guard
+                assert packed_divides == all(x <= y for x, y in zip(a, b))
+        assert [layout.unpack(order.key(e)) for e in monos] == monos
+
+
+def test_degree_past_packed_limit_raises():
+    R = Ring(QQ, 2)
+    x, _ = R.gens()
+    with pytest.raises(UsageError, match=f"degree {DEGREE_LIMIT} .*limit {DEGREE_LIMIT}"):
+        x ** 40000
+    assert (x ** (DEGREE_LIMIT - 1)).total_degree() == DEGREE_LIMIT - 1
 
 
 @pytest.fixture
