@@ -9,9 +9,15 @@ order, so two runs over shuffled generators must agree.
 The core runs on packed-integer monomials (see ``orders``): it packs
 each input once and unpacks the reduced basis once.  A monomial of
 total degree 2**15 or more does not fit and raises ``UsageError``.
+Its division loop, one for both fields, updates coefficients with
+plain ``-`` and ``*`` and normalizes each term once, when it is popped
+(``% p`` over GF(p)), after Monagan & Pearce (CASC 2007).  The core
+stops as soon as a nonzero constant turns up, since the reduced basis
+is then (1,).
 
 Radical membership goes through the one-extra-variable trick:
 f lies in rad(I) iff 1 lies in I + <1 - y*f>, which is exact both ways.
+The adjoined system is packed directly and answered by that stop.
 """
 
 from __future__ import annotations
@@ -51,18 +57,24 @@ def _reduce(work, divisors, fld, layout):
     (leading monomial, tail) divisors, tried in order; consumes work.
 
     Each new term is smaller than the term it replaces, so the heap
-    hands out the remainder's terms already descending.
+    hands out the remainder's terms already descending, and every
+    monomial in work has exactly one heap entry.  Coefficients in work
+    may be unnormalized: they are updated with plain ``-`` and ``*``
+    and brought to canonical form only when their term is popped
+    (``% p`` over GF(p), nothing over QQ), after which a zero term is
+    dropped.  With no divisors this just normalizes and sorts work.
     """
     guard = layout.guard
-    zero = fld.zero
-    mul, sub, neg = fld.mul, fld.sub, fld.neg
+    p = fld.characteristic
     heap = [-m for m in work]
     heapify(heap)
     out = []
     while heap:
         m = -heappop(heap)
-        c = work.pop(m, None)
-        if c is None:
+        c = work.pop(m)
+        if p:
+            c %= p
+        if not c:
             continue
         for lm, tail in divisors:
             q = m - lm
@@ -74,34 +86,26 @@ def _reduce(work, divisors, fld, layout):
                 if cur is None:
                     if mt & guard:
                         raise degree_error(sum(layout.unpack(mt)))
-                    work[mt] = neg(mul(c, cg))
+                    work[mt] = -c * cg
                     heappush(heap, -mt)
                 else:
-                    s = sub(cur, mul(c, cg))
-                    if s == zero:
-                        del work[mt]
-                    else:
-                        work[mt] = s
+                    work[mt] = cur - c * cg
             break
         else:
             out.append((m, c))
     return out
 
 
-def _spoly(l, a, b, fld, layout):
-    """S-polynomial of monic packed a and b with lcm l, as a dict."""
+def _spoly(l, a, b, layout):
+    """S-polynomial of monic packed a and b with lcm l, as a dict whose
+    coefficients ``_reduce`` normalizes."""
     guard = layout.guard
-    zero = fld.zero
-    sub = fld.sub
     qa, qb = l - a[0][0], l - b[0][0]
     work = {qa + m: c for m, c in a[1:]}
+    get = work.get
     for m, c in b[1:]:
         mt = qb + m
-        s = sub(work.get(mt, zero), c)
-        if s == zero:
-            del work[mt]
-        else:
-            work[mt] = s
+        work[mt] = get(mt, 0) - c
     for mt in work:
         if mt & guard:
             raise degree_error(sum(layout.unpack(mt)))
@@ -139,8 +143,8 @@ def s_polynomial(f: Polynomial, g: Polynomial) -> Polynomial:
     ring = f.ring
     layout = ring.order.layout(ring.nvars)
     l = layout.pack(tuple(map(max, f.lm(), g.lm())))
-    work = _spoly(l, _pack(f.monic(), layout), _pack(g.monic(), layout), ring.field, layout)
-    return _unpack(ring, layout, sorted(work.items(), reverse=True))
+    work = _spoly(l, _pack(f.monic(), layout), _pack(g.monic(), layout), layout)
+    return _unpack(ring, layout, _reduce(work, (), ring.field, layout))
 
 
 def buchberger(gens, seed=None):
@@ -160,10 +164,23 @@ def buchberger(gens, seed=None):
     if seed is not None:
         rng = random.Random(seed)
         rng.shuffle(polys)
-    fld = ring.field
     layout = ring.order.layout(ring.nvars)
+    basis = _groebner([_pack(g, layout) for g in polys], ring.field, layout)
+    return tuple(_unpack(ring, layout, terms) for terms in basis)
+
+
+def _groebner(packed_gens, fld, layout):
+    """Reduced basis of packed generators, as monic packed terms sorted
+    by leading monomial.
+
+    Stops with the unit basis as soon as a reduced generator or an
+    S-pair remainder is a nonzero constant (packed monomial 0 in every
+    layout): the ideal is then the whole ring, whose reduced basis is
+    (1,) whatever else the pair queue holds.
+    """
     guard = layout.guard
     pack, unpack = layout.pack, layout.unpack
+    unit = [[(0, fld.one)]]
 
     basis = []
     divisors = []
@@ -178,11 +195,12 @@ def buchberger(gens, seed=None):
     def lcm(i, j):
         return pack(tuple(map(max, lm_exps[i], lm_exps[j])))
 
-    for g in polys:
-        terms = _pack(g, layout)
+    for terms in packed_gens:
         if basis:
             terms = _reduce(dict(terms), divisors, fld, layout)
         if terms:
+            if terms[0][0] == 0:
+                return unit
             append(terms)
 
     pending = set()
@@ -212,9 +230,11 @@ def buchberger(gens, seed=None):
             continue
         if chain_skippable(i, j, l):
             continue
-        r = _reduce(_spoly(l, basis[i], basis[j], fld, layout), divisors, fld, layout)
+        r = _reduce(_spoly(l, basis[i], basis[j], layout), divisors, fld, layout)
         if not r:
             continue
+        if r[0][0] == 0:
+            return unit
         append(r)
         t = len(basis) - 1
         for i2 in range(t):
@@ -239,7 +259,7 @@ def buchberger(gens, seed=None):
         others = minimal[:i] + minimal[i + 1 :]
         reduced.append(_monic(_reduce(dict(basis[keep[i]]), others, fld, layout), fld))
     reduced.sort(key=lambda terms: terms[0][0])
-    return tuple(_unpack(ring, layout, terms) for terms in reduced)
+    return reduced
 
 
 class Ideal:
@@ -306,18 +326,23 @@ def radical_member(f: Polynomial, ideal: Ideal) -> bool:
     """Does f lie in the radical of the ideal?
 
     Exact both ways: f is in rad(I) iff the ideal I + <1 - y*f> in one
-    more variable y, last under grevlex, is the whole ring.
+    more variable y, last under grevlex, is the whole ring.  That system
+    is packed here in the grevlex layout, each generator's terms sorted
+    afresh, so the ideal's ring may have any order.
     """
     if f.ring != ideal.ring:
         raise UsageError("element lives in a different ring")
     if f.is_zero():
         return True
-    ext = ideal.ring.extended(1, prefix="u").with_order(GREVLEX)
-    y = ext.gen(ext.nvars - 1)
-    gens = [g.extend(ext) for g in ideal.gens]
-    gens.append(ext.one - y * f.extend(ext))
-    gb = buchberger(gens)
-    return len(gb) == 1 and gb[0] == ext.one
+    fld = f.ring.field
+    layout = GREVLEX.layout(f.ring.nvars + 1)
+    pack = layout.pack
+    gens = [sorted([(pack(e + (0,)), c) for e, c in g.terms], reverse=True) for g in ideal.gens]
+    rabinowitsch = [(pack(e + (1,)), fld.neg(c)) for e, c in f.terms]
+    rabinowitsch.append((0, fld.one))
+    rabinowitsch.sort(reverse=True)
+    gens.append(rabinowitsch)
+    return _groebner(gens, fld, layout) == [[(0, fld.one)]]
 
 
 def radical_eq(a: Ideal, b: Ideal) -> bool:

@@ -232,24 +232,23 @@ def verify_certificate(
                 f"{a}-fold product ideal",
             ))
 
-    for prod in arr.afold_products(a):
+    # afold.gens are these products expanded, in the same order
+    for prod, f in zip(arr.afold_products(a), afold.gens):
         label = _product_label(sorted(prod.labels()))
         run(
             f"radical-membership:{label}-in-certificate",
-            lambda prod=prod: radical_member(prod.expand(ring), cert_ideal),
+            lambda f=f: radical_member(f, cert_ideal),
             lambda label=label: f"{a}-fold product {label} is not in the "
             "radical of the certificate ideal",
         )
 
     comb_side = []
     if mode != "groebner":
-        primes = arr.minimal_linear_primes(j)
+        primes = [(p, p.gens_in(ring)) for p in arr.minimal_linear_primes(j)]
 
         def outside(g):
             """The first minimal prime that does not contain g, if any."""
-            return next(
-                (p for p in primes if not reduce(g, p.gens_in(ring)).is_zero()), None
-            )
+            return next((p for p, gens in primes if not reduce(g, gens).is_zero()), None)
 
         for name, g in named:
             comb_side.append(run(

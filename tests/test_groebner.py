@@ -297,12 +297,23 @@ def _random_polys(draw, ring, count):
 @settings(max_examples=40, deadline=None)
 @given(data=st.data())
 def test_packed_core_matches_tuple_reference(data):
-    """buchberger and reduce equal the tuple-exponent core term for term."""
-    field = data.draw(st.sampled_from([GF(32003), GF(101), QQ]))
+    """buchberger and reduce equal the tuple-exponent core term for term.
+
+    GF(7) makes coefficients cancel often, so unnormalized terms that
+    reach a multiple of p and are dropped only when popped get
+    exercised.  A generator set may also hold g and g + c for a nonzero
+    constant c, a unit that shows only after a reduction, which the
+    core's stop at a unit must answer with the reference's basis (1,).
+    """
+    field = data.draw(st.sampled_from([GF(32003), GF(101), GF(7), QQ]))
     order = data.draw(st.sampled_from([GREVLEX, LEX, BlockOrder({2}), BlockOrder({0, 2})]))
     seed = data.draw(st.sampled_from([None, 1, 2]))
     ring = Ring(field, 3, order=order, names=("x", "y", "z"))
     gens = _random_polys(data.draw, ring, data.draw(st.integers(1, 3)))
+    if data.draw(st.booleans()):
+        g = _random_polys(data.draw, ring, 1)[0]
+        c = ring.constant(data.draw(st.integers(1, 6)))
+        gens += [g, g + c]
     gb = buchberger(gens, seed=seed)
     assert gb == ref.buchberger(gens, seed=seed)
     for f in _random_polys(data.draw, ring, 2):
@@ -311,6 +322,63 @@ def test_packed_core_matches_tuple_reference(data):
     nonzero = [g for g in gens if not g.is_zero()]
     if len(nonzero) >= 2:
         assert s_polynomial(nonzero[0], nonzero[1]) == ref.s_polynomial(nonzero[0], nonzero[1])
+
+
+def _rabinowitsch_reference(f, ideal):
+    """Whether the tuple reference's basis of I + <1 - u*f>, grevlex
+    with u last, is [1]; terms are sorted by the reference's own keys."""
+    ring = ideal.ring
+    ext = Ring(ring.field, ring.nvars + 1, order=GREVLEX, names=ring.names + ("u",))
+    neg = ring.field.neg
+    gens = [ref._from_dict(ext, {e + (0,): c for e, c in g.terms}) for g in ideal.gens]
+    adjoined = {e + (1,): neg(c) for e, c in f.terms}
+    adjoined[(0,) * ext.nvars] = ring.field.one
+    gens.append(ref._from_dict(ext, adjoined))
+    return ref.buchberger(gens) == (ext.one,)
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_radical_member_matches_tuple_reference(data):
+    """radical_member builds its packed grevlex system itself, so it is
+    checked against the reference's Rabinowitsch run, also for a ring
+    under a block order.  f is a product or power of generators, always
+    a member, or a random polynomial, in general not one."""
+    field = data.draw(st.sampled_from([GF(7), GF(32003), QQ]))
+    order = data.draw(st.sampled_from([GREVLEX, BlockOrder({0, 2})]))
+    ring = Ring(field, 3, order=order, names=("x", "y", "z"))
+    exps = st.tuples(*[st.integers(0, 1)] * 3)
+    coeffs = st.integers(-5, 5).map(field.from_int)
+
+    def poly(max_size):
+        d = data.draw(st.dictionaries(exps, coeffs, min_size=1, max_size=max_size))
+        return ring.from_dict(d)
+
+    gens = [poly(3) for _ in range(data.draw(st.integers(1, 2)))]
+    ideal = Ideal(ring, gens)
+    kind = data.draw(st.sampled_from(["power", "product", "random"]))
+    if kind == "power":
+        f = gens[0] ** 2
+    elif kind == "product":
+        f = gens[-1] * poly(2)
+    else:
+        f = poly(2)
+    expected = _rabinowitsch_reference(f, ideal) if not f.is_zero() else True
+    if kind != "random":
+        assert expected
+    assert radical_member(f, ideal) == expected
+
+
+def test_radical_member_reference_sees_both_answers():
+    """The reference oracle above separates members from non-members,
+    over a block-ordered ring too."""
+    for order in (GREVLEX, BlockOrder({0, 2})):
+        ring = Ring(GF(7), 3, order=order, names=("x", "y", "z"))
+        x, y, z = ring.gens()
+        ideal = Ideal(ring, (x ** 2 - y * z, y ** 2))
+        for f, member in ((x * y, True), (x, True), (z, False), (x + z, False)):
+            assert _rabinowitsch_reference(f, ideal) is member
+            assert radical_member(f, ideal) is member
 
 
 def test_lex_reduction_past_degree_limit_raises():
