@@ -26,10 +26,7 @@ from .fields import DEFAULT_PRIME, GF, Field, PrimeField, QQ, RationalField
 from .groebner import (
     Ideal,
     buchberger,
-    ideal_eq,
-    ideal_member,
     intersect,
-    radical_eq,
     radical_member,
     reduce,
     s_polynomial,
@@ -41,7 +38,6 @@ from .orders import (
     GrevLex,
     Lex,
     MonomialOrder,
-    cmp_monomials,
 )
 from .polynomials import (
     LinearForm,
@@ -96,14 +92,10 @@ __all__ = [
     "UsageError",
     "VerificationReport",
     "buchberger",
-    "cmp_monomials",
     "corrupt_certificate",
-    "ideal_eq",
-    "ideal_member",
     "intersect",
     "matrix_rank",
     "normalize_linear_form",
-    "radical_eq",
     "radical_member",
     "random_generic_arrangement",
     "reduce",

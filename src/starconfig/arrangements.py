@@ -79,10 +79,6 @@ class LinearPrime:
     def contains_form(self, form: LinearForm) -> bool:
         return span_contains(self.field, self.rows, self.pivots, form.coeffs)
 
-    def contains_product(self, prod: ProductOfForms) -> bool:
-        """Primality in action: a product lies in us iff some factor does."""
-        return any(self.contains_form(g) for g in prod.factors)
-
     def gens_in(self, ring: Ring):
         return tuple(ring.linear(row) for row in self.rows)
 

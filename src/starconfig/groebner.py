@@ -6,14 +6,23 @@ minimalization and interreduction.  The reduced basis is canonical:
 monic generators sorted by leading monomial, independent of input
 order, so two runs over shuffled generators must agree.
 
-The core runs on packed-integer monomials (see ``orders``): it packs
-each input once and unpacks the reduced basis once.  A monomial of
-total degree 2**15 or more does not fit and raises ``UsageError``.
-Its division loop, one for both fields, updates coefficients with
+The core runs on packed-integer monomials (see ``orders``) and on
+Python ``int`` coefficients in both fields.  Over GF(p) they are
+residues and basis elements are monic; over QQ basis elements are
+primitive integer polynomials with a positive leading coefficient.
+Fractions exist only at the boundary: packing an input clears its
+denominators, and unpacking the reduced basis divides each element by
+its leading coefficient.  A monomial of total degree 2**15 or more
+does not fit and raises ``UsageError``.
+
+One division loop serves both fields.  It updates coefficients with
 plain ``-`` and ``*`` and normalizes each term once, when it is popped
-(``% p`` over GF(p)), after Monagan & Pearce (CASC 2007).  The core
-stops as soon as a nonzero constant turns up, since the reduced basis
-is then (1,).
+(``% p`` over GF(p)), after Monagan & Pearce (CASC 2007).  A divisor
+whose leading coefficient is not 1, which happens only over QQ, is
+applied fraction-free: the pending terms are scaled by an integer
+instead of dividing by that coefficient, so the core works with a
+scalar multiple of the remainder.  The core stops as soon as a nonzero
+constant turns up, since the reduced basis is then (1,).
 
 Radical membership goes through the one-extra-variable trick:
 f lies in rad(I) iff 1 lies in I + <1 - y*f>, which is exact both ways.
@@ -23,38 +32,62 @@ The adjoined system is packed directly and answered by that stop.
 from __future__ import annotations
 
 import random
+from fractions import Fraction
 from heapq import heapify, heappop, heappush
+from math import gcd, lcm
 
 from .errors import UsageError
 from .orders import GREVLEX, BlockOrder, degree_error
 from .polynomials import Polynomial, Ring
 
-# The core works on packed terms: lists of (packed monomial, coefficient)
-# pairs, descending, with no zero coefficient.  A basis element is monic
-# and also kept as a divisor: its leading monomial and its tail.
+# The core works on packed terms: lists of (packed monomial, int
+# coefficient) pairs, descending, with no zero coefficient.  A basis
+# element is normalized by ``_normalize`` and also kept as a divisor:
+# (leading monomial, (leading coefficient, tail)).
 
 
-def _pack(f: Polynomial, layout):
+def _pack(f: Polynomial, layout, pad=()):
+    """f's terms with each exponent tuple extended by pad and packed, in
+    f's order, with int coefficients; and the positive int they were
+    scaled by: 1 over GF(p), the lcm of the denominators over QQ."""
     pack = layout.pack
-    return [(pack(e), c) for e, c in f.terms]
+    if f.ring.field.characteristic:
+        return [(pack(e + pad), c) for e, c in f.terms], 1
+    den = lcm(*[c.denominator for _, c in f.terms])
+    return [(pack(e + pad), c.numerator * (den // c.denominator)) for e, c in f.terms], den
 
 
-def _unpack(ring: Ring, layout, terms) -> Polynomial:
+def _unpack(ring: Ring, layout, terms, scale) -> Polynomial:
+    """The polynomial of packed int terms divided by scale, which is
+    always 1 over GF(p)."""
     unpack = layout.unpack
-    return Polynomial(ring, tuple([(unpack(m), c) for m, c in terms]))
+    if ring.field.characteristic:
+        return Polynomial(ring, tuple([(unpack(m), c) for m, c in terms]))
+    return Polynomial(ring, tuple([(unpack(m), Fraction(c, scale)) for m, c in terms]))
 
 
-def _monic(terms, fld):
+def _normalize(terms, p):
+    """The basis element for nonzero packed terms: monic residues over
+    GF(p), primitive with a positive leading coefficient over QQ."""
     c = terms[0][1]
-    if c == fld.one:
+    if p:
+        if c == 1:
+            return terms
+        inv = pow(c, -1, p)
+        return [(m, v * inv % p) for m, v in terms]
+    g = gcd(*[v for _, v in terms])
+    if c < 0:
+        g = -g
+    if g == 1:
         return terms
-    inv = fld.inv(c)
-    return [(m, fld.mul(inv, v)) for m, v in terms]
+    return [(m, v // g) for m, v in terms]
 
 
-def _reduce(work, divisors, fld, layout):
-    """Remainder of {packed monomial: coefficient} under division by monic
-    (leading monomial, tail) divisors, tried in order; consumes work.
+def _reduce(work, divisors, p, layout):
+    """Division of {packed monomial: int coefficient} by (leading
+    monomial, (leading coefficient, tail)) divisors, tried in order;
+    consumes work.  Returns the remainder's terms and the positive int
+    scale they carry: they are scale times the exact remainder.
 
     Each new term is smaller than the term it replaces, so the heap
     hands out the remainder's terms already descending, and every
@@ -62,27 +95,43 @@ def _reduce(work, divisors, fld, layout):
     may be unnormalized: they are updated with plain ``-`` and ``*``
     and brought to canonical form only when their term is popped
     (``% p`` over GF(p), nothing over QQ), after which a zero term is
-    dropped.  With no divisors this just normalizes and sorts work.
+    dropped.  Over GF(p) every divisor is monic.  Over QQ a divisor
+    with leading coefficient lc is applied to a popped term with
+    coefficient c fraction-free: with d = gcd(lc, c), the pending work
+    and the finished remainder are multiplied by lc/d and c becomes
+    c/d, so subtracting c times the tail cancels the term in integers.
+    With no divisors this just normalizes and sorts work.
     """
     guard = layout.guard
-    p = fld.characteristic
+    get, pop = work.get, work.pop
     heap = [-m for m in work]
     heapify(heap)
     out = []
+    scale = 1
     while heap:
         m = -heappop(heap)
-        c = work.pop(m)
+        c = pop(m)
         if p:
             c %= p
         if not c:
             continue
-        for lm, tail in divisors:
+        for lm, body in divisors:
             q = m - lm
             if q & guard:
                 continue
+            lc, tail = body
+            if lc != 1:
+                d = gcd(lc, c)
+                c //= d
+                s = lc // d
+                if s != 1:
+                    scale *= s
+                    for mw in work:
+                        work[mw] *= s
+                    out = [(mo, co * s) for mo, co in out]
             for mg, cg in tail:
                 mt = q + mg
-                cur = work.get(mt)
+                cur = get(mt)
                 if cur is None:
                     if mt & guard:
                         raise degree_error(sum(layout.unpack(mt)))
@@ -93,19 +142,27 @@ def _reduce(work, divisors, fld, layout):
             break
         else:
             out.append((m, c))
-    return out
+    return out, scale
 
 
 def _spoly(l, a, b, layout):
-    """S-polynomial of monic packed a and b with lcm l, as a dict whose
-    coefficients ``_reduce`` normalizes."""
+    """S-polynomial of packed basis elements a and b with lcm l, up to a
+    nonzero scalar, as a dict whose coefficients ``_reduce`` normalizes.
+
+    With g = gcd(lc_a, lc_b), the tails are multiplied by lc_b/g and
+    lc_a/g, so the shifted leading terms cancel in integers; both
+    factors are 1 over GF(p).
+    """
     guard = layout.guard
-    qa, qb = l - a[0][0], l - b[0][0]
-    work = {qa + m: c for m, c in a[1:]}
+    (ma, ca), (mb, cb) = a[0], b[0]
+    g = gcd(ca, cb)
+    ua, ub = cb // g, ca // g
+    qa, qb = l - ma, l - mb
+    work = {qa + m: c * ua for m, c in a[1:]}
     get = work.get
     for m, c in b[1:]:
         mt = qb + m
-        work[mt] = get(mt, 0) - c
+        work[mt] = get(mt, 0) - c * ub
     for mt in work:
         if mt & guard:
             raise degree_error(sum(layout.unpack(mt)))
@@ -122,6 +179,7 @@ def reduce(f: Polynomial, basis) -> Polynomial:
     if f.is_zero():
         return f
     ring = f.ring
+    p = ring.field.characteristic
     layout = ring.order.layout(ring.nvars)
     divisors = []
     for g in basis:
@@ -129,9 +187,11 @@ def reduce(f: Polynomial, basis) -> Polynomial:
             continue
         if g.ring != ring:
             raise UsageError("divisor lives in a different ring")
-        terms = _pack(g.monic(), layout)
-        divisors.append((terms[0][0], terms[1:]))
-    return _unpack(ring, layout, _reduce(dict(_pack(f, layout)), divisors, ring.field, layout))
+        terms = _normalize(_pack(g, layout)[0], p)
+        divisors.append((terms[0][0], (terms[0][1], terms[1:])))
+    work, den = _pack(f, layout)
+    terms, scale = _reduce(dict(work), divisors, p, layout)
+    return _unpack(ring, layout, terms, den * scale)
 
 
 def s_polynomial(f: Polynomial, g: Polynomial) -> Polynomial:
@@ -141,10 +201,13 @@ def s_polynomial(f: Polynomial, g: Polynomial) -> Polynomial:
     if f.is_zero() or g.is_zero():
         raise UsageError("S-polynomial of a zero polynomial")
     ring = f.ring
+    p = ring.field.characteristic
     layout = ring.order.layout(ring.nvars)
     l = layout.pack(tuple(map(max, f.lm(), g.lm())))
-    work = _spoly(l, _pack(f.monic(), layout), _pack(g.monic(), layout), layout)
-    return _unpack(ring, layout, _reduce(work, (), ring.field, layout))
+    a, b = _normalize(_pack(f, layout)[0], p), _normalize(_pack(g, layout)[0], p)
+    terms, _ = _reduce(_spoly(l, a, b, layout), (), p, layout)
+    # _spoly's result is lcm(lc_a, lc_b) times the monic S-polynomial
+    return _unpack(ring, layout, terms, lcm(a[0][1], b[0][1]))
 
 
 def buchberger(gens, seed=None):
@@ -165,13 +228,13 @@ def buchberger(gens, seed=None):
         rng = random.Random(seed)
         rng.shuffle(polys)
     layout = ring.order.layout(ring.nvars)
-    basis = _groebner([_pack(g, layout) for g in polys], ring.field, layout)
-    return tuple(_unpack(ring, layout, terms) for terms in basis)
+    basis = _groebner([_pack(g, layout)[0] for g in polys], ring.field.characteristic, layout)
+    return tuple(_unpack(ring, layout, terms, terms[0][1]) for terms in basis)
 
 
-def _groebner(packed_gens, fld, layout):
-    """Reduced basis of packed generators, as monic packed terms sorted
-    by leading monomial.
+def _groebner(packed_gens, p, layout):
+    """Reduced basis of packed int generators over GF(p), or over QQ
+    when p is 0, as normalized packed terms sorted by leading monomial.
 
     Stops with the unit basis as soon as a reduced generator or an
     S-pair remainder is a nonzero constant (packed monomial 0 in every
@@ -180,24 +243,24 @@ def _groebner(packed_gens, fld, layout):
     """
     guard = layout.guard
     pack, unpack = layout.pack, layout.unpack
-    unit = [[(0, fld.one)]]
+    unit = [[(0, 1)]]
 
     basis = []
     divisors = []
     lm_exps = []
 
     def append(terms):
-        terms = _monic(terms, fld)
+        terms = _normalize(terms, p)
         basis.append(terms)
-        divisors.append((terms[0][0], terms[1:]))
+        divisors.append((terms[0][0], (terms[0][1], terms[1:])))
         lm_exps.append(unpack(terms[0][0]))
 
-    def lcm(i, j):
+    def pair_lcm(i, j):
         return pack(tuple(map(max, lm_exps[i], lm_exps[j])))
 
     for terms in packed_gens:
         if basis:
-            terms = _reduce(dict(terms), divisors, fld, layout)
+            terms = _reduce(dict(terms), divisors, p, layout)[0]
         if terms:
             if terms[0][0] == 0:
                 return unit
@@ -208,7 +271,7 @@ def _groebner(packed_gens, fld, layout):
     for j in range(len(basis)):
         for i in range(j):
             pending.add((i, j))
-            heappush(heap, (lcm(i, j), i, j))
+            heappush(heap, (pair_lcm(i, j), i, j))
 
     def chain_skippable(i, j, l):
         for k, (lmk, _) in enumerate(divisors):
@@ -230,7 +293,7 @@ def _groebner(packed_gens, fld, layout):
             continue
         if chain_skippable(i, j, l):
             continue
-        r = _reduce(_spoly(l, basis[i], basis[j], layout), divisors, fld, layout)
+        r = _reduce(_spoly(l, basis[i], basis[j], layout), divisors, p, layout)[0]
         if not r:
             continue
         if r[0][0] == 0:
@@ -239,7 +302,7 @@ def _groebner(packed_gens, fld, layout):
         t = len(basis) - 1
         for i2 in range(t):
             pending.add((i2, t))
-            heappush(heap, (lcm(i2, t), i2, t))
+            heappush(heap, (pair_lcm(i2, t), i2, t))
 
     # keep only generators whose leading monomial is not covered
     lms = [lm for lm, _ in divisors]
@@ -257,7 +320,7 @@ def _groebner(packed_gens, fld, layout):
     reduced = []
     for i in range(len(keep)):
         others = minimal[:i] + minimal[i + 1 :]
-        reduced.append(_monic(_reduce(dict(basis[keep[i]]), others, fld, layout), fld))
+        reduced.append(_normalize(_reduce(dict(basis[keep[i]]), others, p, layout)[0], p))
     reduced.sort(key=lambda terms: terms[0][0])
     return reduced
 
@@ -296,17 +359,6 @@ class Ideal:
         return f"Ideal({len(self.gens)} gens in {self.ring!r})"
 
 
-def ideal_member(f: Polynomial, ideal: Ideal) -> bool:
-    return ideal.contains(f)
-
-
-def ideal_eq(a: Ideal, b: Ideal) -> bool:
-    """Equality as ideals: mutual containment of generators."""
-    if a.ring != b.ring:
-        raise UsageError("ideals live in different rings")
-    return all(b.contains(g) for g in a.gens) and all(a.contains(g) for g in b.gens)
-
-
 def intersect(a: Ideal, b: Ideal) -> Ideal:
     """Intersection via t*a + (1-t)*b and elimination of t."""
     if a.ring != b.ring:
@@ -334,21 +386,13 @@ def radical_member(f: Polynomial, ideal: Ideal) -> bool:
         raise UsageError("element lives in a different ring")
     if f.is_zero():
         return True
-    fld = f.ring.field
+    p = f.ring.field.characteristic
     layout = GREVLEX.layout(f.ring.nvars + 1)
-    pack = layout.pack
-    gens = [sorted([(pack(e + (0,)), c) for e, c in g.terms], reverse=True) for g in ideal.gens]
-    rabinowitsch = [(pack(e + (1,)), fld.neg(c)) for e, c in f.terms]
-    rabinowitsch.append((0, fld.one))
+    gens = [sorted(_pack(g, layout, (0,))[0], reverse=True) for g in ideal.gens]
+    # y*f - 1 spans the same ideal; its constant, -1 scaled by den, is
+    # the residue p - 1 over GF(p) and -den over QQ
+    rabinowitsch, den = _pack(f, layout, (1,))
+    rabinowitsch.append((0, p - den))
     rabinowitsch.sort(reverse=True)
     gens.append(rabinowitsch)
-    return _groebner(gens, fld, layout) == [[(0, fld.one)]]
-
-
-def radical_eq(a: Ideal, b: Ideal) -> bool:
-    """Equality of radicals: generators of each lie in the other's radical."""
-    if a.ring != b.ring:
-        raise UsageError("ideals live in different rings")
-    return all(radical_member(g, b) for g in a.gens) and all(
-        radical_member(g, a) for g in b.gens
-    )
+    return _groebner(gens, p, layout) == [[(0, 1)]]

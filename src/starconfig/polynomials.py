@@ -150,16 +150,6 @@ class Polynomial:
             return -1
         return max(sum(e) for e, _ in self.terms)
 
-    def monic(self) -> "Polynomial":
-        if not self.terms:
-            return self
-        c = self.terms[0][1]
-        if c == self.ring.field.one:
-            return self
-        inv = self.ring.field.inv(c)
-        f = self.ring.field
-        return Polynomial(self.ring, tuple((e, f.mul(inv, v)) for e, v in self.terms))
-
     # -- arithmetic ----------------------------------------------------
 
     def _coerce(self, other):
@@ -237,12 +227,6 @@ class Polynomial:
         return result
 
     # -- ring moves ----------------------------------------------------
-
-    def reorder(self, ring: Ring) -> "Polynomial":
-        """Same polynomial viewed in a ring that differs only in order."""
-        if ring.field != self.ring.field or ring.nvars != self.ring.nvars:
-            raise UsageError("reorder target must share field and arity")
-        return ring.from_dict(dict(self.terms))
 
     def extend(self, ring: Ring) -> "Polynomial":
         """View in a ring with extra variables appended after ours."""

@@ -53,6 +53,14 @@ def tuple_key(order, exps):
     raise TypeError(f"no tuple key for {order!r}")
 
 
+def monic(f):
+    if f.is_zero():
+        return f
+    fld = f.ring.field
+    inv = fld.inv(f.lc())
+    return Polynomial(f.ring, tuple((e, fld.mul(inv, c)) for e, c in f.terms))
+
+
 def _from_dict(ring, coeffs):
     zero = ring.field.zero
     terms = [(e, c) for e, c in coeffs.items() if c != zero]
@@ -137,7 +145,7 @@ def buchberger(gens, seed=None):
 
     basis = []
     for g in polys:
-        r = reduce(g, basis).monic() if basis else g.monic()
+        r = monic(reduce(g, basis) if basis else g)
         if not r.is_zero():
             basis.append(r)
 
@@ -174,7 +182,7 @@ def buchberger(gens, seed=None):
         r = reduce(s_polynomial(basis[i], basis[j]), basis)
         if r.is_zero():
             continue
-        r = r.monic()
+        r = monic(r)
         basis.append(r)
         t = len(basis) - 1
         for i2 in range(t):
@@ -197,6 +205,6 @@ def buchberger(gens, seed=None):
     reduced = []
     for i, g in enumerate(minimal):
         others = minimal[:i] + minimal[i + 1 :]
-        reduced.append(reduce(g, others).monic())
+        reduced.append(monic(reduce(g, others)))
     reduced.sort(key=lambda g: key(g.lm()))
     return tuple(reduced)

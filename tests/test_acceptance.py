@@ -17,8 +17,10 @@ from pathlib import Path
 from starconfig.arrangements import Arrangement, LinearPrime, random_generic_arrangement
 from starconfig.cli import run
 from starconfig.fields import GF, QQ
-from starconfig.groebner import Ideal, buchberger, ideal_eq, intersect, radical_eq, radical_member, reduce, s_polynomial
+from starconfig.groebner import Ideal, buchberger, intersect, radical_member, reduce, s_polynomial
 from starconfig.polynomials import Ring
+
+from ideal_helpers import ideal_eq, radical_eq
 from starconfig.stci import (
     CORRUPTION_MODES,
     sv_ara_partition,

@@ -5,6 +5,8 @@ Buchberger implementation, on a battery of deterministic fixtures.
 """
 
 import random
+from fractions import Fraction
+from math import gcd
 
 import pytest
 import sympy
@@ -14,11 +16,11 @@ from sympy.polys.domains import GF as SGF, QQ as SQQ
 from starconfig.fields import GF, QQ
 from starconfig.groebner import (
     Ideal,
+    _groebner,
+    _pack,
+    _reduce,
     buchberger,
-    ideal_eq,
-    ideal_member,
     intersect,
-    radical_eq,
     radical_member,
     reduce,
     s_polynomial,
@@ -28,6 +30,7 @@ from starconfig.orders import DEGREE_LIMIT, GREVLEX, LEX, BlockOrder, mono_divid
 from starconfig.polynomials import Ring
 
 import groebner_reference as ref
+from ideal_helpers import ideal_eq, radical_eq
 
 
 def to_sympy(f, syms):
@@ -84,6 +87,61 @@ def test_reduce_difference_stays_in_ideal(R):
     f = x ** 3 + y ** 3 + z ** 3
     r = reduce(f, I.groebner_basis())
     assert I.contains(f - r)
+
+
+def test_reduce_over_qq_by_non_monic_divisors_is_exact(R):
+    """The integer core divides fraction-free and so carries a scale;
+    public reduce must divide it out.  By divisors with denominators
+    and leading coefficients other than 1, in either order, it returns
+    the reference's exact remainder term for term, not a multiple."""
+    g1 = R.from_dict({(1, 1, 0): Fraction(3, 2), (0, 0, 1): Fraction(-1, 3)})
+    g2 = R.from_dict({(0, 2, 0): Fraction(5, 4), (1, 0, 0): Fraction(2, 7)})
+    f = R.from_dict(
+        {(2, 2, 0): Fraction(7, 3), (1, 1, 1): Fraction(1, 5), (0, 3, 0): Fraction(-4, 9), (0, 0, 2): 2}
+    )
+    for divisors in ((g1, g2), (g2, g1)):
+        r = reduce(f, divisors)
+        assert r == ref.reduce(f, divisors)
+        assert any(c.denominator > 1 for _, c in r.terms)
+
+
+def test_fraction_free_step_scales_by_lc_over_gcd():
+    """The core cancels a term c*m by a divisor with leading coefficient
+    lc after scaling everything else by lc/gcd(lc, c), and returns that
+    scale with the remainder it multiplies, finished terms included."""
+    ring = Ring(QQ, 2, names=("x", "y"))
+    layout = ring.order.layout(2)
+    x, y = layout.pack((1, 0)), layout.pack((0, 1))
+    six_x = [(x, (6, [(y, -1)]))]  # 6x - y
+    assert _reduce({x: 12}, six_x, 0, layout) == ([(y, 2)], 1)  # 12x = 2(6x - y) + 2y
+    assert _reduce({x: 4}, six_x, 0, layout) == ([(y, 2)], 3)  # remainder 2y/3
+    two_y = [(y, (2, [(0, -1)]))]  # 2y - 1
+    assert _reduce({x: 1, y: 1}, two_y, 0, layout) == ([(x, 2), (0, 1)], 2)  # x + 1/2
+
+
+def test_int_core_basis_contract():
+    """The core's reduced basis is monic residues over GF(p) and
+    primitive integer polynomials with a positive leading coefficient
+    over QQ; divided by its leading coefficient it is buchberger's.
+    Negated generators make negative leading coefficients turn up."""
+    for ideal in _fixture_ideals():
+        ring = ideal.ring
+        p = ring.field.characteristic
+        layout = ring.order.layout(ring.nvars)
+        for gens in (ideal.gens, [-g for g in ideal.gens]):
+            core = _groebner([_pack(g, layout)[0] for g in gens], p, layout)
+            for terms in core:
+                coeffs = [c for _, c in terms]
+                assert all(type(c) is int for c in coeffs)
+                if p:
+                    assert coeffs[0] == 1 and all(0 < c < p for c in coeffs)
+                else:
+                    assert coeffs[0] > 0 and gcd(*coeffs) == 1
+            unpacked = [
+                ring.from_dict({layout.unpack(m): ring.field.div(c, terms[0][1]) for m, c in terms})
+                for terms in core
+            ]
+            assert tuple(unpacked) == ideal.groebner_basis()
 
 
 def test_s_polynomial_cancels_leading_terms(R):
@@ -164,10 +222,10 @@ def test_basis_spolys_reduce_to_zero():
 def test_ideal_membership(R):
     x, y, z = R.gens()
     I = Ideal(R, (x + y, y + z))
-    assert ideal_member(x - z, I)
-    assert ideal_member((x + y) * z ** 5, I)
-    assert not ideal_member(x, I)
-    assert not ideal_member(R.one, I)
+    assert I.contains(x - z)
+    assert I.contains((x + y) * z ** 5)
+    assert not I.contains(x)
+    assert not I.contains(R.one)
 
 
 def test_ideal_eq_detects_equal_and_unequal(R):
@@ -284,9 +342,19 @@ def test_product_splitting_lemma_gf101(data):
     assert radical_eq(left, right)
 
 
+def _coeffs(field):
+    """Small residues over GF(p); over QQ fractions a/b with b in 1..9,
+    so inputs have denominators and leading coefficients other than
+    +-1, and the core's clearing of denominators and fraction-free
+    division both run."""
+    if field == QQ:
+        return st.builds(Fraction, st.integers(-9, 9), st.integers(1, 9))
+    return st.integers(-5, 5).map(field.from_int)
+
+
 def _random_polys(draw, ring, count):
     exps = st.tuples(*[st.integers(0, 2)] * ring.nvars)
-    coeffs = st.integers(-5, 5).map(ring.field.from_int)
+    coeffs = _coeffs(ring.field)
     out = []
     for _ in range(count):
         d = draw(st.dictionaries(exps, coeffs, min_size=1, max_size=3))
@@ -304,6 +372,8 @@ def test_packed_core_matches_tuple_reference(data):
     exercised.  A generator set may also hold g and g + c for a nonzero
     constant c, a unit that shows only after a reduction, which the
     core's stop at a unit must answer with the reference's basis (1,).
+    Over QQ the coefficients are fractions (see ``_coeffs``), so the
+    fraction-free division runs against the reference's.
     """
     field = data.draw(st.sampled_from([GF(32003), GF(101), GF(7), QQ]))
     order = data.draw(st.sampled_from([GREVLEX, LEX, BlockOrder({2}), BlockOrder({0, 2})]))
@@ -348,7 +418,7 @@ def test_radical_member_matches_tuple_reference(data):
     order = data.draw(st.sampled_from([GREVLEX, BlockOrder({0, 2})]))
     ring = Ring(field, 3, order=order, names=("x", "y", "z"))
     exps = st.tuples(*[st.integers(0, 1)] * 3)
-    coeffs = st.integers(-5, 5).map(field.from_int)
+    coeffs = _coeffs(field)
 
     def poly(max_size):
         d = data.draw(st.dictionaries(exps, coeffs, min_size=1, max_size=max_size))
