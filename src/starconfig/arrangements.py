@@ -229,8 +229,8 @@ class Arrangement:
                 prime = LinearPrime(field, [g.coeffs for g in subset])
                 if prime.rows in spans:
                     continue
-                support = tuple(g.label for g in self.forms if prime.contains_form(g))
-                spans[prime.rows] = LinearPrime(field, prime.rows, support)
+                prime.support = tuple(g.label for g in self.forms if prime.contains_form(g))
+                spans[prime.rows] = prime
         candidates = list(spans.values())
         candidates = [p for p in candidates if len(p.support) >= j + 1]
         minimal = [
@@ -251,15 +251,27 @@ class Arrangement:
 
     def combinatorial_radical(self, j: int) -> Ideal:
         """Radical of the (n-j)-fold product ideal as an intersection of
-        its minimal primes, computed by elimination."""
+        its minimal primes, computed by elimination.
+
+        The primes are intersected as a balanced tree in their sorted
+        order: each round intersects neighbours two at a time and
+        carries an odd one over, so every elimination joins two ideals
+        of similar size.  That is N-1 intersections for N primes, as a
+        left fold would take, but none of them pits one ever-growing
+        ideal against a single prime.  The result is the reduced
+        grevlex basis of the intersection, which does not depend on
+        how the intersections are grouped.
+        """
         self._check_j(j)
         cached = self._radical.get(j)
         if cached is None:
-            primes = self.minimal_linear_primes(j)
-            result = primes[0].ideal_in(self.ring)
-            for p in primes[1:]:
-                result = intersect(result, p.ideal_in(self.ring))
-            self._radical[j] = cached = result
+            level = [p.ideal_in(self.ring) for p in self.minimal_linear_primes(j)]
+            while len(level) > 1:
+                pairs = [intersect(a, b) for a, b in zip(level[::2], level[1::2])]
+                if len(level) % 2:
+                    pairs.append(level[-1])
+                level = pairs
+            self._radical[j] = cached = level[0]
         return cached
 
     def min_distance(self) -> int:

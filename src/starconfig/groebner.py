@@ -27,6 +27,8 @@ constant turns up, since the reduced basis is then (1,).
 Radical membership goes through the one-extra-variable trick:
 f lies in rad(I) iff 1 lies in I + <1 - y*f>, which is exact both ways.
 The adjoined system is packed directly and answered by that stop.
+Intersections eliminate t from t*a + (1-t)*b, packed directly too,
+under a block order with t in front.
 """
 
 from __future__ import annotations
@@ -360,18 +362,45 @@ class Ideal:
 
 
 def intersect(a: Ideal, b: Ideal) -> Ideal:
-    """Intersection via t*a + (1-t)*b and elimination of t."""
+    """Intersection via t*a + (1-t)*b and elimination of t.
+
+    The system is packed directly in the layout of ``BlockOrder({t})``
+    with t last, each generator's terms sorted afresh, so the ideals'
+    ring may have any order.  The reduced basis elements whose leading
+    monomial avoids t generate the intersection; they are returned
+    monic under that block order, their terms sorted in the ring's own
+    order.
+    """
     if a.ring != b.ring:
         raise UsageError("ideals live in different rings")
     ring = a.ring
-    ext = ring.extended(1)
-    ext = ext.with_order(BlockOrder({ext.nvars - 1}))
-    t = ext.gen(ext.nvars - 1)
-    gens = [t * g.extend(ext) for g in a.gens]
-    gens += [(ext.one - t) * g.extend(ext) for g in b.gens]
-    gb = buchberger(gens)
-    kept = [g for g in gb if g.lm()[-1] == 0]
-    return Ideal(ring, tuple(g.contract(ring) for g in kept))
+    nvars = ring.nvars
+    p = ring.field.characteristic
+    layout = BlockOrder({nvars}).layout(nvars + 1)
+    gens = []
+    for g in a.gens:
+        if not g.is_zero():
+            gens.append(sorted(_pack(g, layout, (1,))[0], reverse=True))
+    for g in b.gens:
+        if not g.is_zero():
+            # (1-t)*g: each term c*m of g gives c*m and -c*t*m
+            low, _ = _pack(g, layout, (0,))
+            high, _ = _pack(g, layout, (1,))
+            gens.append(sorted(low + [(m, (p - c) if p else -c) for m, c in high], reverse=True))
+    unpack = layout.unpack
+    key = ring.order.layout(nvars).pack
+    kept = []
+    for terms in _groebner(gens, p, layout):
+        if unpack(terms[0][0])[nvars]:
+            continue
+        scale = terms[0][1]
+        if p:
+            out = [(unpack(m)[:nvars], c) for m, c in terms]
+        else:
+            out = [(unpack(m)[:nvars], Fraction(c, scale)) for m, c in terms]
+        out.sort(key=lambda t: key(t[0]), reverse=True)
+        kept.append(Polynomial(ring, tuple(out)))
+    return Ideal(ring, tuple(kept))
 
 
 def radical_member(f: Polynomial, ideal: Ideal) -> bool:

@@ -99,25 +99,6 @@ class Ring:
                 d[exps] = c
         return self.from_dict(d)
 
-    def with_order(self, order: MonomialOrder) -> "Ring":
-        if order == self.order:
-            return self
-        return Ring(self.field, self.nvars, order, self.names)
-
-    def extended(self, extra: int, prefix: str = "t") -> "Ring":
-        """Same ring with `extra` auxiliary variables appended last."""
-        if extra < 1:
-            raise UsageError("extension needs at least one new variable")
-        fresh = []
-        taken = set(self.names)
-        i = 0
-        while len(fresh) < extra:
-            name = f"{prefix}{i}"
-            if name not in taken:
-                fresh.append(name)
-            i += 1
-        return Ring(self.field, self.nvars + extra, self.order, self.names + tuple(fresh))
-
 
 class Polynomial:
     """Immutable polynomial: terms sorted descending under ring.order."""
@@ -225,28 +206,6 @@ class Polynomial:
                 base = base * base
             n = base_needed
         return result
-
-    # -- ring moves ----------------------------------------------------
-
-    def extend(self, ring: Ring) -> "Polynomial":
-        """View in a ring with extra variables appended after ours."""
-        extra = ring.nvars - self.ring.nvars
-        if extra < 0 or ring.field != self.ring.field:
-            raise UsageError("extension target must add variables over the same field")
-        pad = (0,) * extra
-        return ring.from_dict({e + pad: c for e, c in self.terms})
-
-    def contract(self, ring: Ring) -> "Polynomial":
-        """Drop trailing auxiliary variables; they must not occur."""
-        drop = self.ring.nvars - ring.nvars
-        if drop < 0 or ring.field != self.ring.field:
-            raise UsageError("contraction target must remove trailing variables")
-        d = {}
-        for e, c in self.terms:
-            if any(e[ring.nvars:]):
-                raise UsageError("polynomial involves a variable being removed")
-            d[e[: ring.nvars]] = c
-        return ring.from_dict(d)
 
     # -- identity ------------------------------------------------------
 

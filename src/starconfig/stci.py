@@ -308,6 +308,15 @@ def sv_check_partition(partition: SVPartition):
     products at one level have their pairwise product divisible by
     something from a strictly earlier level.  Products are compared as
     label bitmasks, where d divides p*q exactly when d & ~(p | q) == 0.
+
+    The label test is exact, not a proxy for polynomial division.  A
+    nonzero linear form is irreducible, and ``Arrangement`` rejects
+    proportional forms, so distinct labels are non-associate primes of
+    the polynomial ring.  By unique factorization, a product of distinct
+    forms d divides p*q exactly when each factor of d is associate to a
+    factor of p*q, that is, when labels(d) is a subset of
+    labels(p) | labels(q); a repeated factor of p*q never matters,
+    since d has none.
     """
     n = partition.arrangement.n
     a = n - partition.j

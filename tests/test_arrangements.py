@@ -21,6 +21,7 @@ from starconfig.fields import GF, QQ
 from starconfig.groebner import Ideal
 
 from ideal_helpers import ideal_eq, radical_eq
+from intersection_reference import fold_radical
 
 
 HARTSHORNE_ROWS = [
@@ -159,6 +160,35 @@ def test_radical_routes_agree(coord_plus_sum):
         rad = coord_plus_sum.combinatorial_radical(j)
         afold = coord_plus_sum.afold_ideal(coord_plus_sum.n - j)
         assert radical_eq(rad, afold)
+
+
+@pytest.mark.parametrize(
+    "k, n, field",
+    [(3, 5, GF(32003)), (4, 6, GF(32003)), (3, 5, QQ), (4, 5, QQ)],
+)
+def test_radical_tree_matches_fold_on_generic(k, n, field):
+    """The balanced tree of intersections gives the left fold's basis
+    term for term, at every j; j >= k - 1 has a single minimal prime."""
+    arr = random_generic_arrangement(k, n, field, seed=k * n)
+    for j in range(n):
+        assert arr.combinatorial_radical(j).gens == fold_radical(arr, j).gens
+
+
+def test_radical_tree_matches_fold_on_fixtures(hartshorne, coord_plus_sum):
+    """Both fixtures, and the Hartshorne one without its last form,
+    whose minimal primes at j = 2 have heights 2 and 3, so the tree's
+    sorted order mixes heights."""
+    mixed = hartshorne.delete(6)
+    assert [p.height for p in mixed.minimal_linear_primes(2)] == [2, 3, 3, 3]
+    for arr in (hartshorne, coord_plus_sum, mixed):
+        for j in range(arr.n):
+            assert arr.combinatorial_radical(j).gens == fold_radical(arr, j).gens
+
+
+def test_radical_of_a_single_minimal_prime(coord_plus_sum):
+    (prime,) = coord_plus_sum.minimal_linear_primes(2)
+    rad = coord_plus_sum.combinatorial_radical(2)
+    assert rad.gens == prime.gens_in(coord_plus_sum.ring) == fold_radical(coord_plus_sum, 2).gens
 
 
 def test_min_distance(hartshorne, coord_plus_sum):

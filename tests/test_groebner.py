@@ -31,6 +31,7 @@ from starconfig.polynomials import Ring
 
 import groebner_reference as ref
 from ideal_helpers import ideal_eq, radical_eq
+from intersection_reference import intersect_reference
 
 
 def to_sympy(f, syms):
@@ -234,19 +235,70 @@ def test_ideal_eq_detects_equal_and_unequal(R):
     assert not ideal_eq(Ideal(R, (x,)), Ideal(R, (x, y)))
 
 
+def _same_intersection(a, b):
+    """intersect returns the old construction's basis term for term,
+    each element sorted in the ring's own order."""
+    got = intersect(a, b)
+    assert got.ring == a.ring
+    assert got.gens == intersect_reference(a, b).gens
+    for g in got.gens:
+        assert g == a.ring.from_dict(dict(g.terms))
+    return got
+
+
 def test_intersection_of_coordinate_ideals(R):
     x, y, z = R.gens()
-    got = intersect(Ideal(R, (x, y)), Ideal(R, (z,)))
+    got = _same_intersection(Ideal(R, (x, y)), Ideal(R, (z,)))
     assert ideal_eq(got, Ideal(R, (x * z, y * z)))
-    principal = intersect(Ideal(R, (x,)), Ideal(R, (y,)))
+    principal = _same_intersection(Ideal(R, (x,)), Ideal(R, (y,)))
     assert ideal_eq(principal, Ideal(R, (x * y,)))
 
 
 def test_intersection_with_containment(R):
-    x, y, _ = R.gens()
-    small = Ideal(R, (x * y,))
+    x, y, z = R.gens()
+    small = Ideal(R, (x * y, x * z ** 2))
     big = Ideal(R, (x,))
-    assert ideal_eq(intersect(small, big), small)
+    assert ideal_eq(_same_intersection(small, big), small)
+    assert ideal_eq(_same_intersection(big, small), small)
+
+
+def test_intersection_matches_reference_in_a_lex_ring():
+    R = Ring(GF(32003), 3, order=LEX, names=("x", "y", "z"))
+    x, y, z = R.gens()
+    got = _same_intersection(Ideal(R, (x + z ** 2, y * z - 1)), Ideal(R, (x ** 2 - y, z + 3)))
+    assert got.gens
+
+
+def test_intersection_matches_reference_with_fractions():
+    R = Ring(QQ, 3, names=("x", "y", "z"))
+    x, y, z = R.gens()
+    h = R.constant(Fraction(1, 2))
+    a = Ideal(R, (h * x * y + R.constant(Fraction(3, 7)) * z ** 2, R.constant(Fraction(-5, 3)) * y))
+    b = Ideal(R, (R.constant(Fraction(2, 9)) * x - h * z, x * z + R.constant(Fraction(4, 5))))
+    got = _same_intersection(a, b)
+    assert any(c.denominator != 1 for g in got.gens for _, c in g.terms)
+
+
+def test_intersection_with_an_ideal_without_generators(R):
+    x, y, z = R.gens()
+    empty = Ideal(R, ())
+    zero = Ideal(R, (R.zero,))
+    some = Ideal(R, (x * y + z, y ** 2))
+    for a, b in ((empty, some), (some, empty), (empty, empty), (zero, some), (some, zero)):
+        assert _same_intersection(a, b).gens == ()
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_intersection_matches_reference(data):
+    """Random ideals over both fields, in rings under every order the
+    package has, against the old construction."""
+    field = data.draw(st.sampled_from([GF(32003), GF(7), QQ]))
+    order = data.draw(st.sampled_from([GREVLEX, LEX, BlockOrder({0})]))
+    ring = Ring(field, 3, order=order, names=("x", "y", "z"))
+    a = Ideal(ring, _random_polys(data.draw, ring, data.draw(st.integers(0, 2))))
+    b = Ideal(ring, _random_polys(data.draw, ring, data.draw(st.integers(0, 2))))
+    _same_intersection(a, b)
 
 
 def test_radical_membership_basics(R):

@@ -127,20 +127,6 @@ def test_ring_mismatch_rejected(R):
         R.gen(0) + other.gen(0)
 
 
-def test_reorder_extend_contract(R):
-    x, y, z = R.gens()
-    f = x ** 2 + y * z
-    lexed = R.with_order(LEX).from_dict(dict(f.terms))
-    assert set(lexed.terms) == set(f.terms)
-    big = R.extended(1)
-    g = f.extend(big)
-    assert g.total_degree() == 2
-    assert g.contract(R) == f
-    t = big.gen(3)
-    with pytest.raises(UsageError):
-        (g * t).contract(R)
-
-
 def test_normalize_linear_form_scales_first_nonzero():
     assert normalize_linear_form(QQ, (0, 3, 6)) == (
         Fraction(0),
