@@ -85,11 +85,6 @@ class LinearPrime:
     def ideal_in(self, ring: Ring) -> Ideal:
         return Ideal(ring, self.gens_in(ring))
 
-    def contains_span(self, other: "LinearPrime") -> bool:
-        return all(
-            span_contains(self.field, self.rows, self.pivots, row) for row in other.rows
-        )
-
     def __eq__(self, other):
         return (
             isinstance(other, LinearPrime)
@@ -128,12 +123,10 @@ class Arrangement:
             seen[g.coeffs] = g.label
         self.ring = Ring(field, width, names=names)
         self._rank = None
-        self._generic = {}
+        self._flat_cache = None
         self._afold = {}
         self._products = {}
-        self._minprimes = {}
         self._radical = {}
-        self._distance = None
 
     @property
     def n(self) -> int:
@@ -156,21 +149,35 @@ class Arrangement:
             self._rank = matrix_rank(self.field, self.coeff_rows())
         return self._rank
 
+    def _flats(self):
+        """Every nonzero flat, as a LinearPrime whose support is the
+        labels of the forms in its span.  A proper flat of height h is
+        spanned by h of its forms, so one rref per subset of at most
+        rank-1 forms, deduplicated by echelon rows, finds them all; the
+        span of all forms comes last.  A flat is the span of its
+        support, so F lies in G exactly when supp F lies in supp G."""
+        if self._flat_cache is None:
+            spans = {}
+            for size in range(1, self.rank()):
+                for subset in combinations(self.forms, size):
+                    p = LinearPrime(self.field, [g.coeffs for g in subset])
+                    if p.rows not in spans:
+                        p.support = tuple(g.label for g in self.forms if p.contains_form(g))
+                        spans[p.rows] = p
+            top = LinearPrime(self.field, self.coeff_rows(), self.labels)
+            self._flat_cache = (*spans.values(), top)
+        return self._flat_cache
+
     def s_generic_witness(self, s: int):
-        """None if any s forms are independent, else the labels of a
-        dependent s-subset."""
+        """None if any s forms are independent, else the labels of the
+        first dependent s-subset in lexicographic order: the least first
+        s labels of a flat with height < s <= |support|.  Any dependent
+        s-subset spans such a flat, whose first s labels are dependent
+        and come no later."""
         if s < 1:
             raise UsageError("genericity level must be positive")
-        cached = self._generic.get(s)
-        if cached is None:
-            cached = False
-            if s <= self.n:
-                for subset in combinations(self.forms, s):
-                    if matrix_rank(self.field, [g.coeffs for g in subset]) < s:
-                        cached = tuple(g.label for g in subset)
-                        break
-            self._generic[s] = cached
-        return cached if cached else None
+        witnesses = (p.support[:s] for p in self._flats() if p.height < s <= len(p.support))
+        return min(witnesses, default=None)
 
     def is_s_generic(self, s: int) -> bool:
         return self.s_generic_witness(s) is None
@@ -214,40 +221,22 @@ class Arrangement:
 
         A linear prime contains every (n-j)-fold product exactly when
         its span holds at least j+1 of the forms, so the minimal primes
-        are the inclusion-minimal spans of subarrangements with support
-        at least j+1.  No genericity is assumed.
+        are the inclusion-minimal flats with support at least j+1,
+        compared as support bitmasks.  No genericity is assumed.
         """
         self._check_j(j)
-        cached = self._minprimes.get(j)
-        if cached is not None:
-            return cached
-        field = self.field
-        spans = {}
-        max_size = min(self.rank(), j + 1)
-        for size in range(1, max_size + 1):
-            for subset in combinations(self.forms, size):
-                prime = LinearPrime(field, [g.coeffs for g in subset])
-                if prime.rows in spans:
-                    continue
-                prime.support = tuple(g.label for g in self.forms if prime.contains_form(g))
-                spans[prime.rows] = prime
-        candidates = list(spans.values())
-        candidates = [p for p in candidates if len(p.support) >= j + 1]
+        flats = [p for p in self._flats() if len(p.support) > j]
+        masks = [sum(1 << i for i in p.support) for p in flats]
         minimal = [
-            p
-            for p in candidates
-            if not any(
-                q.height < p.height and p.contains_span(q) for q in candidates
-            )
+            p for p, m in zip(flats, masks) if not any(q != m and q & ~m == 0 for q in masks)
         ]
-        cached = tuple(sorted(minimal, key=lambda p: (p.height, p.support)))
-        self._minprimes[j] = cached
-        return cached
+        return tuple(sorted(minimal, key=lambda p: (p.height, p.support)))
 
     def height_afold(self, j: int) -> int:
-        """Height of the ideal of (n-j)-fold products."""
-        primes = self.minimal_linear_primes(j)
-        return min(p.height for p in primes)
+        """Height of the ideal of (n-j)-fold products: the least height
+        of a flat with support at least j+1, which a minimal one has."""
+        self._check_j(j)
+        return min(p.height for p in self._flats() if len(p.support) > j)
 
     def combinatorial_radical(self, j: int) -> Ideal:
         """Radical of the (n-j)-fold product ideal as an intersection of
@@ -276,23 +265,10 @@ class Arrangement:
 
     def min_distance(self) -> int:
         """n minus the largest number of forms inside a proper subspace
-        of the span.  For a k-generic spanning arrangement this equals
-        n - k + 1."""
-        if self._distance is not None:
-            return self._distance
+        of the span: the largest support of a flat of height below the
+        rank.  For a k-generic spanning arrangement this equals n - k + 1."""
         r = self.rank()
-        best = 0
-        seen = set()
-        for size in range(1, r):
-            for subset in combinations(self.forms, size):
-                prime = LinearPrime(self.field, [g.coeffs for g in subset])
-                if prime.rows in seen:
-                    continue
-                seen.add(prime.rows)
-                support = sum(1 for g in self.forms if prime.contains_form(g))
-                best = max(best, support)
-        self._distance = self.n - best
-        return self._distance
+        return self.n - max((len(p.support) for p in self._flats() if p.height < r), default=0)
 
     def delete(self, label: int) -> "Arrangement":
         """Arrangement with one form removed and labels reassigned."""

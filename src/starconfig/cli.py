@@ -31,22 +31,14 @@ from .stci import (
 
 
 def parse_field_spec(spec: str) -> Field:
-    """Field from a short name: QQ, or GF(p) in a few spellings."""
-    s = spec.strip()
-    low = s.lower()
-    if low in ("qq", "q", "rational", "rationals"):
+    """Field from its name, QQ or GF(p), in any letter case."""
+    low = spec.strip().lower()
+    if low == "qq":
         return QQ
-    for prefix, suffix in (("gf(", ")"), ("gf:", ""), ("f", "")):
-        if low.startswith(prefix) and low.endswith(suffix):
-            body = low[len(prefix) : len(low) - len(suffix) if suffix else len(low)]
-            if body.isdigit():
-                try:
-                    return GF(int(body))
-                except UsageError as e:
-                    raise ParseError(f"bad field {spec!r}: {e}") from e
-    if low.isdigit():
+    body = low[3:-1]
+    if low.startswith("gf(") and low.endswith(")") and body.isdecimal():
         try:
-            return GF(int(low))
+            return GF(int(body))
         except UsageError as e:
             raise ParseError(f"bad field {spec!r}: {e}") from e
     raise ParseError(f"cannot parse field spec {spec!r}; expected QQ or GF(p)")
@@ -271,13 +263,16 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _read_input(path: str) -> str:
-    if path == "-":
-        return sys.stdin.read()
     try:
+        if path == "-":
+            # decoded here, as a file is, not by the locale's error handler
+            return sys.stdin.buffer.read().decode("utf-8")
         with open(path, "r", encoding="utf-8") as fh:
             return fh.read()
     except OSError as e:
         raise ParseError(f"cannot read {path}: {e}") from e
+    except UnicodeDecodeError as e:
+        raise ParseError(f"{'stdin' if path == '-' else path} is not UTF-8 text: {e}") from e
 
 
 def _levels_json(partition):
@@ -297,6 +292,8 @@ def run(argv=None) -> int:
     seed = getattr(args, "seed", None)
     budget = getattr(args, "budget_seconds", None)
     try:
+        if budget is not None and not budget >= 0:
+            raise UsageError(f"--budget-seconds must be a nonnegative number, got {budget}")
         override = parse_field_spec(field_flag) if field_flag else None
 
         if args.subcommand == "random":

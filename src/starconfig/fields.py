@@ -159,8 +159,3 @@ DEFAULT_PRIME = 32003
 
 def GF(p: int) -> PrimeField:
     return PrimeField(p)
-
-
-def same_field(a: Field, b: Field) -> None:
-    if a != b:
-        raise UsageError(f"field mismatch: {a!r} vs {b!r}")

@@ -353,10 +353,6 @@ class Ideal:
             raise UsageError("element lives in a different ring")
         return reduce(f, self.groebner_basis()).is_zero()
 
-    def is_trivial(self) -> bool:
-        gb = self.groebner_basis()
-        return len(gb) == 1 and gb[0] == self.ring.one
-
     def __repr__(self):
         return f"Ideal({len(self.gens)} gens in {self.ring!r})"
 

@@ -35,6 +35,9 @@ class Ring:
         self.names = tuple(names) if names is not None else default_names(nvars)
         if len(self.names) != nvars:
             raise UsageError(f"expected {nvars} variable names, got {len(self.names)}")
+        repeated = next((x for i, x in enumerate(self.names) if x in self.names[:i]), None)
+        if repeated is not None:
+            raise UsageError(f"variable name {repeated!r} is repeated")
         self._zero_exps = (0,) * nvars
 
     def __eq__(self, other):

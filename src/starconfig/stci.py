@@ -187,10 +187,13 @@ def verify_certificate(
     combinatorial route instead reduces every generator against every
     minimal prime, which is exact.  Running both cross-checks the two
     answers for each generator.  A budget turns remaining work into an
-    inconclusive verdict; it never flips a failure already found.
+    inconclusive verdict; it never flips a failure already found.  A
+    NaN or negative budget is refused; an infinite one never cuts.
     """
     if mode not in ("groebner", "combinatorial", "both"):
         raise UsageError(f"unknown verification mode {mode!r}")
+    if budget_seconds is not None and not budget_seconds >= 0:
+        raise UsageError(f"budget must be a nonnegative number of seconds, got {budget_seconds}")
     t0 = time.monotonic()
     deadline = t0 + budget_seconds if budget_seconds is not None else None
     arr = cert.arrangement

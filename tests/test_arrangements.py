@@ -6,9 +6,12 @@ construction, yet has completely known primes and heights; those known
 values anchor this file.
 """
 
-import pytest
-from hypothesis import given, settings, strategies as st
+from math import comb
 
+import pytest
+from hypothesis import assume, given, settings, strategies as st
+
+from starconfig import arrangements
 from starconfig.arrangements import (
     Arrangement,
     LinearPrime,
@@ -20,6 +23,11 @@ from starconfig.errors import DegenerateInputError, GenerationError, UsageError
 from starconfig.fields import GF, QQ
 from starconfig.groebner import Ideal
 
+from flat_reference import (
+    min_distance_reference,
+    minimal_linear_primes_reference,
+    s_generic_witness_reference,
+)
 from ideal_helpers import ideal_eq, radical_eq
 from intersection_reference import fold_radical
 
@@ -139,12 +147,14 @@ def test_minimal_primes_contain_all_products(hartshorne):
 
 
 def test_minimal_primes_are_minimal(hartshorne):
+    """No minimal prime contains another: stacking q's echelon rows
+    under p's always raises the rank above p's height."""
     for j in range(hartshorne.n):
         primes = hartshorne.minimal_linear_primes(j)
         for p in primes:
             for q in primes:
                 if p is not q:
-                    assert not p.contains_span(q)
+                    assert matrix_rank(QQ, p.rows + q.rows) > p.height
 
 
 def test_combinatorial_radical_hartshorne_j2(hartshorne):
@@ -246,3 +256,61 @@ def test_generic_distance_formula(seed, k, extra):
     assert arr.min_distance() == n - k + 1
     for j in range(0, k - 1):
         assert arr.height_afold(j) == j + 1
+
+
+@st.composite
+def small_arrangements(draw):
+    """Arrangements over small fields with coefficients in {-1, 0, 1},
+    mostly not generic."""
+    field = draw(st.sampled_from([GF(2), GF(3), GF(5), QQ]))
+    k = draw(st.integers(1, 4))
+    n = draw(st.integers(1, 7))
+    rows = draw(
+        st.lists(
+            st.lists(st.sampled_from([-1, 0, 1]), min_size=k, max_size=k),
+            min_size=n,
+            max_size=n,
+        )
+    )
+    try:
+        return Arrangement(field, [[field.from_int(c) for c in row] for row in rows])
+    except DegenerateInputError:
+        assume(False)
+
+
+@settings(max_examples=80, deadline=None)
+@given(arr=small_arrangements())
+def test_flats_answer_like_the_subset_loops(arr):
+    """Genericity, minimal primes, heights and distance derived from the
+    one enumeration of flats equal the separate subset loops."""
+    ref = Arrangement(arr.field, arr.coeff_rows())
+    for s in range(1, arr.n + 2):
+        assert arr.s_generic_witness(s) == s_generic_witness_reference(ref, s)
+    for j in range(arr.n):
+        primes = minimal_linear_primes_reference(ref, j)
+        got = arr.minimal_linear_primes(j)
+        assert [(p.rows, p.support) for p in got] == [(p.rows, p.support) for p in primes]
+        assert arr.height_afold(j) == min(p.height for p in primes)
+    assert arr.min_distance() == min_distance_reference(ref)
+
+
+def test_one_rref_per_subset_of_flats(monkeypatch):
+    """Every combinatorial query on a (4,9) arrangement shares one
+    enumeration: one rref per subset of at most 3 forms, one for the
+    rank and one for the span of all forms."""
+    rows = random_generic_arrangement(4, 9, GF(32003), seed=0).coeff_rows()
+    calls = []
+
+    def counted(field, matrix):
+        calls.append(matrix)
+        return rref(field, matrix)
+
+    monkeypatch.setattr(arrangements, "rref", counted)
+    arr = Arrangement(GF(32003), rows)
+    for s in range(1, arr.n + 2):
+        arr.s_generic_witness(s)
+    for j in range(arr.n):
+        arr.minimal_linear_primes(j)
+        arr.height_afold(j)
+    arr.min_distance()
+    assert 0 < len(calls) <= comb(9, 1) + comb(9, 2) + comb(9, 3) + 2

@@ -28,11 +28,11 @@ def read_report(capsys):
 
 
 def test_parse_field_spec_variants():
-    assert parse_field_spec("QQ") == QQ
-    assert parse_field_spec("rational") == QQ
-    for s in ("GF(7)", "gf(7)", "gf:7", "F7", "7"):
+    for s in ("QQ", "qq", " Qq "):
+        assert parse_field_spec(s) == QQ
+    for s in ("GF(7)", "gf(7)", "Gf(7)"):
         assert parse_field_spec(s) == GF(7)
-    for bad in ("GF(6)", "ZZ", "gf()", "F"):
+    for bad in ("GF(6)", "ZZ", "gf()", "F", "GF(\u00b2)", "rational", "gf:7", "F7", "7"):
         with pytest.raises(ParseError):
             parse_field_spec(bad)
     assert field_spec_of(GF(101)) == "GF(101)"
@@ -159,6 +159,43 @@ def test_verify_corrupt_exits_one(capsys):
 def test_verify_budget_exits_three(capsys):
     assert run(["verify", "--j", "1", "--budget-seconds", "0", COORD_PLUS_SUM]) == 3
     assert read_report(capsys)["results"]["status"] == "inconclusive"
+
+
+def test_verify_rejects_nan_and_negative_budgets(capsys):
+    for budget in ("nan", "-1"):
+        assert run(["verify", "--j", "1", "--budget-seconds", budget, COORD_PLUS_SUM]) == 2
+        assert "--budget-seconds" in capsys.readouterr().err
+    assert run(["verify", "--j", "1", "--budget-seconds", "inf", COORD_PLUS_SUM]) == 0
+
+
+LATIN1 = b'{"field": "QQ", "forms": [[1, 0]], "variables": ["\xe9", "y"]}'
+
+
+def test_input_that_is_not_utf8_exits_two(tmp_path, capsys):
+    path = tmp_path / "latin1.json"
+    path.write_bytes(LATIN1)
+    assert run(["min-distance", str(path)]) == 2
+    assert "not UTF-8" in capsys.readouterr().err
+
+
+def test_stdin_is_read_as_utf8(child_env):
+    def child(data):
+        cmd = [sys.executable, "-m", "starconfig", "min-distance", "-"]
+        return subprocess.run(cmd, input=data, capture_output=True, env=child_env)
+
+    bad = child(LATIN1)
+    assert bad.returncode == 2 and b"stdin is not UTF-8" in bad.stderr
+    assert b"Traceback" not in bad.stderr
+    good = child(Path(HARTSHORNE).read_bytes())
+    assert good.returncode == 0
+    assert json.loads(good.stdout)["results"]["min_distance"] == 2
+
+
+def test_repeated_variable_names_exit_two(tmp_path, capsys):
+    path = tmp_path / "repeated.json"
+    path.write_text(json.dumps({"field": "QQ", "forms": [[1, 0], [0, 1]], "variables": ["x", "x"]}))
+    assert run(["min-distance", str(path)]) == 2
+    assert "'x'" in capsys.readouterr().err
 
 
 def test_verify_modes_agree(capsys):

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from starconfig.errors import UsageError
-from starconfig.fields import DEFAULT_PRIME, GF, MAX_MODULUS, QQ, is_prime, same_field
+from starconfig.fields import DEFAULT_PRIME, GF, MAX_MODULUS, QQ, is_prime
 
 
 def test_rationals_are_exact():
@@ -57,14 +57,6 @@ def test_is_prime_small_values():
     primes = {2, 3, 5, 7, 11, 13, 101, 32003}
     for n in range(-3, 30):
         assert is_prime(n) == (n in primes or n in (17, 19, 23, 29))
-
-
-def test_same_field_guard():
-    same_field(GF(5), GF(5))
-    with pytest.raises(UsageError):
-        same_field(GF(5), GF(7))
-    with pytest.raises(UsageError):
-        same_field(QQ, GF(5))
 
 
 @given(st.integers(), st.integers(), st.integers())

@@ -127,6 +127,11 @@ def test_ring_mismatch_rejected(R):
         R.gen(0) + other.gen(0)
 
 
+def test_repeated_variable_names_rejected():
+    with pytest.raises(UsageError, match="'x'"):
+        Ring(QQ, 3, names=("x", "y", "x"))
+
+
 def test_normalize_linear_form_scales_first_nonzero():
     assert normalize_linear_form(QQ, (0, 3, 6)) == (
         Fraction(0),

@@ -152,6 +152,14 @@ def test_budget_gives_inconclusive(coord_plus_sum):
     assert all(c.ok is None for c in rep.checks)
 
 
+def test_nan_and_negative_budgets_rejected(coord_plus_sum):
+    cert = theorem_generators(coord_plus_sum, 1)
+    for budget in (float("nan"), -1.0):
+        with pytest.raises(UsageError):
+            verify_certificate(cert, budget_seconds=budget)
+    assert verify_certificate(cert, budget_seconds=float("inf")).status == "holds"
+
+
 def test_deletion_keeps_construction_valid():
     # deleting down to the rank still leaves every subset independent,
     # with the rank one lower
