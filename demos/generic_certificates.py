@@ -7,6 +7,7 @@ what a corrupted certificate looks like when it is rejected.
 """
 
 import json
+from dataclasses import asdict
 
 from starconfig import (
     GF,
@@ -47,7 +48,7 @@ def main():
     print(f"status: {report.status}")
     for check in report.checks:
         if check.ok is False:
-            print(json.dumps(check.to_dict(), indent=2))
+            print(json.dumps(asdict(check), indent=2))
             break
 
 

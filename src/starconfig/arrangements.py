@@ -15,7 +15,7 @@ from itertools import combinations
 from .errors import DegenerateInputError, GenerationError, UsageError
 from .fields import DEFAULT_PRIME, GF, Field, PrimeField, RationalField
 from .groebner import Ideal, intersect
-from .polynomials import LinearForm, ProductOfForms, Ring
+from .polynomials import LinearForm, Polynomial, ProductOfForms, Ring
 
 
 def rref(field: Field, rows):
@@ -125,7 +125,6 @@ class Arrangement:
         self._rank = None
         self._flat_cache = None
         self._afold = {}
-        self._products = {}
         self._radical = {}
 
     @property
@@ -182,32 +181,22 @@ class Arrangement:
     def is_s_generic(self, s: int) -> bool:
         return self.s_generic_witness(s) is None
 
-    def subset_product(self, labels) -> ProductOfForms:
-        labels = tuple(labels)
-        if len(set(labels)) != len(labels):
-            raise UsageError("a subset product takes distinct labels")
-        return ProductOfForms(self.field, tuple(self.form(i) for i in labels))
+    def product(self, labels) -> Polynomial:
+        """The expanded product of the forms with these labels; a
+        repeated label gives a power of its form."""
+        return ProductOfForms(self.field, [self.form(i) for i in labels]).expand(self.ring)
 
     def _check_a(self, a: int):
         if not 1 <= a <= self.n:
             raise UsageError(f"fold size must lie in 1..{self.n}, got {a}")
 
-    def afold_products(self, a: int):
-        """All products of a distinct forms, as factored objects."""
-        self._check_a(a)
-        cached = self._products.get(a)
-        if cached is None:
-            cached = tuple(
-                self.subset_product(s) for s in combinations(self.labels, a)
-            )
-            self._products[a] = cached
-        return cached
-
     def afold_ideal(self, a: int) -> Ideal:
+        """The ideal of all products of a distinct forms, one generator
+        per a-subset of the labels in lexicographic order."""
         self._check_a(a)
         cached = self._afold.get(a)
         if cached is None:
-            gens = tuple(p.expand(self.ring) for p in self.afold_products(a))
+            gens = tuple(self.product(s) for s in combinations(self.labels, a))
             cached = Ideal(self.ring, gens)
             self._afold[a] = cached
         return cached

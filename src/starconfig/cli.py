@@ -14,7 +14,7 @@ import hashlib
 import json
 import sys
 import time
-from dataclasses import dataclass, field as dc_field
+from dataclasses import asdict, dataclass
 from fractions import Fraction
 
 from .arrangements import Arrangement, random_generic_arrangement
@@ -149,33 +149,10 @@ def parse_arrangement(text: str) -> ArrangementFile:
     return ArrangementFile.from_json(data)
 
 
-@dataclass
-class Report:
-    """The JSON envelope every subcommand prints."""
-
-    command: str
-    arguments: dict
-    field: str
-    results: dict
-    input_sha256: str | None = None
-    seed: int | None = None
-    wall_time_seconds: float = 0.0
-
-    def to_json(self) -> dict:
-        return {
-            "command": self.command,
-            "arguments": self.arguments,
-            "field": self.field,
-            "input_sha256": self.input_sha256,
-            "seed": self.seed,
-            "results": self.results,
-            "wall_time_seconds": self.wall_time_seconds,
-        }
-
-    def emit(self, stream=None):
-        stream = stream if stream is not None else sys.stdout
-        json.dump(self.to_json(), stream, indent=2, sort_keys=True)
-        stream.write("\n")
+def _emit(data: dict):
+    """Print one JSON document to stdout."""
+    json.dump(data, sys.stdout, indent=2, sort_keys=True)
+    sys.stdout.write("\n")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -275,10 +252,6 @@ def _read_input(path: str) -> str:
         raise ParseError(f"{'stdin' if path == '-' else path} is not UTF-8 text: {e}") from e
 
 
-def _levels_json(partition):
-    return [[list(p) for p in level] for level in partition.levels]
-
-
 def run(argv=None) -> int:
     """Entry point; returns the process exit code instead of raising."""
     parser = _build_parser()
@@ -298,9 +271,7 @@ def run(argv=None) -> int:
 
         if args.subcommand == "random":
             arr = random_generic_arrangement(args.k, args.n, field=override, seed=seed)
-            afile = ArrangementFile(field_spec_of(arr.field), arr.coeff_rows())
-            json.dump(afile.to_json(), sys.stdout, indent=2, sort_keys=True)
-            sys.stdout.write("\n")
+            _emit(ArrangementFile(field_spec_of(arr.field), arr.coeff_rows()).to_json())
             return 0
 
         text = _read_input(args.input)
@@ -379,7 +350,7 @@ def run(argv=None) -> int:
             results = {
                 "j": cert.j,
                 "count": len(cert.gens),
-                "levels": _levels_json(cert),
+                "levels": cert.levels,
                 "generators": [str(g) for g in cert.gens],
             }
 
@@ -407,7 +378,7 @@ def run(argv=None) -> int:
                 if budget is not None:
                     remaining = max(0.0, budget - (time.monotonic() - t0))
                 rep = verify_certificate(cert, mode=args.mode, budget_seconds=remaining)
-                reports.append(rep.to_dict())
+                reports.append(asdict(rep))
                 statuses.append(rep.status)
             results = {"reports": reports} if args.all_j else reports[0]
             if any(s == "fails" for s in statuses):
@@ -432,7 +403,7 @@ def run(argv=None) -> int:
                     "j": j,
                     "valid": ok,
                     "witness": witness,
-                    "levels": _levels_json(part),
+                    "levels": part.levels,
                     "level_count": len(part.levels),
                 }
                 if not args.check_only:
@@ -441,16 +412,15 @@ def run(argv=None) -> int:
             results = {"partitions": entries} if args.all_j else entries[0]
             exit_code = 0 if all_ok else 1
 
-        report = Report(
-            command=args.subcommand,
-            arguments=arguments,
-            field=field_name,
-            results=results,
-            input_sha256=digest,
-            seed=seed,
-            wall_time_seconds=time.monotonic() - t0,
-        )
-        report.emit()
+        _emit({
+            "command": args.subcommand,
+            "arguments": arguments,
+            "field": field_name,
+            "input_sha256": digest,
+            "seed": seed,
+            "results": results,
+            "wall_time_seconds": time.monotonic() - t0,
+        })
         return exit_code
 
     except StarConfigError as e:

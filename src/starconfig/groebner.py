@@ -33,7 +33,6 @@ under a block order with t in front.
 
 from __future__ import annotations
 
-import random
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from math import gcd, lcm
@@ -212,12 +211,11 @@ def s_polynomial(f: Polynomial, g: Polynomial) -> Polynomial:
     return _unpack(ring, layout, terms, lcm(a[0][1], b[0][1]))
 
 
-def buchberger(gens, seed=None):
+def buchberger(gens):
     """Reduced Groebner basis of the given generators.
 
-    The result is canonical for the ring's order.  A seed shuffles the
-    starting generators; it changes the pair schedule but must not
-    change the answer, which the determinism tests rely on.
+    The result is canonical for the ring's order, whatever the order of
+    the generators; the determinism tests shuffle them to check that.
     """
     polys = [g for g in gens if not g.is_zero()]
     if not polys:
@@ -226,9 +224,6 @@ def buchberger(gens, seed=None):
     for g in polys:
         if g.ring != ring:
             raise UsageError("generators live in different rings")
-    if seed is not None:
-        rng = random.Random(seed)
-        rng.shuffle(polys)
     layout = ring.order.layout(ring.nvars)
     basis = _groebner([_pack(g, layout)[0] for g in polys], ring.field.characteristic, layout)
     return tuple(_unpack(ring, layout, terms, terms[0][1]) for terms in basis)
@@ -339,11 +334,8 @@ class Ideal:
         self.gens = gens
         self._gb = None
 
-    def groebner_basis(self, seed=None):
-        """Reduced basis for the ring's order; a seed recomputes it with
-        shuffled generators and leaves the cache alone."""
-        if seed is not None:
-            return buchberger(self.gens, seed=seed)
+    def groebner_basis(self):
+        """Reduced basis for the ring's order, computed once."""
         if self._gb is None:
             self._gb = buchberger(self.gens)
         return self._gb

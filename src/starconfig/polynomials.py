@@ -3,9 +3,10 @@
 A Ring fixes the coefficient field, the number of variables, the
 monomial order, and display names.  Polynomials are immutable: a tuple
 of (exponent tuple, coefficient) pairs sorted descending under the
-ring's order, with no zero coefficients.  Linear forms and products of
-linear forms get thin wrapper types so arrangement code can reason
-about factors without expanding anything.
+ring's order, with no zero coefficients.  A LinearForm is a normalized
+coefficient vector with the label it carries in an arrangement, and
+ProductOfForms is the one routine that expands a product of them; the
+product itself is named by its labels, not stored.
 """
 
 from __future__ import annotations
@@ -35,6 +36,9 @@ class Ring:
         self.names = tuple(names) if names is not None else default_names(nvars)
         if len(self.names) != nvars:
             raise UsageError(f"expected {nvars} variable names, got {len(self.names)}")
+        bad = next((x for x in self.names if not (isinstance(x, str) and x.isidentifier())), None)
+        if bad is not None:
+            raise UsageError(f"variable name {bad!r} is not an identifier")
         repeated = next((x for i, x in enumerate(self.names) if x in self.names[:i]), None)
         if repeated is not None:
             raise UsageError(f"variable name {repeated!r} is repeated")
@@ -310,10 +314,9 @@ class LinearForm:
 
 
 class ProductOfForms:
-    """A formal product of linear forms, kept factored.
+    """Expansion of a product of linear forms over one field.
 
-    Factors are stored sorted by coefficient tuple so two products are
-    equal exactly when their factor multisets agree.
+    A repeated factor is multiplied in again, so it expands as a power.
     """
 
     __slots__ = ("field", "factors")
@@ -324,26 +327,10 @@ class ProductOfForms:
             if g.field != field:
                 raise UsageError("factor field mismatch")
         self.field = field
-        self.factors = tuple(sorted(factors, key=lambda g: g.coeffs))
+        self.factors = factors
 
     def expand(self, ring: Ring) -> Polynomial:
         result = ring.one
         for g in self.factors:
             result = result * g.poly(ring)
         return result
-
-    def labels(self):
-        return tuple(g.label for g in self.factors)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, ProductOfForms)
-            and self.field == other.field
-            and self.factors == other.factors
-        )
-
-    def __hash__(self):
-        return hash((self.field, self.factors))
-
-    def __repr__(self):
-        return " * ".join(f"({g!r})" for g in self.factors) if self.factors else "1"

@@ -33,7 +33,6 @@ from math import comb
 from .arrangements import Arrangement
 from .errors import GenericityError, UsageError
 from .groebner import Ideal, radical_member, reduce
-from .polynomials import ProductOfForms
 
 
 def _product_label(labels) -> str:
@@ -139,9 +138,6 @@ class CheckResult:
     ok: bool | None
     witness: str | None = None
 
-    def to_dict(self) -> dict:
-        return {"name": self.name, "ok": self.ok, "witness": self.witness}
-
 
 @dataclass
 class VerificationReport:
@@ -156,21 +152,6 @@ class VerificationReport:
     stci: bool | None
     checks: list = field(default_factory=list)
     wall_time_seconds: float = 0.0
-
-    def to_dict(self) -> dict:
-        return {
-            "holds": self.holds,
-            "status": self.status,
-            "mode": self.mode,
-            "n": self.n,
-            "a": self.a,
-            "j": self.j,
-            "height": self.height,
-            "generator_count": self.generator_count,
-            "stci": self.stci,
-            "checks": [c.to_dict() for c in self.checks],
-            "wall_time_seconds": self.wall_time_seconds,
-        }
 
 
 def verify_certificate(
@@ -235,9 +216,9 @@ def verify_certificate(
                 f"{a}-fold product ideal",
             ))
 
-    # afold.gens are these products expanded, in the same order
-    for prod, f in zip(arr.afold_products(a), afold.gens):
-        label = _product_label(sorted(prod.labels()))
+    # afold.gens are the products of these label tuples, in this order
+    for labels, f in zip(combinations(arr.labels, a), afold.gens):
+        label = _product_label(labels)
         run(
             f"radical-membership:{label}-in-certificate",
             lambda f=f: radical_member(f, cert_ideal),
@@ -372,15 +353,9 @@ def sv_sums(partition: SVPartition):
     the number of levels.
     """
     arr = partition.arrangement
-    ring = arr.ring
-    out = []
-    for level in partition.levels:
-        acc = ring.zero
-        for labels in level:
-            prod = ProductOfForms(arr.field, [arr.form(i) for i in labels])
-            acc = acc + prod.expand(ring)
-        out.append(acc)
-    return tuple(out)
+    return tuple(
+        sum((arr.product(p) for p in level), arr.ring.zero) for level in partition.levels
+    )
 
 
 def sv_ara_partition(arrangement: Arrangement, j: int) -> SVPartition:

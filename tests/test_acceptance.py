@@ -281,7 +281,9 @@ def test_criterion_7_groebner_determinism_and_radical_routes():
     for ring, gens in battery:
         canonical = buchberger(gens)
         for seed in (101, 202):
-            ok &= buchberger(gens, seed=seed) == canonical
+            shuffled = list(gens)
+            random.Random(seed).shuffle(shuffled)
+            ok &= buchberger(shuffled) == canonical
         for i in range(len(canonical)):
             for k in range(i):
                 ok &= reduce(s_polynomial(canonical[i], canonical[k]), canonical).is_zero()

@@ -6,6 +6,7 @@ construction, yet has completely known primes and heights; those known
 values anchor this file.
 """
 
+from itertools import combinations
 from math import comb
 
 import pytest
@@ -95,17 +96,21 @@ def test_genericity_of_coordinate_plus_sum(coord_plus_sum):
     assert coord_plus_sum.s_generic_witness(3) is None
 
 
-def test_subset_product(hartshorne):
-    p = hartshorne.subset_product((1, 4))
-    assert sorted(p.labels()) == [1, 4]
+def test_product(hartshorne):
+    ring = hartshorne.ring
+    l1, l4 = hartshorne.form(1).poly(ring), hartshorne.form(4).poly(ring)
+    assert hartshorne.product((1, 4)) == hartshorne.product((4, 1)) == l1 * l4
+    # a repeated label gives a power of its form
+    assert hartshorne.product((1, 1, 4)) == l1 ** 2 * l4
+    assert hartshorne.product(()) == ring.one
     with pytest.raises(UsageError):
-        hartshorne.subset_product((1, 1))
+        hartshorne.product((1, 7))
 
 
 def test_afold_generator_counts(hartshorne):
     assert len(hartshorne.afold_ideal(4).gens) == 15
-    assert len(hartshorne.afold_products(6)) == 1
-    assert len(hartshorne.afold_products(1)) == 6
+    assert hartshorne.afold_ideal(6).gens == (hartshorne.product(range(1, 7)),)
+    assert len(hartshorne.afold_ideal(1).gens) == 6
     with pytest.raises(UsageError):
         hartshorne.afold_ideal(0)
     with pytest.raises(UsageError):
@@ -142,8 +147,8 @@ def test_minimal_primes_contain_all_products(hartshorne):
         a = hartshorne.n - j
         for p in hartshorne.minimal_linear_primes(j):
             assert len(p.support) >= j + 1
-            for prod in hartshorne.afold_products(a):
-                assert any(p.contains_form(g) for g in prod.factors)
+            for labels in combinations(hartshorne.labels, a):
+                assert any(p.contains_form(hartshorne.form(i)) for i in labels)
 
 
 def test_minimal_primes_are_minimal(hartshorne):

@@ -9,7 +9,6 @@ import pytest
 
 from starconfig.cli import (
     ArrangementFile,
-    Report,
     field_spec_of,
     parse_arrangement,
     parse_field_spec,
@@ -198,6 +197,18 @@ def test_repeated_variable_names_exit_two(tmp_path, capsys):
     assert "'x'" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("names", [["x*y", "z"], ["", "z"], ["1", "2"]])
+def test_non_identifier_variable_names_exit_two(tmp_path, capsys, names):
+    # x*y times z would print as x*y*z, the same as a product of three variables
+    path = tmp_path / "names.json"
+    path.write_text(json.dumps({"forms": [[1, 0], [0, 1], [1, 1]], "variables": names}))
+    assert run(["afold", "--a", "2", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    bad = next(x for x in names if not x.isidentifier())
+    assert f"{bad!r} is not an identifier" in captured.err
+
+
 def test_verify_modes_agree(capsys):
     for mode in ("groebner", "combinatorial", "both"):
         assert run(["verify", "--j", "1", "--mode", mode, COORD_PLUS_SUM]) == 0
@@ -257,17 +268,3 @@ def test_console_script_runs(child_env):
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["results"]["min_distance"] == 2
-
-
-def test_report_emit_to_stream():
-    import io
-
-    buf = io.StringIO()
-    Report(
-        command="height",
-        arguments={"j": 1},
-        field="QQ",
-        results={"height": 2},
-    ).emit(buf)
-    data = json.loads(buf.getvalue())
-    assert data["results"] == {"height": 2}

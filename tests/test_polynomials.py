@@ -1,5 +1,6 @@
 """Polynomial arithmetic, monomial orders, forms and their products."""
 
+import re
 from fractions import Fraction
 
 import pytest
@@ -132,6 +133,15 @@ def test_repeated_variable_names_rejected():
         Ring(QQ, 3, names=("x", "y", "x"))
 
 
+@pytest.mark.parametrize("names", [("x*y", "z"), ("", "z"), ("1", "2"), ("x", "y z")])
+def test_variable_names_must_be_identifiers(names):
+    bad = next(x for x in names if not x.isidentifier())
+    with pytest.raises(UsageError, match=re.escape(f"{bad!r} is not an identifier")):
+        Ring(QQ, 2, names=names)
+    assert Ring(QQ, 2, names=("t", "u")).names == ("t", "u")
+    assert Ring(QQ, 12).names[-1] == "x12"
+
+
 def test_normalize_linear_form_scales_first_nonzero():
     assert normalize_linear_form(QQ, (0, 3, 6)) == (
         Fraction(0),
@@ -154,14 +164,15 @@ def test_linear_form_identity_ignores_label():
 def test_product_of_forms_canonical_with_repeats():
     x = LinearForm(QQ, (1, 0))
     y = LinearForm(QQ, (0, 1))
-    xy = ProductOfForms(QQ, (x, y))
-    yx = ProductOfForms(QQ, (y, x))
-    assert xy == yx
-    # multiplicity matters, and a repeated factor expands as a power
-    xx = ProductOfForms(QQ, (x, x))
-    assert xx != xy
     ring = Ring(QQ, 2)
-    assert xx.expand(ring) == x.poly(ring) ** 2
+    xy = ProductOfForms(QQ, (x, y)).expand(ring)
+    assert xy == ProductOfForms(QQ, (y, x)).expand(ring)
+    # multiplicity matters, and a repeated factor expands as a power
+    xx = ProductOfForms(QQ, (x, x)).expand(ring)
+    assert xx != xy
+    assert xx == x.poly(ring) ** 2
+    with pytest.raises(UsageError):
+        ProductOfForms(GF(5), (x,))
 
 
 def test_product_expand(R):

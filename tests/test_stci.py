@@ -251,7 +251,7 @@ def test_corruptions_keep_their_polynomials_and_named_witnesses():
     tail, f2, f1 = cert.gens
 
     def prod(*labels):
-        return arr.subset_product(labels).expand(ring)
+        return arr.product(labels)
 
     l2 = arr.form(2).poly(ring)
     rest = sum((prod(*s) for s in combinations(range(2, 7), 3)), ring.zero)
