@@ -259,12 +259,6 @@ class Arrangement:
         r = self.rank()
         return self.n - max((len(p.support) for p in self._flats() if p.height < r), default=0)
 
-    def delete(self, label: int) -> "Arrangement":
-        """Arrangement with one form removed and labels reassigned."""
-        self.form(label)
-        rows = [g.coeffs for g in self.forms if g.label != label]
-        return Arrangement(self.field, rows, names=self.ring.names)
-
     def __repr__(self):
         return f"Arrangement({self.n} forms in {self.nvars} vars over {self.field})"
 

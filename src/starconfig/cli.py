@@ -1,7 +1,9 @@
 """Command line interface: JSON reports over arrangement files.
 
 An arrangement file is JSON with a field spec, an optional variable
-list, and the coefficient rows of the forms.  Every subcommand prints
+list, and a list of forms, each a list of integer or fraction-string
+coefficients.  It is read straight into an ``Arrangement`` over its own
+field, or over the one ``--field`` names.  Every subcommand prints
 a single JSON report to stdout and exits 0 when the computed claim
 holds, 1 when it fails, 2 on bad input or usage, and 3 when a budget
 ran out before an answer was reached.
@@ -14,12 +16,12 @@ import hashlib
 import json
 import sys
 import time
-from dataclasses import asdict, dataclass
+from dataclasses import asdict
 from fractions import Fraction
 
 from .arrangements import Arrangement, random_generic_arrangement
 from .errors import ParseError, StarConfigError, UsageError
-from .fields import QQ, Field, GF, PrimeField, RationalField
+from .fields import QQ, Field, GF
 from .stci import (
     CORRUPTION_MODES,
     corrupt_certificate,
@@ -44,20 +46,10 @@ def parse_field_spec(spec: str) -> Field:
     raise ParseError(f"cannot parse field spec {spec!r}; expected QQ or GF(p)")
 
 
-def field_spec_of(f: Field) -> str:
-    if isinstance(f, RationalField):
-        return "QQ"
-    if isinstance(f, PrimeField):
-        return f"GF({f.characteristic})"
-    raise UsageError(f"no spec for field {f!r}")
-
-
 def _parse_coeff(token) -> Fraction:
     if isinstance(token, bool):
         raise ParseError(f"coefficient {token!r} is not a number")
-    if isinstance(token, int):
-        return Fraction(token)
-    if isinstance(token, str):
+    if isinstance(token, (int, str)):
         try:
             return Fraction(token)
         except (ValueError, ZeroDivisionError) as e:
@@ -65,88 +57,58 @@ def _parse_coeff(token) -> Fraction:
     raise ParseError(f"coefficient {token!r} must be an integer or a fraction string")
 
 
-@dataclass
-class ArrangementFile:
-    """Parsed arrangement file: field spec, raw rows, optional names.
+def parse_arrangement(text: str, field: Field | None = None) -> Arrangement:
+    """Arrangement from the JSON text of an arrangement file.
 
-    Coefficients are held as exact rationals so the same file can be
-    built over the rationals or reduced into a prime field.
+    The forms are built over ``field`` when one is given, else over the
+    file's own field.  The whole file is checked, its own field spec
+    included, before any coefficient is converted into the field.
     """
-
-    field_spec: str
-    rows: tuple
-    names: tuple | None = None
-
-    @staticmethod
-    def from_json(data: dict) -> "ArrangementFile":
-        if not isinstance(data, dict):
-            raise ParseError("arrangement file must be a JSON object")
-        spec = data.get("field", "QQ")
-        if not isinstance(spec, str):
-            raise ParseError('"field" must be a string like "QQ" or "GF(32003)"')
-        parse_field_spec(spec)
-        forms = data.get("forms")
-        if not isinstance(forms, list) or not forms:
-            raise ParseError('arrangement file needs a nonempty "forms" list')
-        rows = []
-        for i, row in enumerate(forms):
-            if not isinstance(row, list) or not row:
-                raise ParseError(f"form {i + 1} must be a nonempty list of coefficients")
-            rows.append(tuple(_parse_coeff(c) for c in row))
-        widths = {len(r) for r in rows}
-        if len(widths) != 1:
-            raise ParseError(f"forms have mixed lengths {sorted(widths)}")
-        names = data.get("variables")
-        if names is not None:
-            if not isinstance(names, list) or not all(isinstance(x, str) for x in names):
-                raise ParseError('"variables" must be a list of strings')
-            if len(names) != len(rows[0]):
-                raise ParseError(
-                    f"{len(names)} variable names for {len(rows[0])}-coefficient forms"
-                )
-            names = tuple(names)
-        return ArrangementFile(field_spec=spec, rows=tuple(rows), names=names)
-
-    def to_json(self) -> dict:
-        def show(c: Fraction):
-            return int(c) if c.denominator == 1 else str(c)
-
-        data = {
-            "field": self.field_spec,
-            "forms": [[show(c) for c in row] for row in self.rows],
-        }
-        if self.names is not None:
-            data["variables"] = list(self.names)
-        return data
-
-    def build(self, override: Field | None = None) -> Arrangement:
-        f = override if override is not None else parse_field_spec(self.field_spec)
-        rows = []
-        for row in self.rows:
-            converted = []
-            for c in row:
-                if isinstance(f, PrimeField):
-                    p = f.characteristic
-                    if c.denominator % p == 0:
-                        raise ParseError(
-                            f"coefficient {c} has denominator divisible by {p}"
-                        )
-                    converted.append(
-                        f.mul(f.from_int(c.numerator), f.inv(f.from_int(c.denominator)))
-                    )
-                else:
-                    converted.append(c)
-            rows.append(tuple(converted))
-        return Arrangement(f, rows, names=self.names)
-
-
-def parse_arrangement(text: str) -> ArrangementFile:
-    """Parse the JSON text of an arrangement file."""
     try:
         data = json.loads(text)
     except json.JSONDecodeError as e:
         raise ParseError(f"not valid JSON: {e}") from e
-    return ArrangementFile.from_json(data)
+    except (ValueError, RecursionError) as e:
+        # valid JSON past a decoder limit: an integer longer than
+        # sys.get_int_max_str_digits(), or nesting past the recursion limit
+        raise ParseError(f"cannot decode JSON: {e}") from e
+    if not isinstance(data, dict):
+        raise ParseError("arrangement file must be a JSON object")
+    spec = data.get("field", "QQ")
+    if not isinstance(spec, str):
+        raise ParseError('"field" must be a string like "QQ" or "GF(32003)"')
+    own_field = parse_field_spec(spec)
+    field = own_field if field is None else field
+    forms = data.get("forms")
+    if not isinstance(forms, list) or not forms:
+        raise ParseError('arrangement file needs a nonempty "forms" list')
+    rows = []
+    for i, row in enumerate(forms):
+        if not isinstance(row, list) or not row:
+            raise ParseError(f"form {i + 1} must be a nonempty list of coefficients")
+        rows.append(tuple(_parse_coeff(c) for c in row))
+    widths = {len(r) for r in rows}
+    if len(widths) != 1:
+        raise ParseError(f"forms have mixed lengths {sorted(widths)}")
+    names = data.get("variables")
+    if names is not None:
+        if not isinstance(names, list) or not all(isinstance(x, str) for x in names):
+            raise ParseError('"variables" must be a list of strings')
+        if len(names) != len(rows[0]):
+            raise ParseError(
+                f"{len(names)} variable names for {len(rows[0])}-coefficient forms"
+            )
+        names = tuple(names)
+
+    def convert(q: Fraction):
+        try:
+            return field.div(field.from_int(q.numerator), field.from_int(q.denominator))
+        except ZeroDivisionError as e:
+            raise ParseError(
+                f"coefficient {q} has denominator divisible by {field.characteristic}"
+            ) from e
+
+    return Arrangement(field, [tuple(convert(q) for q in row) for row in rows], names=names)
 
 
 def _emit(data: dict):
@@ -271,18 +233,15 @@ def run(argv=None) -> int:
 
         if args.subcommand == "random":
             arr = random_generic_arrangement(args.k, args.n, field=override, seed=seed)
-            _emit(ArrangementFile(field_spec_of(arr.field), arr.coeff_rows()).to_json())
+            rows = [[int(c) if c.denominator == 1 else str(c) for c in r] for r in arr.coeff_rows()]
+            _emit({"field": repr(arr.field), "forms": rows})
             return 0
 
         text = _read_input(args.input)
         digest = hashlib.sha256(text.encode("utf-8")).hexdigest()
-        afile = parse_arrangement(text)
-        arr = afile.build(override)
-        field_name = field_spec_of(arr.field)
-        ring = arr.ring
+        arr = parse_arrangement(text, override)
 
         exit_code = 0
-        results: dict = {}
         arguments: dict = {}
 
         if args.subcommand == "check-generic":
@@ -315,7 +274,7 @@ def run(argv=None) -> int:
                     {
                         "height": p.height,
                         "support": list(p.support),
-                        "generators": [str(g) for g in p.gens_in(ring)],
+                        "generators": [str(g) for g in p.gens_in(arr.ring)],
                     }
                     for p in primes
                 ],
@@ -334,9 +293,7 @@ def run(argv=None) -> int:
         elif args.subcommand == "height":
             if args.all_j:
                 arguments = {"all_j": True}
-                results = {
-                    "heights": {str(j): arr.height_afold(j) for j in range(arr.n)}
-                }
+                results = {"heights": {str(j): arr.height_afold(j) for j in range(arr.n)}}
             else:
                 arguments = {"j": args.j}
                 results = {"j": args.j, "height": arr.height_afold(args.j)}
@@ -355,13 +312,10 @@ def run(argv=None) -> int:
             }
 
         elif args.subcommand == "verify":
+            js = [args.j]
             if args.all_j:
                 r = arr.rank()
-                js = [0]
-                if arr.is_s_generic(r):
-                    js += list(range(1, r - 1))
-            else:
-                js = [args.j]
+                js = [0] + (list(range(1, r - 1)) if arr.is_s_generic(r) else [])
             arguments = {
                 "j": None if args.all_j else args.j,
                 "all_j": args.all_j,
@@ -369,21 +323,27 @@ def run(argv=None) -> int:
                 "corrupt": args.corrupt,
             }
             reports = []
-            statuses = []
+            refusal = None
             for j in js:
                 cert = theorem_generators(arr, j)
                 if args.corrupt:
-                    cert = corrupt_certificate(cert, args.corrupt)
+                    try:
+                        cert = corrupt_certificate(cert, args.corrupt)
+                    except UsageError as e:  # undefined at this j; skip it
+                        refusal = e
+                        continue
                 remaining = None
                 if budget is not None:
                     remaining = max(0.0, budget - (time.monotonic() - t0))
                 rep = verify_certificate(cert, mode=args.mode, budget_seconds=remaining)
                 reports.append(asdict(rep))
-                statuses.append(rep.status)
+            if not reports:
+                raise refusal
             results = {"reports": reports} if args.all_j else reports[0]
-            if any(s == "fails" for s in statuses):
+            statuses = [r["status"] for r in reports]
+            if "fails" in statuses:
                 exit_code = 1
-            elif any(s == "inconclusive" for s in statuses):
+            elif "inconclusive" in statuses:
                 exit_code = 3
 
         elif args.subcommand == "sv-partition":
@@ -394,11 +354,9 @@ def run(argv=None) -> int:
                 "check_only": args.check_only,
             }
             entries = []
-            all_ok = True
             for j in js:
                 part = sv_ara_partition(arr, j)
                 ok, witness = sv_check_partition(part)
-                all_ok = all_ok and ok
                 entry = {
                     "j": j,
                     "valid": ok,
@@ -410,12 +368,12 @@ def run(argv=None) -> int:
                     entry["sums"] = [str(q) for q in part.gens]
                 entries.append(entry)
             results = {"partitions": entries} if args.all_j else entries[0]
-            exit_code = 0 if all_ok else 1
+            exit_code = 0 if all(e["valid"] for e in entries) else 1
 
         _emit({
             "command": args.subcommand,
             "arguments": arguments,
-            "field": field_name,
+            "field": repr(arr.field),
             "input_sha256": digest,
             "seed": seed,
             "results": results,

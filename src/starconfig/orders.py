@@ -170,15 +170,3 @@ class BlockOrder(MonomialOrder):
 
 GREVLEX = GrevLex()
 LEX = Lex()
-
-
-def cmp_monomials(order: MonomialOrder, a, b) -> int:
-    """Compare two monomials under the order: -1, 0, or 1."""
-    if len(a) != len(b):
-        raise UsageError(f"monomial arity mismatch: {len(a)} vs {len(b)}")
-    ka, kb = order.key(a), order.key(b)
-    if ka < kb:
-        return -1
-    if ka > kb:
-        return 1
-    return 0

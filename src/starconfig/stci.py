@@ -74,11 +74,6 @@ class SVPartition:
         return f"SVPartition(j={self.j}, levels {sizes})"
 
 
-def _check_codim(n: int, j: int):
-    if not 0 <= j <= n - 1:
-        raise UsageError(f"codim parameter must lie in 0..{n - 1}, got {j}")
-
-
 def theorem_generators(arrangement: Arrangement, j: int) -> SVPartition:
     """The explicit j+1 generators for the (n-j)-fold product radical.
 
@@ -86,7 +81,7 @@ def theorem_generators(arrangement: Arrangement, j: int) -> SVPartition:
     j >= 1 the arrangement must have every rank-sized subset
     independent and j can be at most rank - 2.
     """
-    _check_codim(arrangement.n, j)
+    arrangement._check_j(j)
     if j >= 1:
         r = arrangement.rank()
         if j > r - 2:
@@ -365,8 +360,8 @@ def sv_ara_partition(arrangement: Arrangement, j: int) -> SVPartition:
     the products whose smallest label is j-u+1.  This is valid for any
     arrangement, so j+1 polynomials always suffice up to radical.
     """
+    arrangement._check_j(j)
     n = arrangement.n
-    _check_codim(n, j)
     levels = [(tuple(range(j + 1, n + 1)),)]
     for u in range(1, j + 1):
         b = j - u + 1

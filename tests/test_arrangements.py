@@ -24,6 +24,7 @@ from starconfig.errors import DegenerateInputError, GenerationError, UsageError
 from starconfig.fields import GF, QQ
 from starconfig.groebner import Ideal
 
+from arrangement_helpers import delete
 from flat_reference import (
     min_distance_reference,
     minimal_linear_primes_reference,
@@ -193,7 +194,7 @@ def test_radical_tree_matches_fold_on_fixtures(hartshorne, coord_plus_sum):
     """Both fixtures, and the Hartshorne one without its last form,
     whose minimal primes at j = 2 have heights 2 and 3, so the tree's
     sorted order mixes heights."""
-    mixed = hartshorne.delete(6)
+    mixed = delete(hartshorne, 6)
     assert [p.height for p in mixed.minimal_linear_primes(2)] == [2, 3, 3, 3]
     for arr in (hartshorne, coord_plus_sum, mixed):
         for j in range(arr.n):
@@ -214,7 +215,7 @@ def test_min_distance(hartshorne, coord_plus_sum):
 
 
 def test_delete_reassigns_labels(hartshorne):
-    smaller = hartshorne.delete(3)
+    smaller = delete(hartshorne, 3)
     assert smaller.n == 5
     assert smaller.labels == (1, 2, 3, 4, 5)
     assert smaller.form(3).coeffs == (0, 0, 1, 0)

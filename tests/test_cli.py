@@ -7,13 +7,8 @@ from pathlib import Path
 
 import pytest
 
-from starconfig.cli import (
-    ArrangementFile,
-    field_spec_of,
-    parse_arrangement,
-    parse_field_spec,
-    run,
-)
+from starconfig.arrangements import random_generic_arrangement
+from starconfig.cli import parse_arrangement, parse_field_spec, run
 from starconfig.errors import ParseError
 from starconfig.fields import GF, QQ
 
@@ -34,17 +29,15 @@ def test_parse_field_spec_variants():
     for bad in ("GF(6)", "ZZ", "gf()", "F", "GF(\u00b2)", "rational", "gf:7", "F7", "7"):
         with pytest.raises(ParseError):
             parse_field_spec(bad)
-    assert field_spec_of(GF(101)) == "GF(101)"
-    assert field_spec_of(QQ) == "QQ"
+    # reports and the random subcommand spell a field by its repr
+    assert repr(GF(101)) == "GF(101)"
+    assert repr(QQ) == "QQ"
 
 
 def test_parse_arrangement_happy_path():
-    afile = parse_arrangement(Path(HARTSHORNE).read_text())
-    assert afile.field_spec == "QQ"
-    assert len(afile.rows) == 6
-    assert afile.names == ("x", "y", "z", "w")
-    arr = afile.build()
+    arr = parse_arrangement(Path(HARTSHORNE).read_text())
     assert arr.n == 6 and arr.field == QQ
+    assert arr.ring.names == ("x", "y", "z", "w")
 
 
 def test_parse_arrangement_diagnostics():
@@ -65,20 +58,20 @@ def test_parse_arrangement_diagnostics():
 
 
 def test_fraction_coefficients_and_field_reduction():
-    afile = parse_arrangement('{"field": "QQ", "forms": [["1/2", 1], [0, 1]]}')
-    arr = afile.build()
-    assert arr.form(1).coeffs == (1, 2)
-    over_gf = afile.build(GF(7))
+    text = '{"field": "QQ", "forms": [["1/2", 1], [0, 1]]}'
+    assert parse_arrangement(text).form(1).coeffs == (1, 2)
+    over_gf = parse_arrangement(text, GF(7))
+    assert over_gf.field == GF(7)
     # 1/2 is 4 mod 7; normalization rescales the form to (1, 2)
     assert over_gf.form(1).coeffs == (1, 2)
-    with pytest.raises(ParseError):
-        parse_arrangement('{"forms": [["1/7", 1]]}').build(GF(7))
-
-
-def test_arrangement_file_roundtrip():
-    afile = parse_arrangement(Path(COORD_PLUS_SUM).read_text())
-    again = ArrangementFile.from_json(afile.to_json())
-    assert again == afile
+    with pytest.raises(ParseError, match="denominator divisible by 7"):
+        parse_arrangement('{"forms": [["1/7", 1]]}', GF(7))
+    # the whole file is checked before any coefficient is converted
+    with pytest.raises(ParseError, match="mixed lengths"):
+        parse_arrangement('{"forms": [["1/7", 1], [1]]}', GF(7))
+    # and the file's own field spec is checked under an override
+    with pytest.raises(ParseError, match="not prime"):
+        parse_arrangement('{"field": "GF(6)", "forms": [[1, 0]]}', QQ)
 
 
 def test_report_envelope_shape(capsys):
@@ -144,6 +137,19 @@ def test_stci_gens_and_verify(capsys):
     assert run(["verify", "--all-j", HARTSHORNE]) == 0
     reports = read_report(capsys)["results"]["reports"]
     assert [r["j"] for r in reports] == [0]
+
+
+@pytest.mark.parametrize("mode", ["drop-summand", "swap-form"])
+def test_verify_all_j_skips_j_without_the_corruption(capsys, mode):
+    # j = 0 has only level 0, so these corruptions are undefined there
+    assert run(["verify", "--all-j", "--corrupt", mode, COORD_PLUS_SUM]) == 1
+    reports = read_report(capsys)["results"]["reports"]
+    assert [r["j"] for r in reports] == [1]
+    assert reports[0]["status"] == "fails"
+    # only j = 0 is attempted here, so no j is left to verify
+    assert run(["verify", "--all-j", "--corrupt", mode, HARTSHORNE]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "needs" in captured.err
 
 
 def test_verify_corrupt_exits_one(capsys):
@@ -236,14 +242,36 @@ def test_field_override(capsys):
 
 
 def test_random_emits_plain_arrangement_file(capsys):
-    assert run(["random", "--k", "3", "--n", "5", "--seed", "11"]) == 0
-    first = capsys.readouterr().out
-    afile = parse_arrangement(first)
-    arr = afile.build()
-    assert arr.n == 5 and arr.is_s_generic(3)
+    for field_args, field in (([], GF(32003)), (["--field", "QQ"], QQ)):
+        argv = ["random", "--k", "3", "--n", "5", "--seed", "11", *field_args]
+        assert run(argv) == 0
+        first = capsys.readouterr().out
+        arr = parse_arrangement(first)
+        assert arr.field == field and arr.n == 5 and arr.is_s_generic(3)
+        # the printed file reads back as the sampled arrangement
+        sampled = random_generic_arrangement(3, 5, field, seed=11)
+        assert arr.coeff_rows() == sampled.coeff_rows()
 
-    assert run(["random", "--k", "3", "--n", "5", "--seed", "11"]) == 0
-    assert capsys.readouterr().out == first
+        assert run(argv) == 0
+        assert capsys.readouterr().out == first
+
+
+@pytest.mark.skipif(
+    not getattr(sys, "get_int_max_str_digits", lambda: 0)(),
+    reason="this interpreter has no limit on integer digits",
+)
+def test_integer_past_the_digit_limit_exits_two(tmp_path, capsys):
+    path = tmp_path / "long.json"
+    path.write_text('{"forms": [[1' + "0" * sys.get_int_max_str_digits() + "]]}")
+    assert run(["min-distance", str(path)]) == 2
+    assert "cannot decode JSON" in capsys.readouterr().err
+
+
+def test_deeply_nested_json_exits_two(tmp_path, capsys):
+    path = tmp_path / "deep.json"
+    path.write_text('{"forms": ' + "[" * 100_000 + "]" * 100_000 + "}")
+    assert run(["min-distance", str(path)]) == 2
+    assert "cannot decode JSON" in capsys.readouterr().err
 
 
 def test_usage_errors_exit_two(capsys, tmp_path):

@@ -13,7 +13,6 @@ from starconfig.orders import (
     LEX,
     BlockOrder,
     DEGREE_LIMIT,
-    cmp_monomials,
     mono_divides,
     mono_mul,
 )
@@ -25,6 +24,14 @@ from starconfig.polynomials import (
 )
 
 from groebner_reference import tuple_key
+
+
+def cmp_monomials(order, a, b):
+    """Compare two monomials under the order: -1, 0, or 1."""
+    if len(a) != len(b):
+        raise UsageError(f"monomial arity mismatch: {len(a)} vs {len(b)}")
+    ka, kb = order.key(a), order.key(b)
+    return (ka > kb) - (ka < kb)
 
 
 def _orders(n):

@@ -21,6 +21,8 @@ from starconfig.stci import (
     verify_certificate,
 )
 
+from arrangement_helpers import delete
+
 
 @pytest.fixture
 def hartshorne():
@@ -164,7 +166,7 @@ def test_deletion_keeps_construction_valid():
     # deleting down to the rank still leaves every subset independent,
     # with the rank one lower
     arr = random_generic_arrangement(4, 4, field=GF(101), seed=5)
-    smaller = arr.delete(4)
+    smaller = delete(arr, 4)
     assert smaller.rank() == 3
     rep = verify_certificate(theorem_generators(smaller, 1), mode="both")
     assert rep.holds is True
