@@ -124,8 +124,6 @@ class Arrangement:
         self.ring = Ring(field, width, names=names)
         self._rank = None
         self._flat_cache = None
-        self._afold = {}
-        self._radical = {}
 
     @property
     def n(self) -> int:
@@ -194,12 +192,7 @@ class Arrangement:
         """The ideal of all products of a distinct forms, one generator
         per a-subset of the labels in lexicographic order."""
         self._check_a(a)
-        cached = self._afold.get(a)
-        if cached is None:
-            gens = tuple(self.product(s) for s in combinations(self.labels, a))
-            cached = Ideal(self.ring, gens)
-            self._afold[a] = cached
-        return cached
+        return Ideal(self.ring, tuple(self.product(s) for s in combinations(self.labels, a)))
 
     def _check_j(self, j: int):
         if not 0 <= j <= self.n - 1:
@@ -240,17 +233,13 @@ class Arrangement:
         grevlex basis of the intersection, which does not depend on
         how the intersections are grouped.
         """
-        self._check_j(j)
-        cached = self._radical.get(j)
-        if cached is None:
-            level = [p.ideal_in(self.ring) for p in self.minimal_linear_primes(j)]
-            while len(level) > 1:
-                pairs = [intersect(a, b) for a, b in zip(level[::2], level[1::2])]
-                if len(level) % 2:
-                    pairs.append(level[-1])
-                level = pairs
-            self._radical[j] = cached = level[0]
-        return cached
+        level = [p.ideal_in(self.ring) for p in self.minimal_linear_primes(j)]
+        while len(level) > 1:
+            pairs = [intersect(a, b) for a, b in zip(level[::2], level[1::2])]
+            if len(level) % 2:
+                pairs.append(level[-1])
+            level = pairs
+        return level[0]
 
     def min_distance(self) -> int:
         """n minus the largest number of forms inside a proper subspace

@@ -32,6 +32,11 @@ from .stci import (
 )
 
 
+# parsed flags that a report shows elsewhere or not at all; every other
+# flag of the subcommand is echoed under "arguments"
+NOT_ARGUMENTS = frozenset({"subcommand", "input", "field", "seed", "budget_seconds"})
+
+
 def parse_field_spec(spec: str) -> Field:
     """Field from its name, QQ or GF(p), in any letter case."""
     low = spec.strip().lower()
@@ -177,11 +182,7 @@ def _build_parser() -> argparse.ArgumentParser:
     g = p.add_mutually_exclusive_group(required=True)
     g.add_argument("--j", type=int)
     g.add_argument("--all-j", action="store_true")
-    p.add_argument(
-        "--mode",
-        choices=("groebner", "combinatorial", "both"),
-        default="both",
-    )
+    p.add_argument("--mode", choices=("both",), default="both")
     p.add_argument(
         "--corrupt",
         choices=CORRUPTION_MODES,
@@ -242,10 +243,7 @@ def run(argv=None) -> int:
         arr = parse_arrangement(text, override)
 
         exit_code = 0
-        arguments: dict = {}
-
         if args.subcommand == "check-generic":
-            arguments = {"s": args.s}
             witness = arr.s_generic_witness(args.s)
             results = {
                 "s": args.s,
@@ -255,7 +253,6 @@ def run(argv=None) -> int:
             exit_code = 0 if witness is None else 1
 
         elif args.subcommand == "afold":
-            arguments = {"a": args.a}
             ideal = arr.afold_ideal(args.a)
             results = {
                 "a": args.a,
@@ -264,7 +261,6 @@ def run(argv=None) -> int:
             }
 
         elif args.subcommand == "min-primes":
-            arguments = {"j": args.j}
             primes = arr.minimal_linear_primes(args.j)
             results = {
                 "j": args.j,
@@ -281,7 +277,6 @@ def run(argv=None) -> int:
             }
 
         elif args.subcommand == "radical":
-            arguments = {"j": args.j}
             rad = arr.combinatorial_radical(args.j)
             results = {
                 "j": args.j,
@@ -292,17 +287,14 @@ def run(argv=None) -> int:
 
         elif args.subcommand == "height":
             if args.all_j:
-                arguments = {"all_j": True}
                 results = {"heights": {str(j): arr.height_afold(j) for j in range(arr.n)}}
             else:
-                arguments = {"j": args.j}
                 results = {"j": args.j, "height": arr.height_afold(args.j)}
 
         elif args.subcommand == "min-distance":
             results = {"min_distance": arr.min_distance(), "n": arr.n, "rank": arr.rank()}
 
         elif args.subcommand == "stci-gens":
-            arguments = {"j": args.j}
             cert = theorem_generators(arr, args.j)
             results = {
                 "j": cert.j,
@@ -316,12 +308,6 @@ def run(argv=None) -> int:
             if args.all_j:
                 r = arr.rank()
                 js = [0] + (list(range(1, r - 1)) if arr.is_s_generic(r) else [])
-            arguments = {
-                "j": None if args.all_j else args.j,
-                "all_j": args.all_j,
-                "mode": args.mode,
-                "corrupt": args.corrupt,
-            }
             reports = []
             refusal = None
             for j in js:
@@ -335,7 +321,7 @@ def run(argv=None) -> int:
                 remaining = None
                 if budget is not None:
                     remaining = max(0.0, budget - (time.monotonic() - t0))
-                rep = verify_certificate(cert, mode=args.mode, budget_seconds=remaining)
+                rep = verify_certificate(cert, budget_seconds=remaining)
                 reports.append(asdict(rep))
             if not reports:
                 raise refusal
@@ -348,11 +334,6 @@ def run(argv=None) -> int:
 
         elif args.subcommand == "sv-partition":
             js = list(range(arr.n)) if args.all_j else [args.j]
-            arguments = {
-                "j": None if args.all_j else args.j,
-                "all_j": args.all_j,
-                "check_only": args.check_only,
-            }
             entries = []
             for j in js:
                 part = sv_ara_partition(arr, j)
@@ -372,7 +353,7 @@ def run(argv=None) -> int:
 
         _emit({
             "command": args.subcommand,
-            "arguments": arguments,
+            "arguments": {k: v for k, v in vars(args).items() if k not in NOT_ARGUMENTS},
             "field": repr(arr.field),
             "input_sha256": digest,
             "seed": seed,

@@ -14,13 +14,14 @@ alone.  For an arrangement whose rank-many subsets are all independent
 the level sums also cut out the a-fold product variety, which
 verify_certificate proves by computer algebra.
 
-Both verification routes test literal containment of each level sum
-in the a-fold ideal and radical membership of each a-fold product in
-the certificate ideal.  For the other direction, the Groebner route
-tests each level sum for radical membership in the a-fold ideal and
-the combinatorial route reduces it against every minimal prime, which
-is exact.  Running both cross-checks those two answers; a disagreement
-is reported as an internal inconsistency, never resolved silently.
+Verification tests literal containment of each level sum in the
+a-fold ideal and radical membership of each a-fold product in the
+certificate ideal.  Each level sum is also answered by two
+independent routes: containment or, failing that, a Groebner radical
+test against the a-fold ideal; and a reduction against every minimal
+prime, which is exact.  The two answers are cross-checked; a
+disagreement is reported as an internal inconsistency, never resolved
+silently.
 """
 
 from __future__ import annotations
@@ -138,7 +139,6 @@ class CheckResult:
 class VerificationReport:
     holds: bool | None
     status: str
-    mode: str
     n: int
     a: int
     j: int
@@ -151,23 +151,20 @@ class VerificationReport:
 
 def verify_certificate(
     cert: SVPartition,
-    mode: str = "both",
     budget_seconds: float | None = None,
 ) -> VerificationReport:
     """Check that the certificate cuts out the a-fold product variety.
 
-    Every mode checks literal containment of each certificate generator
-    in the a-fold ideal and tests each a-fold product against the
-    certificate radical.  The groebner route then tests the generators
-    that containment did not settle against the a-fold radical.  The
-    combinatorial route instead reduces every generator against every
-    minimal prime, which is exact.  Running both cross-checks the two
-    answers for each generator.  A budget turns remaining work into an
-    inconclusive verdict; it never flips a failure already found.  A
-    NaN or negative budget is refused; an infinite one never cuts.
+    The checks run in one order: literal containment of each
+    certificate generator in the a-fold ideal; a Groebner radical test
+    against the a-fold ideal for each generator that containment did
+    not settle; every a-fold product against the certificate radical;
+    every generator reduced against every minimal prime, which is
+    exact; and a cross-check of the two answers for each generator.  A
+    budget turns remaining work into an inconclusive verdict; it never
+    flips a failure already found.  A NaN or negative budget is
+    refused; an infinite one never cuts.
     """
-    if mode not in ("groebner", "combinatorial", "both"):
-        raise UsageError(f"unknown verification mode {mode!r}")
     if budget_seconds is not None and not budget_seconds >= 0:
         raise UsageError(f"budget must be a nonnegative number of seconds, got {budget_seconds}")
     t0 = time.monotonic()
@@ -199,17 +196,17 @@ def verify_certificate(
         for name, g in named
     ]
 
-    groebner_side = []
-    if mode != "combinatorial":
-        # containment already implies radical membership, so only
-        # retest what failed or was skipped
-        for (name, g), ok in zip(named, contained):
-            groebner_side.append(ok or run(
-                f"radical-membership:{name}-in-afold",
-                lambda g=g: radical_member(g, afold),
-                lambda name=name: f"{name} is not in the radical of the "
-                f"{a}-fold product ideal",
-            ))
+    # containment already implies radical membership, so only retest
+    # what failed or was skipped
+    groebner_side = [
+        ok or run(
+            f"radical-membership:{name}-in-afold",
+            lambda g=g: radical_member(g, afold),
+            lambda name=name: f"{name} is not in the radical of the "
+            f"{a}-fold product ideal",
+        )
+        for (name, g), ok in zip(named, contained)
+    ]
 
     # afold.gens are the products of these label tuples, in this order
     for labels, f in zip(combinations(arr.labels, a), afold.gens):
@@ -221,36 +218,35 @@ def verify_certificate(
             "radical of the certificate ideal",
         )
 
-    comb_side = []
-    if mode != "groebner":
-        primes = [(p, p.gens_in(ring)) for p in arr.minimal_linear_primes(j)]
+    primes = [(p, p.gens_in(ring)) for p in arr.minimal_linear_primes(j)]
 
-        def outside(g):
-            """The first minimal prime that does not contain g, if any."""
-            return next((p for p, gens in primes if not reduce(g, gens).is_zero()), None)
+    def outside(g):
+        """The first minimal prime that does not contain g, if any."""
+        return next((p for p, gens in primes if not reduce(g, gens).is_zero()), None)
 
-        for name, g in named:
-            comb_side.append(run(
-                f"minimal-primes:{name}",
-                lambda g=g: outside(g) is None,
-                lambda name=name, g=g: f"{name} is not in the minimal prime "
-                f"spanned by forms {list(outside(g).support)}",
-            ))
+    prime_side = [
+        run(
+            f"minimal-primes:{name}",
+            lambda g=g: outside(g) is None,
+            lambda name=name, g=g: f"{name} is not in the minimal prime "
+            f"spanned by forms {list(outside(g).support)}",
+        )
+        for name, g in named
+    ]
 
-    if mode == "both":
-        # the two routes answered the same question for each generator:
-        # membership in the a-fold radical, which is the intersection of
-        # the minimal primes; any disagreement is a bug, not a verdict
-        for (name, _), gside, cside in zip(named, groebner_side, comb_side):
-            if gside is not None and cside is not None and gside != cside:
-                checks.append(
-                    CheckResult(
-                        f"cross-check:{name}",
-                        False,
-                        f"routes disagree on {name}: groebner says "
-                        f"{gside}, minimal primes say {cside}",
-                    )
+    # both routes answered the same question for each generator:
+    # membership in the a-fold radical, which is the intersection of the
+    # minimal primes; any disagreement is a bug, not a verdict
+    for (name, _), gside, pside in zip(named, groebner_side, prime_side):
+        if gside is not None and pside is not None and gside != pside:
+            checks.append(
+                CheckResult(
+                    f"cross-check:{name}",
+                    False,
+                    f"routes disagree on {name}: groebner says "
+                    f"{gside}, minimal primes say {pside}",
                 )
+            )
 
     failed = any(c.ok is False for c in checks)
     skipped = any(c.ok is None for c in checks)
@@ -267,7 +263,6 @@ def verify_certificate(
     return VerificationReport(
         holds=holds,
         status=status,
-        mode=mode,
         n=arr.n,
         a=a,
         j=j,

@@ -142,9 +142,8 @@ def test_criterion_3_exact_rational_fixture(capsys):
     ok = arr.rank() == 3 and arr.is_s_generic(3) and arr.min_distance() == 2
     for j in (0, 1):
         cert = theorem_generators(arr, j)
-        for mode in ("groebner", "combinatorial", "both"):
-            rep = verify_certificate(cert, mode=mode)
-            ok &= rep.holds is True and rep.stci is True and rep.height == j + 1
+        rep = verify_certificate(cert)
+        ok &= rep.holds is True and rep.stci is True and rep.height == j + 1
     part = sv_ara_partition(arr, 1)
     ok &= sv_check_partition(part)[0]
     ok &= set(sv_sums(part)) == set(theorem_generators(arr, 1).gens)

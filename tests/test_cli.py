@@ -215,9 +215,14 @@ def test_non_identifier_variable_names_exit_two(tmp_path, capsys, names):
     assert f"{bad!r} is not an identifier" in captured.err
 
 
-def test_verify_modes_agree(capsys):
-    for mode in ("groebner", "combinatorial", "both"):
-        assert run(["verify", "--j", "1", "--mode", mode, COORD_PLUS_SUM]) == 0
+def test_verify_mode_accepts_only_both(capsys):
+    assert run(["verify", "--j", "1", "--mode", "both", COORD_PLUS_SUM]) == 0
+    assert read_report(capsys)["arguments"]["mode"] == "both"
+    for mode in ("groebner", "combinatorial"):
+        assert run(["verify", "--j", "1", "--mode", mode, COORD_PLUS_SUM]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"argument --mode: invalid choice: '{mode}'" in captured.err
 
 
 def test_sv_partition_command(capsys):

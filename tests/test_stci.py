@@ -7,6 +7,7 @@ from math import comb
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from starconfig import stci
 from starconfig.arrangements import Arrangement, random_generic_arrangement
 from starconfig.errors import GenericityError, UsageError
 from starconfig.fields import GF, QQ
@@ -92,19 +93,18 @@ def test_levels_round_trip_through_json(coord_plus_sum):
     assert again.gens == cert.gens
 
 
-def test_verify_holds_in_every_mode(coord_plus_sum):
-    for mode in ("groebner", "combinatorial", "both"):
-        rep = verify_certificate(theorem_generators(coord_plus_sum, 1), mode=mode)
-        assert rep.holds is True
-        assert rep.status == "holds"
-        assert rep.stci is True
-        assert rep.height == 2
-        assert rep.generator_count == 2
-        assert all(c.ok for c in rep.checks)
+def test_verify_holds(coord_plus_sum):
+    rep = verify_certificate(theorem_generators(coord_plus_sum, 1))
+    assert rep.holds is True
+    assert rep.status == "holds"
+    assert rep.stci is True
+    assert rep.height == 2
+    assert rep.generator_count == 2
+    assert all(c.ok for c in rep.checks)
 
 
 def test_verify_j_zero_any_arrangement(hartshorne):
-    rep = verify_certificate(theorem_generators(hartshorne, 0), mode="both")
+    rep = verify_certificate(theorem_generators(hartshorne, 0))
     assert rep.holds is True
     assert rep.height == 1 and rep.stci is True
 
@@ -112,7 +112,7 @@ def test_verify_j_zero_any_arrangement(hartshorne):
 def test_verify_over_prime_field():
     arr = random_generic_arrangement(4, 5, field=GF(32003), seed=3)
     for j in (1, 2):
-        rep = verify_certificate(theorem_generators(arr, j), mode="both")
+        rep = verify_certificate(theorem_generators(arr, j))
         assert rep.holds is True
         assert rep.stci is True
         assert rep.height == j + 1
@@ -121,7 +121,7 @@ def test_verify_over_prime_field():
 def test_corrupted_certificates_fail_with_witnesses(coord_plus_sum):
     for mode in CORRUPTION_MODES:
         bad = corrupt_certificate(theorem_generators(coord_plus_sum, 1), mode)
-        rep = verify_certificate(bad, mode="both")
+        rep = verify_certificate(bad)
         assert rep.holds is False
         assert rep.status == "fails"
         failures = [c for c in rep.checks if c.ok is False]
@@ -132,12 +132,28 @@ def test_corruption_modes_break_different_checks(coord_plus_sum):
     cert = theorem_generators(coord_plus_sum, 1)
     first_failures = {}
     for mode in CORRUPTION_MODES:
-        rep = verify_certificate(corrupt_certificate(cert, mode), mode="both")
+        rep = verify_certificate(corrupt_certificate(cert, mode))
         first_failures[mode] = next(c.name for c in rep.checks if c.ok is False)
     # the tail corruption is caught at containment, the summand drop only
     # at the radical stage
     assert first_failures["truncate-tail"].startswith("containment")
     assert first_failures["drop-summand"].startswith("radical-membership")
+
+
+def test_disagreeing_routes_fail_the_cross_check(coord_plus_sum, monkeypatch):
+    # a minimal prime that wrongly rejects F1, while containment and the
+    # Groebner route still accept it
+    cert = theorem_generators(coord_plus_sum, 1)
+    f1 = cert.gens[-1]
+    original = stci.reduce
+    monkeypatch.setattr(stci, "reduce", lambda g, gens: g if g == f1 else original(g, gens))
+    rep = verify_certificate(cert)
+    assert rep.holds is False and rep.status == "fails"
+    cross = [c for c in rep.checks if c.name.startswith("cross-check")]
+    assert [c.name for c in cross] == ["cross-check:F1"]
+    assert cross[0].ok is False
+    assert "groebner says True" in cross[0].witness
+    assert "minimal primes say False" in cross[0].witness
 
 
 def test_unknown_corruption_mode(coord_plus_sum):
@@ -147,7 +163,7 @@ def test_unknown_corruption_mode(coord_plus_sum):
 
 def test_budget_gives_inconclusive(coord_plus_sum):
     cert = theorem_generators(coord_plus_sum, 1)
-    rep = verify_certificate(cert, mode="both", budget_seconds=0.0)
+    rep = verify_certificate(cert, budget_seconds=0.0)
     assert rep.holds is None
     assert rep.status == "inconclusive"
     assert rep.stci is None
@@ -168,7 +184,7 @@ def test_deletion_keeps_construction_valid():
     arr = random_generic_arrangement(4, 4, field=GF(101), seed=5)
     smaller = delete(arr, 4)
     assert smaller.rank() == 3
-    rep = verify_certificate(theorem_generators(smaller, 1), mode="both")
+    rep = verify_certificate(theorem_generators(smaller, 1))
     assert rep.holds is True
 
 
@@ -276,9 +292,8 @@ def test_check_names_unique_in_every_report():
     cert = theorem_generators(arr, 2)
     for corrupt in (None,) + CORRUPTION_MODES:
         variant = corrupt_certificate(cert, corrupt) if corrupt else cert
-        for mode in ("groebner", "combinatorial", "both"):
-            names = [c.name for c in verify_certificate(variant, mode=mode).checks]
-            assert len(names) == len(set(names)), (corrupt, mode)
+        names = [c.name for c in verify_certificate(variant).checks]
+        assert len(names) == len(set(names)), corrupt
 
 
 @settings(max_examples=8, deadline=None)
@@ -287,7 +302,7 @@ def test_random_generic_verification_property(seed, k, extra):
     """The construction verifies on any sampled independent arrangement."""
     arr = random_generic_arrangement(k, k + extra, field=GF(32003), seed=seed)
     for j in range(1, k - 1):
-        rep = verify_certificate(theorem_generators(arr, j), mode="both")
+        rep = verify_certificate(theorem_generators(arr, j))
         assert rep.holds is True
         assert rep.stci is True
         part = sv_ara_partition(arr, j)
