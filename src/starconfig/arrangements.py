@@ -48,13 +48,24 @@ def matrix_rank(field: Field, rows) -> int:
 
 
 def span_contains(field: Field, rows, pivots, vec) -> bool:
-    """Is the vector in the row space given in reduced echelon form?"""
-    v = list(vec)
-    for row, c in zip(rows, pivots):
-        if v[c] != field.zero:
-            f = v[c]
-            v = [field.sub(a, field.mul(f, b)) for a, b in zip(v, row)]
-    return all(x == field.zero for x in v)
+    """Is the vector in the row space given in reduced echelon form?
+
+    The pivot entries fix the only candidate combination: vec[c] times
+    the row with pivot c.  It matches vec at every pivot, so only the
+    other columns are compared, stopping at the first mismatch.
+    """
+    zero = field.zero
+    combo = [(vec[c], row) for row, c in zip(rows, pivots) if vec[c] != zero]
+    skip = set(pivots)
+    for c, x in enumerate(vec):
+        if c in skip:
+            continue
+        s = zero
+        for f, row in combo:
+            s = field.add(s, field.mul(f, row[c]))
+        if s != x:
+            return False
+    return True
 
 
 class LinearPrime:

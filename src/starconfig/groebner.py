@@ -4,7 +4,10 @@ Buchberger with the normal selection strategy (smallest lcm first),
 the coprimality criterion, and the chain criterion, followed by
 minimalization and interreduction.  The reduced basis is canonical:
 monic generators sorted by leading monomial, independent of input
-order, so two runs over shuffled generators must agree.
+order, so two runs over shuffled generators must agree.  A basis needs
+only irreducible leading terms (Becker & Weispfenning, GTM 141), so
+S-pair remainders are top-reduced and their tails are reduced once, at
+interreduction, and only for the elements that are kept.
 
 The core runs on packed-integer monomials (see ``orders``) and on
 Python ``int`` coefficients in both fields.  Over GF(p) they are
@@ -84,11 +87,17 @@ def _normalize(terms, p):
     return [(m, v // g) for m, v in terms]
 
 
-def _reduce(work, divisors, p, layout):
+def _reduce(work, divisors, p, layout, full=True):
     """Division of {packed monomial: int coefficient} by (leading
     monomial, (leading coefficient, tail)) divisors, tried in order;
     consumes work.  Returns the remainder's terms and the positive int
     scale they carry: they are scale times the exact remainder.
+
+    With full false this is top reduction: it stops at the first term
+    that no divisor's leading monomial divides and returns it followed
+    by the pending terms as they stand, normalized and sorted.  That is
+    scale times the input minus a combination of divisors, with an
+    irreducible leading term, but its tail is not reduced.
 
     Each new term is smaller than the term it replaces, so the heap
     hands out the remainder's terms already descending, and every
@@ -143,6 +152,13 @@ def _reduce(work, divisors, p, layout):
             break
         else:
             out.append((m, c))
+            if not full:
+                for mw, cw in sorted(work.items(), reverse=True):
+                    if p:
+                        cw %= p
+                    if cw:
+                        out.append((mw, cw))
+                break
     return out, scale
 
 
@@ -233,6 +249,10 @@ def _groebner(packed_gens, p, layout):
     """Reduced basis of packed int generators over GF(p), or over QQ
     when p is 0, as normalized packed terms sorted by leading monomial.
 
+    The input generators are fully reduced; S-pair remainders are only
+    top-reduced, since a basis needs only irreducible leading terms;
+    interreduction reduces the tails of the elements it keeps.
+
     Stops with the unit basis as soon as a reduced generator or an
     S-pair remainder is a nonzero constant (packed monomial 0 in every
     layout): the ideal is then the whole ring, whose reduced basis is
@@ -290,7 +310,7 @@ def _groebner(packed_gens, p, layout):
             continue
         if chain_skippable(i, j, l):
             continue
-        r = _reduce(_spoly(l, basis[i], basis[j], layout), divisors, p, layout)[0]
+        r = _reduce(_spoly(l, basis[i], basis[j], layout), divisors, p, layout, False)[0]
         if not r:
             continue
         if r[0][0] == 0:

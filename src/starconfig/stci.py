@@ -155,15 +155,18 @@ def verify_certificate(
 ) -> VerificationReport:
     """Check that the certificate cuts out the a-fold product variety.
 
-    The checks run in one order: literal containment of each
-    certificate generator in the a-fold ideal; a Groebner radical test
-    against the a-fold ideal for each generator that containment did
-    not settle; every a-fold product against the certificate radical;
-    every generator reduced against every minimal prime, which is
-    exact; and a cross-check of the two answers for each generator.  A
-    budget turns remaining work into an inconclusive verdict; it never
-    flips a failure already found.  A NaN or negative budget is
-    refused; an infinite one never cuts.
+    The level sums reuse the a-fold ideal's generators, so each a-fold
+    product is expanded once; a level entry outside the ground set, as
+    under some corruptions, is expanded afresh.  The checks run in one
+    order: literal containment of each certificate generator in the
+    a-fold ideal; a Groebner radical test against the a-fold ideal for
+    each generator that containment did not settle; every a-fold
+    product against the certificate radical; every generator reduced
+    against every minimal prime, which is exact; and a cross-check of
+    the two answers for each generator.  A budget turns remaining work
+    into an inconclusive verdict; it never flips a failure already
+    found.  A NaN or negative budget is refused; an infinite one never
+    cuts.
     """
     if budget_seconds is not None and not budget_seconds >= 0:
         raise UsageError(f"budget must be a nonnegative number of seconds, got {budget_seconds}")
@@ -174,8 +177,11 @@ def verify_certificate(
     a = arr.n - j
     ring = arr.ring
     afold = arr.afold_ideal(a)
-    named = tuple(zip(cert.names(), cert.gens))
-    cert_ideal = Ideal(ring, cert.gens)
+    # afold.gens are the products of these label tuples, in this order
+    products = dict(zip(combinations(arr.labels, a), afold.gens))
+    gens = sv_sums(cert, products)
+    named = tuple(zip(cert.names(), gens))
+    cert_ideal = Ideal(ring, gens)
     checks: list[CheckResult] = []
 
     def run(name, fn, witness_fn):
@@ -208,8 +214,7 @@ def verify_certificate(
         for (name, g), ok in zip(named, contained)
     ]
 
-    # afold.gens are the products of these label tuples, in this order
-    for labels, f in zip(combinations(arr.labels, a), afold.gens):
+    for labels, f in products.items():
         label = _product_label(labels)
         run(
             f"radical-membership:{label}-in-certificate",
@@ -259,7 +264,7 @@ def verify_certificate(
     height = arr.height_afold(j)
     stci = None
     if holds is not None:
-        stci = bool(holds and height == len(cert.gens) == j + 1)
+        stci = bool(holds and height == len(gens) == j + 1)
     return VerificationReport(
         holds=holds,
         status=status,
@@ -267,7 +272,7 @@ def verify_certificate(
         a=a,
         j=j,
         height=height,
-        generator_count=len(cert.gens),
+        generator_count=len(gens),
         stci=stci,
         checks=checks,
         wall_time_seconds=time.monotonic() - t0,
@@ -335,16 +340,23 @@ def sv_check_partition(partition: SVPartition):
     return True, None
 
 
-def sv_sums(partition: SVPartition):
+def sv_sums(partition: SVPartition, expanded=None):
     """The level sums: one polynomial per level, a sum of products of forms.
 
     When the partition passes the checks, these cut out the same
     variety as the whole ground set, bounding the arithmetic rank by
-    the number of levels.
+    the number of levels.  expanded maps label tuples to products
+    already expanded, such as the a-fold ideal's generators; a product
+    it lacks is expanded here.
     """
     arr = partition.arrangement
+    expanded = expanded or {}
+
+    def product(p):
+        return expanded[p] if p in expanded else arr.product(p)
+
     return tuple(
-        sum((arr.product(p) for p in level), arr.ring.zero) for level in partition.levels
+        sum((product(p) for p in level), arr.ring.zero) for level in partition.levels
     )
 
 

@@ -2,11 +2,13 @@
 replaced, kept as test references: genericity as the first dependent
 s-subset, the minimal primes as the inclusion-minimal spans of
 subarrangements of at most j+1 forms, and the minimum distance as the
-largest support of a span of fewer than rank forms."""
+largest support of a span of fewer than rank forms.  Span membership
+is a rank test here, so the references share no code with
+``span_contains``."""
 
 from itertools import combinations
 
-from starconfig.arrangements import LinearPrime, matrix_rank, span_contains
+from starconfig.arrangements import LinearPrime, matrix_rank
 
 
 def s_generic_witness_reference(arr, s):
@@ -19,8 +21,13 @@ def s_generic_witness_reference(arr, s):
     return None
 
 
-def _contains_span(p, q):
-    return all(span_contains(p.field, p.rows, p.pivots, row) for row in q.rows)
+def _in_span(p, rows):
+    """Do the rows lie in the span of the prime p?"""
+    return matrix_rank(p.field, p.rows + tuple(rows)) == p.height
+
+
+def _support(arr, prime):
+    return tuple(g.label for g in arr.forms if _in_span(prime, (g.coeffs,)))
 
 
 def minimal_linear_primes_reference(arr, j):
@@ -32,13 +39,13 @@ def minimal_linear_primes_reference(arr, j):
             prime = LinearPrime(arr.field, [g.coeffs for g in subset])
             if prime.rows in spans:
                 continue
-            prime.support = tuple(g.label for g in arr.forms if prime.contains_form(g))
+            prime.support = _support(arr, prime)
             spans[prime.rows] = prime
     candidates = [p for p in spans.values() if len(p.support) >= j + 1]
     minimal = [
         p
         for p in candidates
-        if not any(q.height < p.height and _contains_span(p, q) for q in candidates)
+        if not any(q.height < p.height and _in_span(p, q.rows) for q in candidates)
     ]
     return tuple(sorted(minimal, key=lambda p: (p.height, p.support)))
 
@@ -53,5 +60,5 @@ def min_distance_reference(arr):
             if prime.rows in seen:
                 continue
             seen.add(prime.rows)
-            best = max(best, sum(1 for g in arr.forms if prime.contains_form(g)))
+            best = max(best, len(_support(arr, prime)))
     return arr.n - best

@@ -19,6 +19,7 @@ from starconfig.arrangements import (
     matrix_rank,
     random_generic_arrangement,
     rref,
+    span_contains,
 )
 from starconfig.errors import DegenerateInputError, GenerationError, UsageError
 from starconfig.fields import GF, QQ
@@ -61,6 +62,36 @@ def test_rref_and_rank():
     assert matrix_rank(GF(5), [(1, 2), (0, 1)]) == 2
     # (3, 1) = 4*(2, 4) mod 5, so the rows are proportional
     assert matrix_rank(GF(5), [(2, 4), (3, 1)]) == 1
+
+
+@st.composite
+def span_cases(draw):
+    """A field, up to four rows and a vector, all of one width.  Half
+    the vectors are combinations of the rows, so membership often
+    holds."""
+    field = draw(st.sampled_from([GF(2), GF(3), GF(5), GF(32003), QQ]))
+    width = draw(st.integers(1, 5))
+    ints = st.lists(st.integers(-3, 3), min_size=width, max_size=width)
+    rows = [[field.from_int(c) for c in row] for row in draw(st.lists(ints, max_size=4))]
+    if rows and draw(st.booleans()):
+        vec = [field.zero] * width
+        for row in rows:
+            f = field.from_int(draw(st.integers(-3, 3)))
+            vec = [field.add(v, field.mul(f, r)) for v, r in zip(vec, row)]
+    else:
+        vec = [field.from_int(c) for c in draw(ints)]
+    return field, rows, vec
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=span_cases())
+def test_span_contains_iff_rank_unchanged(case):
+    """A vector lies in the span of some rows exactly when appending it
+    leaves the rank unchanged."""
+    field, rows, vec = case
+    echelon, pivots = rref(field, rows)
+    unchanged = matrix_rank(field, rows + [vec]) == matrix_rank(field, rows)
+    assert span_contains(field, echelon, pivots, vec) == unchanged
 
 
 def test_proportional_forms_rejected():

@@ -17,8 +17,10 @@ from starconfig.fields import GF, QQ
 from starconfig.groebner import (
     Ideal,
     _groebner,
+    _normalize,
     _pack,
     _reduce,
+    _unpack,
     buchberger,
     intersect,
     radical_member,
@@ -118,6 +120,41 @@ def test_fraction_free_step_scales_by_lc_over_gcd():
     assert _reduce({x: 4}, six_x, 0, layout) == ([(y, 2)], 3)  # remainder 2y/3
     two_y = [(y, (2, [(0, -1)]))]  # 2y - 1
     assert _reduce({x: 1, y: 1}, two_y, 0, layout) == ([(x, 2), (0, 1)], 2)  # x + 1/2
+
+
+@pytest.mark.parametrize("field", [GF(32003), QQ])
+def test_top_reduction_stops_at_an_irreducible_leading_term(field):
+    """With full false the core stops at the first irreducible term and
+    keeps the pending terms: scale times the input minus a combination
+    of the divisors, with an unreduced tail.  Over QQ the divisors'
+    leading coefficients 3 and 2 take the fraction-free scale path.  At
+    the default the same call is the full division, whose remainder is
+    the reference's."""
+    ring = Ring(field, 3, names=("x", "y", "z"))
+    x, y, z = ring.gens()
+    p = field.characteristic
+    layout = ring.order.layout(3)
+    basis = buchberger((3 * x * y - z + 1, 2 * y ** 2 - x * z))
+    divisors = []
+    for g in basis:
+        terms = _normalize(_pack(g, layout)[0], p)
+        divisors.append((terms[0][0], (terms[0][1], terms[1:])))
+    f = (x + y + z + 1) ** 3 + x * y ** 2 * z
+    packed, den = _pack(f, layout)
+    assert den == 1
+
+    top, scale = _reduce(dict(packed), divisors, p, layout, False)
+    lead = layout.unpack(top[0][0])
+    assert not any(mono_divides(g.lm(), lead) for g in basis)
+    assert Ideal(ring, basis).contains(scale * f - _unpack(ring, layout, top, 1))
+    if not p:
+        assert any(lc != 1 for _, (lc, _) in divisors)
+        assert scale > 1
+
+    full, full_scale = _reduce(dict(packed), divisors, p, layout)
+    assert _unpack(ring, layout, full, full_scale) == ref.reduce(f, basis)
+    assert top != full  # the tail was left as it stood
+    assert reduce(_unpack(ring, layout, top, scale), basis) == ref.reduce(f, basis)
 
 
 def test_int_core_basis_contract():

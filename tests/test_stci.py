@@ -220,6 +220,21 @@ def test_sums_match_certificate_for_generic(coord_plus_sum):
     assert len(sums) == 2
 
 
+@pytest.mark.parametrize("field", [GF(32003), QQ])
+def test_sums_from_expanded_products_match_fresh_sums(field):
+    """Level sums built from the a-fold ideal's expanded generators equal
+    the sums expanded from scratch, on the certificate and on every
+    corruption, whose entries outside the ground set are expanded
+    afresh."""
+    arr = random_generic_arrangement(4, 6, field=field, seed=0)
+    for j in (1, 2):
+        a = arr.n - j
+        expanded = dict(zip(combinations(arr.labels, a), arr.afold_ideal(a).gens))
+        cert = theorem_generators(arr, j)
+        for part in [cert] + [corrupt_certificate(cert, mode) for mode in CORRUPTION_MODES]:
+            assert sv_sums(part, expanded) == sv_sums(part)
+
+
 def test_sums_bound_matches_height_for_generic():
     arr = random_generic_arrangement(4, 6, field=GF(101), seed=8)
     for j in (1, 2):
