@@ -28,7 +28,7 @@ ROWS = [
 
 def main():
     arr = Arrangement(QQ, ROWS, names=("x", "y", "z", "w"))
-    print(f"forms: {[str(f.poly(arr.ring)) for f in arr.forms]}")
+    print(f"forms: {[str(arr.product((i,))) for i in arr.labels]}")
     print(f"rank {arr.rank()}, 3-generic witness: {arr.s_generic_witness(3)}")
     print(f"minimum distance: {arr.min_distance()}")
     print()

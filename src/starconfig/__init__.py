@@ -40,11 +40,9 @@ from .orders import (
     MonomialOrder,
 )
 from .polynomials import (
-    LinearForm,
     Polynomial,
     ProductOfForms,
     Ring,
-    normalize_linear_form,
 )
 from .stci import (
     CORRUPTION_MODES,
@@ -77,7 +75,6 @@ __all__ = [
     "Ideal",
     "LEX",
     "Lex",
-    "LinearForm",
     "LinearPrime",
     "MonomialOrder",
     "ParseError",
@@ -95,7 +92,6 @@ __all__ = [
     "corrupt_certificate",
     "intersect",
     "matrix_rank",
-    "normalize_linear_form",
     "radical_member",
     "random_generic_arrangement",
     "reduce",

@@ -1,10 +1,12 @@
 """Arrangements of linear forms and the ideals of their a-fold products.
 
-An arrangement is an ordered list of pairwise distinct normalized
-linear forms, labelled 1..n.  The ideal generated by all products of a
-distinct forms has purely combinatorial primary structure: its minimal
-primes are spans of subarrangements, which this module enumerates
-directly instead of factoring anything.
+An arrangement is an ordered list of pairwise distinct linear forms,
+labelled 1..n.  Each form is its coefficient row, scaled so that its
+first nonzero entry is 1, and its label is its position plus one.  The
+ideal generated by all products of a distinct forms has purely
+combinatorial primary structure: its minimal primes are spans of
+subarrangements, which this module enumerates directly instead of
+factoring anything.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from itertools import combinations
 from .errors import DegenerateInputError, GenerationError, UsageError
 from .fields import DEFAULT_PRIME, GF, Field, PrimeField, RationalField
 from .groebner import Ideal, intersect
-from .polynomials import LinearForm, Polynomial, ProductOfForms, Ring
+from .polynomials import Polynomial, ProductOfForms, Ring
 
 
 def rref(field: Field, rows):
@@ -87,8 +89,8 @@ class LinearPrime:
     def height(self) -> int:
         return len(self.rows)
 
-    def contains_form(self, form: LinearForm) -> bool:
-        return span_contains(self.field, self.rows, self.pivots, form.coeffs)
+    def contains_form(self, row) -> bool:
+        return span_contains(self.field, self.rows, self.pivots, row)
 
     def gens_in(self, ring: Ring):
         return tuple(ring.linear(row) for row in self.rows)
@@ -111,27 +113,35 @@ class LinearPrime:
 
 
 class Arrangement:
-    """Ordered, pairwise distinct linear forms labelled 1..n."""
+    """Ordered, pairwise distinct linear forms labelled 1..n, each
+    stored as its coefficient row with first nonzero entry 1."""
 
-    def __init__(self, field: Field, coeff_rows, names=None):
-        coeff_rows = [tuple(r) for r in coeff_rows]
-        if not coeff_rows:
+    def __init__(self, field: Field, rows, names=None):
+        rows = [tuple(r) for r in rows]
+        if not rows:
             raise DegenerateInputError("an arrangement needs at least one form")
-        width = len(coeff_rows[0])
-        if any(len(r) != width for r in coeff_rows):
+        width = len(rows[0])
+        if any(len(r) != width for r in rows):
             raise UsageError("all forms must have the same number of coefficients")
+
+        def normalize(row):
+            row = tuple(field.from_int(c) if isinstance(c, int) else c for c in row)
+            lead = next((c for c in row if c != field.zero), None)
+            if lead is None:
+                raise DegenerateInputError("zero vector is not a linear form")
+            if lead == field.one:
+                return row
+            inv = field.inv(lead)
+            return tuple(field.mul(inv, c) for c in row)
+
         self.field = field
         self.nvars = width
-        self.forms = tuple(
-            LinearForm(field, row, label=i + 1) for i, row in enumerate(coeff_rows)
-        )
+        self.forms = tuple(normalize(row) for row in rows)
         seen = {}
-        for g in self.forms:
-            if g.coeffs in seen:
-                raise DegenerateInputError(
-                    f"forms {seen[g.coeffs]} and {g.label} are proportional"
-                )
-            seen[g.coeffs] = g.label
+        for label, row in enumerate(self.forms, 1):
+            if row in seen:
+                raise DegenerateInputError(f"forms {seen[row]} and {label} are proportional")
+            seen[row] = label
         self.ring = Ring(field, width, names=names)
         self._rank = None
         self._flat_cache = None
@@ -144,17 +154,15 @@ class Arrangement:
     def labels(self):
         return tuple(range(1, self.n + 1))
 
-    def form(self, label: int) -> LinearForm:
+    def form(self, label: int):
+        """The coefficient row of the form with this label."""
         if not 1 <= label <= self.n:
             raise UsageError(f"no form with label {label}")
         return self.forms[label - 1]
 
-    def coeff_rows(self):
-        return tuple(g.coeffs for g in self.forms)
-
     def rank(self) -> int:
         if self._rank is None:
-            self._rank = matrix_rank(self.field, self.coeff_rows())
+            self._rank = matrix_rank(self.field, self.forms)
         return self._rank
 
     def _flats(self):
@@ -168,11 +176,13 @@ class Arrangement:
             spans = {}
             for size in range(1, self.rank()):
                 for subset in combinations(self.forms, size):
-                    p = LinearPrime(self.field, [g.coeffs for g in subset])
+                    p = LinearPrime(self.field, subset)
                     if p.rows not in spans:
-                        p.support = tuple(g.label for g in self.forms if p.contains_form(g))
+                        p.support = tuple(
+                            i for i, row in enumerate(self.forms, 1) if p.contains_form(row)
+                        )
                         spans[p.rows] = p
-            top = LinearPrime(self.field, self.coeff_rows(), self.labels)
+            top = LinearPrime(self.field, self.forms, self.labels)
             self._flat_cache = (*spans.values(), top)
         return self._flat_cache
 

@@ -156,6 +156,11 @@ def _build_parser() -> argparse.ArgumentParser:
             p.add_argument("input", help="arrangement file path, or - for stdin")
         return p
 
+    def j_or_all_j(p):
+        g = p.add_mutually_exclusive_group(required=True)
+        g.add_argument("--j", type=int)
+        g.add_argument("--all-j", action="store_true")
+
     p = command("check-generic", "test s-wise independence")
     p.add_argument("--s", type=int, required=True)
 
@@ -169,9 +174,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--j", type=int, required=True)
 
     p = command("height", "height of the a-fold ideal, a = n - j")
-    g = p.add_mutually_exclusive_group(required=True)
-    g.add_argument("--j", type=int)
-    g.add_argument("--all-j", action="store_true")
+    j_or_all_j(p)
 
     command("min-distance", "forms minus the largest degenerate subset")
 
@@ -179,9 +182,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--j", type=int, required=True)
 
     p = command("verify", "verify the explicit generators")
-    g = p.add_mutually_exclusive_group(required=True)
-    g.add_argument("--j", type=int)
-    g.add_argument("--all-j", action="store_true")
+    j_or_all_j(p)
     p.add_argument("--mode", choices=("both",), default="both")
     p.add_argument(
         "--corrupt",
@@ -190,9 +191,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
 
     p = command("sv-partition", "level partition bounding the arithmetic rank")
-    g = p.add_mutually_exclusive_group(required=True)
-    g.add_argument("--j", type=int)
-    g.add_argument("--all-j", action="store_true")
+    j_or_all_j(p)
     p.add_argument("--check-only", action="store_true", help="skip the level sums")
 
     p = command("random", "sample an arrangement with independent k-subsets", needs_input=False)
@@ -234,7 +233,7 @@ def run(argv=None) -> int:
 
         if args.subcommand == "random":
             arr = random_generic_arrangement(args.k, args.n, field=override, seed=seed)
-            rows = [[int(c) if c.denominator == 1 else str(c) for c in r] for r in arr.coeff_rows()]
+            rows = [[int(c) if c.denominator == 1 else str(c) for c in r] for r in arr.forms]
             _emit({"field": repr(arr.field), "forms": rows})
             return 0
 

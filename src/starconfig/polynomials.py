@@ -3,15 +3,15 @@
 A Ring fixes the coefficient field, the number of variables, the
 monomial order, and display names.  Polynomials are immutable: a tuple
 of (exponent tuple, coefficient) pairs sorted descending under the
-ring's order, with no zero coefficients.  A LinearForm is a normalized
-coefficient vector with the label it carries in an arrangement, and
-ProductOfForms is the one routine that expands a product of them; the
-product itself is named by its labels, not stored.
+ring's order, with no zero coefficients.  A linear form is a row of
+coefficients, and ``Ring.linear`` is the one place where a row becomes
+a Polynomial.  ProductOfForms is the one routine that expands a
+product of rows; the product itself is named by its labels, not stored.
 """
 
 from __future__ import annotations
 
-from .errors import DegenerateInputError, UsageError
+from .errors import UsageError
 from .fields import Field
 from .orders import GREVLEX, MonomialOrder, mono_mul
 
@@ -253,68 +253,9 @@ class Polynomial:
         return " ".join(out)
 
 
-def normalize_linear_form(field: Field, coeffs):
-    """Scale so the first nonzero coefficient is 1.
-
-    Raises DegenerateInputError on the zero vector, so every stored
-    form is a genuine hyperplane and equality of forms is equality of
-    coefficient tuples.
-    """
-    coeffs = tuple(field.from_int(c) if isinstance(c, int) else c for c in coeffs)
-    lead = next((c for c in coeffs if c != field.zero), None)
-    if lead is None:
-        raise DegenerateInputError("zero vector is not a linear form")
-    if lead == field.one:
-        return coeffs
-    inv = field.inv(lead)
-    return tuple(field.mul(inv, c) for c in coeffs)
-
-
-class LinearForm:
-    """A normalized nonzero linear form with an optional 1-based label.
-
-    The label identifies the form inside an arrangement; it never
-    participates in equality or hashing.
-    """
-
-    __slots__ = ("field", "coeffs", "label")
-
-    def __init__(self, field: Field, coeffs, label=None):
-        self.field = field
-        self.coeffs = normalize_linear_form(field, coeffs)
-        self.label = label
-
-    def poly(self, ring: Ring) -> Polynomial:
-        if ring.field != self.field or ring.nvars != len(self.coeffs):
-            raise UsageError("ring does not match the form's field and arity")
-        return ring.linear(self.coeffs)
-
-    def support(self):
-        return tuple(i for i, c in enumerate(self.coeffs) if c != self.field.zero)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, LinearForm)
-            and self.field == other.field
-            and self.coeffs == other.coeffs
-        )
-
-    def __hash__(self):
-        return hash((self.field, self.coeffs))
-
-    def __repr__(self):
-        names = default_names(len(self.coeffs))
-        parts = []
-        for i, c in enumerate(self.coeffs):
-            if c == self.field.zero:
-                continue
-            parts.append(names[i] if c == self.field.one else f"{c}*{names[i]}")
-        body = " + ".join(parts)
-        return f"[{self.label}] {body}" if self.label is not None else body
-
-
 class ProductOfForms:
-    """Expansion of a product of linear forms over one field.
+    """Expansion of a product of linear forms, each a coefficient row
+    over one field.
 
     A repeated factor is multiplied in again, so it expands as a power.
     """
@@ -322,15 +263,13 @@ class ProductOfForms:
     __slots__ = ("field", "factors")
 
     def __init__(self, field: Field, factors):
-        factors = tuple(factors)
-        for g in factors:
-            if g.field != field:
-                raise UsageError("factor field mismatch")
         self.field = field
-        self.factors = factors
+        self.factors = tuple(factors)
 
     def expand(self, ring: Ring) -> Polynomial:
+        if ring.field != self.field:
+            raise UsageError("ring field does not match the forms' field")
         result = ring.one
-        for g in self.factors:
-            result = result * g.poly(ring)
+        for row in self.factors:
+            result = result * ring.linear(row)
         return result

@@ -15,9 +15,9 @@ def s_generic_witness_reference(arr, s):
     """Labels of the lexicographically first dependent s-subset, or None."""
     if s > arr.n:
         return None
-    for subset in combinations(arr.forms, s):
-        if matrix_rank(arr.field, [g.coeffs for g in subset]) < s:
-            return tuple(g.label for g in subset)
+    for subset in combinations(arr.labels, s):
+        if matrix_rank(arr.field, [arr.form(i) for i in subset]) < s:
+            return subset
     return None
 
 
@@ -27,7 +27,7 @@ def _in_span(p, rows):
 
 
 def _support(arr, prime):
-    return tuple(g.label for g in arr.forms if _in_span(prime, (g.coeffs,)))
+    return tuple(i for i, row in enumerate(arr.forms, 1) if _in_span(prime, (row,)))
 
 
 def minimal_linear_primes_reference(arr, j):
@@ -36,7 +36,7 @@ def minimal_linear_primes_reference(arr, j):
     spans = {}
     for size in range(1, min(arr.rank(), j + 1) + 1):
         for subset in combinations(arr.forms, size):
-            prime = LinearPrime(arr.field, [g.coeffs for g in subset])
+            prime = LinearPrime(arr.field, subset)
             if prime.rows in spans:
                 continue
             prime.support = _support(arr, prime)
@@ -56,7 +56,7 @@ def min_distance_reference(arr):
     seen = set()
     for size in range(1, arr.rank()):
         for subset in combinations(arr.forms, size):
-            prime = LinearPrime(arr.field, [g.coeffs for g in subset])
+            prime = LinearPrime(arr.field, subset)
             if prime.rows in seen:
                 continue
             seen.add(prime.rows)

@@ -99,7 +99,7 @@ def test_criterion_2_generic_sweep(tmp_path, capsys, child_env):
                     json.dumps(
                         {
                             "field": "GF(32003)",
-                            "forms": [[int(c) for c in row] for row in arr.coeff_rows()],
+                            "forms": [[int(c) for c in row] for row in arr.forms],
                         }
                     )
                 )
@@ -332,7 +332,7 @@ def test_criterion_8_intersection_identity_logged():
             k = arr.rank()
             for c in range(1, k):
                 primes = [
-                    LinearPrime(arr.field, [arr.form(i).coeffs for i in S])
+                    LinearPrime(arr.field, [arr.form(i) for i in S])
                     for S in combinations(arr.labels, c)
                 ]
                 inter = primes[0].ideal_in(arr.ring)

@@ -108,7 +108,7 @@ def test_zero_form_rejected():
 def test_labels_and_accessors(hartshorne):
     assert hartshorne.n == 6
     assert hartshorne.labels == (1, 2, 3, 4, 5, 6)
-    assert hartshorne.form(3).coeffs == (1, 1, 0, 0)
+    assert hartshorne.form(3) == (1, 1, 0, 0)
     with pytest.raises(UsageError):
         hartshorne.form(7)
 
@@ -130,7 +130,7 @@ def test_genericity_of_coordinate_plus_sum(coord_plus_sum):
 
 def test_product(hartshorne):
     ring = hartshorne.ring
-    l1, l4 = hartshorne.form(1).poly(ring), hartshorne.form(4).poly(ring)
+    l1, l4 = ring.linear(hartshorne.form(1)), ring.linear(hartshorne.form(4))
     assert hartshorne.product((1, 4)) == hartshorne.product((4, 1)) == l1 * l4
     # a repeated label gives a power of its form
     assert hartshorne.product((1, 1, 4)) == l1 ** 2 * l4
@@ -249,24 +249,85 @@ def test_delete_reassigns_labels(hartshorne):
     smaller = delete(hartshorne, 3)
     assert smaller.n == 5
     assert smaller.labels == (1, 2, 3, 4, 5)
-    assert smaller.form(3).coeffs == (0, 0, 1, 0)
+    assert smaller.form(3) == (0, 0, 1, 0)
     # {z, w, z+w} is still a dependent triple after the deletion
     assert smaller.s_generic_witness(3) == (3, 4, 5)
 
 
 def test_linear_prime_membership():
     p = LinearPrime(QQ, [(1, 0, 0), (0, 1, 0)], support=(1, 2))
-    from starconfig.polynomials import LinearForm
-
-    assert p.contains_form(LinearForm(QQ, (2, 3, 0)))
-    assert not p.contains_form(LinearForm(QQ, (0, 0, 1)))
+    # a row need not be normalized to lie in the span
+    assert p.contains_form((2, 3, 0))
+    assert not p.contains_form((0, 0, 1))
+    assert not p.contains_form((1, 1, 1))
     assert p.height == 2
+    q = LinearPrime(GF(5), [(1, 2, 0), (0, 0, 1)])
+    assert q.contains_form((3, 1, 4))  # 3 * (1, 2, 0) + 4 * (0, 0, 1)
+    assert not q.contains_form((0, 1, 0))
+    hartshorne = Arrangement(QQ, HARTSHORNE_ROWS)
+    span = LinearPrime(QQ, [hartshorne.form(1), hartshorne.form(2)])
+    assert [i for i in hartshorne.labels if span.contains_form(hartshorne.form(i))] == [1, 2, 3]
+
+
+def test_int_entries_are_reduced_before_the_leading_entry():
+    # 5 is zero in GF(5), so (5, 1) leads with its second entry
+    assert Arrangement(GF(5), [(5, 1), (7, 2)]).forms == ((0, 1), (1, 1))
+    with pytest.raises(DegenerateInputError, match="zero vector is not a linear form"):
+        Arrangement(GF(5), [(1, 0), (10, -5)])
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
+def test_forms_are_normalized_rows(data):
+    """Each form is its input row over the field, scaled so that its
+    first nonzero entry is 1: rescaling an input row changes nothing,
+    and zero or proportional rows are refused with their labels."""
+    field = data.draw(st.sampled_from([GF(2), GF(5), GF(32003), QQ]))
+    # m or, where m is zero in the field, m + 1
+    nonzero = st.integers(-40, 40).map(lambda m: m + (field.from_int(m) == field.zero))
+    k = data.draw(st.integers(1, 4))
+    rows = data.draw(st.lists(st.tuples(*[st.integers(-12, 12)] * k), min_size=1, max_size=5))
+    if data.draw(st.booleans()):
+        # a scaled copy of an earlier row, in integers, so proportional rows occur
+        i = data.draw(st.integers(0, len(rows) - 1))
+        m = data.draw(nonzero)
+        rows.insert(data.draw(st.integers(i + 1, len(rows))), tuple(m * c for c in rows[i]))
+    elems = [tuple(field.from_int(c) for c in row) for row in rows]
+    scaled = []
+    for row in elems:
+        s = field.div(field.from_int(data.draw(nonzero)), field.from_int(data.draw(nonzero)))
+        scaled.append(tuple(field.mul(s, c) for c in row))
+
+    refusal = None
+    if any(all(c == field.zero for c in row) for row in elems):
+        refusal = "zero vector is not a linear form"
+    else:
+        # the first j with an earlier proportional row, and the first such row
+        pairs = [(i, j) for j in range(len(elems)) for i in range(j)]
+        clash = next((p for p in pairs if matrix_rank(field, [elems[i] for i in p]) < 2), None)
+        if clash is not None:
+            refusal = f"forms {clash[0] + 1} and {clash[1] + 1} are proportional"
+    if refusal is not None:
+        for given_rows in (rows, scaled):
+            with pytest.raises(DegenerateInputError, match=refusal):
+                Arrangement(field, given_rows)
+        return
+
+    arr = Arrangement(field, rows)
+    assert Arrangement(field, scaled).forms == arr.forms
+    assert len(arr.forms) == len(rows)
+    for label, (row, form) in enumerate(zip(elems, arr.forms), 1):
+        assert arr.form(label) == form
+        lead = next(c for c in form if c != field.zero)
+        assert lead == field.one
+        first = next(c for c in row if c != field.zero)
+        assert tuple(field.mul(first, c) for c in form) == row
 
 
 def test_random_generic_arrangement_seeded():
     a = random_generic_arrangement(3, 6, seed=42)
     b = random_generic_arrangement(3, 6, seed=42)
-    assert a.coeff_rows() == b.coeff_rows()
+    assert a.forms == b.forms
     assert a.is_s_generic(3)
     assert a.nvars == 3 and a.n == 6
 
@@ -320,7 +381,7 @@ def small_arrangements(draw):
 def test_flats_answer_like_the_subset_loops(arr):
     """Genericity, minimal primes, heights and distance derived from the
     one enumeration of flats equal the separate subset loops."""
-    ref = Arrangement(arr.field, arr.coeff_rows())
+    ref = Arrangement(arr.field, arr.forms)
     for s in range(1, arr.n + 2):
         assert arr.s_generic_witness(s) == s_generic_witness_reference(ref, s)
     for j in range(arr.n):
@@ -335,7 +396,7 @@ def test_one_rref_per_subset_of_flats(monkeypatch):
     """Every combinatorial query on a (4,9) arrangement shares one
     enumeration: one rref per subset of at most 3 forms, one for the
     rank and one for the span of all forms."""
-    rows = random_generic_arrangement(4, 9, GF(32003), seed=0).coeff_rows()
+    rows = random_generic_arrangement(4, 9, GF(32003), seed=0).forms
     calls = []
 
     def counted(field, matrix):

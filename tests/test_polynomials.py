@@ -1,12 +1,11 @@
 """Polynomial arithmetic, monomial orders, forms and their products."""
 
 import re
-from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from starconfig.errors import DegenerateInputError, UsageError
+from starconfig.errors import UsageError
 from starconfig.fields import GF, QQ
 from starconfig.orders import (
     GREVLEX,
@@ -16,12 +15,7 @@ from starconfig.orders import (
     mono_divides,
     mono_mul,
 )
-from starconfig.polynomials import (
-    LinearForm,
-    ProductOfForms,
-    Ring,
-    normalize_linear_form,
-)
+from starconfig.polynomials import ProductOfForms, Ring
 
 from groebner_reference import tuple_key
 
@@ -149,43 +143,31 @@ def test_variable_names_must_be_identifiers(names):
     assert Ring(QQ, 12).names[-1] == "x12"
 
 
-def test_normalize_linear_form_scales_first_nonzero():
-    assert normalize_linear_form(QQ, (0, 3, 6)) == (
-        Fraction(0),
-        Fraction(1),
-        Fraction(2),
-    )
-    assert normalize_linear_form(GF(5), (2, 2)) == (1, 1)
-    with pytest.raises(DegenerateInputError):
-        normalize_linear_form(QQ, (0, 0))
-
-
-def test_linear_form_identity_ignores_label():
-    a = LinearForm(QQ, (2, 4), label=1)
-    b = LinearForm(QQ, (1, 2), label=9)
-    assert a == b
-    assert hash(a) == hash(b)
-    assert a.support() == (0, 1)
-
-
-def test_product_of_forms_canonical_with_repeats():
-    x = LinearForm(QQ, (1, 0))
-    y = LinearForm(QQ, (0, 1))
-    ring = Ring(QQ, 2)
-    xy = ProductOfForms(QQ, (x, y)).expand(ring)
-    assert xy == ProductOfForms(QQ, (y, x)).expand(ring)
-    # multiplicity matters, and a repeated factor expands as a power
-    xx = ProductOfForms(QQ, (x, x)).expand(ring)
-    assert xx != xy
-    assert xx == x.poly(ring) ** 2
-    with pytest.raises(UsageError):
-        ProductOfForms(GF(5), (x,))
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_product_of_forms_canonical_with_repeats(data):
+    """The expansion of a product of rows does not depend on the order
+    of its factors, and a repeated row expands as a power."""
+    field = data.draw(st.sampled_from([GF(5), QQ]))
+    ring = Ring(field, 3)
+    row = st.tuples(*[st.integers(-3, 3).map(field.from_int)] * 3)
+    rows = data.draw(st.lists(row, min_size=1, max_size=4))
+    order = data.draw(st.permutations(range(len(rows))))
+    product = ProductOfForms(field, rows).expand(ring)
+    assert product == ProductOfForms(field, [rows[i] for i in order]).expand(ring)
+    rest = ProductOfForms(field, rows[1:]).expand(ring)
+    assert ProductOfForms(field, [rows[0], *rows]).expand(ring) == ring.linear(rows[0]) ** 2 * rest
+    assert ProductOfForms(field, ()).expand(ring) == ring.one
 
 
 def test_product_expand(R):
     x, y, _ = R.gens()
-    p = ProductOfForms(QQ, (LinearForm(QQ, (1, 1, 0)), LinearForm(QQ, (1, 0, 0))))
+    p = ProductOfForms(QQ, ((1, 1, 0), (1, 0, 0)))
     assert p.expand(R) == x * (x + y)
+    with pytest.raises(UsageError, match="does not match"):
+        ProductOfForms(GF(5), ((1, 1, 0),)).expand(R)
+    with pytest.raises(UsageError, match="expected 3 coefficients"):
+        ProductOfForms(QQ, ((1, 0),)).expand(R)
 
 
 def _polys(ring, max_terms=4):

@@ -286,7 +286,7 @@ def test_corruptions_keep_their_polynomials_and_named_witnesses():
     def prod(*labels):
         return arr.product(labels)
 
-    l2 = arr.form(2).poly(ring)
+    l2 = ring.linear(arr.form(2))
     rest = sum((prod(*s) for s in combinations(range(2, 7), 3)), ring.zero)
     expected = {
         "drop-summand": ((tail, f2, f1 - prod(1, 2, 3, 4)), "l1*l2*l3*l4 is missing"),
