@@ -31,14 +31,6 @@ from .groebner import (
     reduce,
     s_polynomial,
 )
-from .orders import (
-    GREVLEX,
-    LEX,
-    BlockOrder,
-    GrevLex,
-    Lex,
-    MonomialOrder,
-)
 from .polynomials import (
     Polynomial,
     ProductOfForms,
@@ -61,22 +53,16 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Arrangement",
-    "BlockOrder",
     "CheckResult",
     "CORRUPTION_MODES",
     "DEFAULT_PRIME",
     "DegenerateInputError",
     "Field",
     "GF",
-    "GREVLEX",
     "GenerationError",
     "GenericityError",
-    "GrevLex",
     "Ideal",
-    "LEX",
-    "Lex",
     "LinearPrime",
-    "MonomialOrder",
     "ParseError",
     "Polynomial",
     "PrimeField",

@@ -6,7 +6,8 @@ coefficients.  It is read straight into an ``Arrangement`` over its own
 field, or over the one ``--field`` names.  Every subcommand prints
 a single JSON report to stdout and exits 0 when the computed claim
 holds, 1 when it fails, 2 on bad input or usage, and 3 when a budget
-ran out before an answer was reached.
+ran out before an answer was reached.  A reader that closes stdout
+before the report is written gets exit 2 too.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import os
 import sys
 import time
 from dataclasses import asdict
@@ -367,4 +369,13 @@ def run(argv=None) -> int:
 
 
 def main():
-    sys.exit(run())
+    try:
+        code = run()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed stdout early (say, `| head`); point stdout at
+        # devnull so that the flush at interpreter exit cannot fail again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        print("error: stdout was closed before the report was written", file=sys.stderr)
+        code = 2
+    sys.exit(code)

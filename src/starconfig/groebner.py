@@ -31,7 +31,9 @@ Radical membership goes through the one-extra-variable trick:
 f lies in rad(I) iff 1 lies in I + <1 - y*f>, which is exact both ways.
 The adjoined system is packed directly and answered by that stop.
 Intersections eliminate t from t*a + (1-t)*b, packed directly too,
-under a block order with t in front.
+under the elimination layout with t in front.  Padding a grevlex-sorted
+exponent tuple with a 0 or a 1 for the extra variable keeps its terms
+sorted in both layouts, so neither system is sorted afresh.
 """
 
 from __future__ import annotations
@@ -41,7 +43,7 @@ from heapq import heapify, heappop, heappush
 from math import gcd, lcm
 
 from .errors import UsageError
-from .orders import GREVLEX, BlockOrder, degree_error
+from .orders import degree_error, elimination_layout, grevlex_layout
 from .polynomials import Polynomial, Ring
 
 # The core works on packed terms: lists of (packed monomial, int
@@ -52,8 +54,8 @@ from .polynomials import Polynomial, Ring
 
 def _pack(f: Polynomial, layout, pad=()):
     """f's terms with each exponent tuple extended by pad and packed, in
-    f's order, with int coefficients; and the positive int they were
-    scaled by: 1 over GF(p), the lcm of the denominators over QQ."""
+    f's grevlex order, with int coefficients; and the positive int they
+    were scaled by: 1 over GF(p), the lcm of the denominators over QQ."""
     pack = layout.pack
     if f.ring.field.characteristic:
         return [(pack(e + pad), c) for e, c in f.terms], 1
@@ -197,7 +199,7 @@ def reduce(f: Polynomial, basis) -> Polynomial:
         return f
     ring = f.ring
     p = ring.field.characteristic
-    layout = ring.order.layout(ring.nvars)
+    layout = ring.layout
     divisors = []
     for g in basis:
         if g.is_zero():
@@ -219,7 +221,7 @@ def s_polynomial(f: Polynomial, g: Polynomial) -> Polynomial:
         raise UsageError("S-polynomial of a zero polynomial")
     ring = f.ring
     p = ring.field.characteristic
-    layout = ring.order.layout(ring.nvars)
+    layout = ring.layout
     l = layout.pack(tuple(map(max, f.lm(), g.lm())))
     a, b = _normalize(_pack(f, layout)[0], p), _normalize(_pack(g, layout)[0], p)
     terms, _ = _reduce(_spoly(l, a, b, layout), (), p, layout)
@@ -230,8 +232,8 @@ def s_polynomial(f: Polynomial, g: Polynomial) -> Polynomial:
 def buchberger(gens):
     """Reduced Groebner basis of the given generators.
 
-    The result is canonical for the ring's order, whatever the order of
-    the generators; the determinism tests shuffle them to check that.
+    The result is canonical for grevlex, whatever the order of the
+    generators; the determinism tests shuffle them to check that.
     """
     polys = [g for g in gens if not g.is_zero()]
     if not polys:
@@ -240,7 +242,7 @@ def buchberger(gens):
     for g in polys:
         if g.ring != ring:
             raise UsageError("generators live in different rings")
-    layout = ring.order.layout(ring.nvars)
+    layout = ring.layout
     basis = _groebner([_pack(g, layout)[0] for g in polys], ring.field.characteristic, layout)
     return tuple(_unpack(ring, layout, terms, terms[0][1]) for terms in basis)
 
@@ -355,7 +357,7 @@ class Ideal:
         self._gb = None
 
     def groebner_basis(self):
-        """Reduced basis for the ring's order, computed once."""
+        """Reduced grevlex basis, computed once."""
         if self._gb is None:
             self._gb = buchberger(self.gens)
         return self._gb
@@ -372,31 +374,30 @@ class Ideal:
 def intersect(a: Ideal, b: Ideal) -> Ideal:
     """Intersection via t*a + (1-t)*b and elimination of t.
 
-    The system is packed directly in the layout of ``BlockOrder({t})``
-    with t last, each generator's terms sorted afresh, so the ideals'
-    ring may have any order.  The reduced basis elements whose leading
-    monomial avoids t generate the intersection; they are returned
-    monic under that block order, their terms sorted in the ring's own
-    order.
+    The system is packed directly in ``elimination_layout`` with t last
+    and in front: t*g is g's terms with t padded on, and (1-t)*g is
+    the negated t-terms followed by g's own terms, both already sorted.
+    The reduced basis elements whose leading monomial avoids t generate
+    the intersection.  They are returned monic under that order, which
+    is grevlex on t-free monomials, so their terms need no re-sort.
     """
     if a.ring != b.ring:
         raise UsageError("ideals live in different rings")
     ring = a.ring
     nvars = ring.nvars
     p = ring.field.characteristic
-    layout = BlockOrder({nvars}).layout(nvars + 1)
+    layout = elimination_layout(nvars)
     gens = []
     for g in a.gens:
         if not g.is_zero():
-            gens.append(sorted(_pack(g, layout, (1,))[0], reverse=True))
+            gens.append(_pack(g, layout, (1,))[0])
     for g in b.gens:
         if not g.is_zero():
-            # (1-t)*g: each term c*m of g gives c*m and -c*t*m
+            # (1-t)*g: each term c*m of g gives -c*t*m and c*m
             low, _ = _pack(g, layout, (0,))
             high, _ = _pack(g, layout, (1,))
-            gens.append(sorted(low + [(m, (p - c) if p else -c) for m, c in high], reverse=True))
+            gens.append([(m, (p - c) if p else -c) for m, c in high] + low)
     unpack = layout.unpack
-    key = ring.order.layout(nvars).pack
     kept = []
     for terms in _groebner(gens, p, layout):
         if unpack(terms[0][0])[nvars]:
@@ -406,7 +407,6 @@ def intersect(a: Ideal, b: Ideal) -> Ideal:
             out = [(unpack(m)[:nvars], c) for m, c in terms]
         else:
             out = [(unpack(m)[:nvars], Fraction(c, scale)) for m, c in terms]
-        out.sort(key=lambda t: key(t[0]), reverse=True)
         kept.append(Polynomial(ring, tuple(out)))
     return Ideal(ring, tuple(kept))
 
@@ -416,20 +416,19 @@ def radical_member(f: Polynomial, ideal: Ideal) -> bool:
 
     Exact both ways: f is in rad(I) iff the ideal I + <1 - y*f> in one
     more variable y, last under grevlex, is the whole ring.  That system
-    is packed here in the grevlex layout, each generator's terms sorted
-    afresh, so the ideal's ring may have any order.
+    is packed here in ``grevlex_layout`` with y padded on, which keeps
+    every generator's terms sorted.
     """
     if f.ring != ideal.ring:
         raise UsageError("element lives in a different ring")
     if f.is_zero():
         return True
     p = f.ring.field.characteristic
-    layout = GREVLEX.layout(f.ring.nvars + 1)
-    gens = [sorted(_pack(g, layout, (0,))[0], reverse=True) for g in ideal.gens]
+    layout = grevlex_layout(f.ring.nvars + 1)
+    gens = [_pack(g, layout, (0,))[0] for g in ideal.gens]
     # y*f - 1 spans the same ideal; its constant, -1 scaled by den, is
-    # the residue p - 1 over GF(p) and -den over QQ
+    # the residue p - 1 over GF(p) and -den over QQ, and comes last
     rabinowitsch, den = _pack(f, layout, (1,))
     rabinowitsch.append((0, p - den))
-    rabinowitsch.sort(reverse=True)
     gens.append(rabinowitsch)
     return _groebner(gens, p, layout) == [[(0, 1)]]

@@ -1,11 +1,16 @@
-"""Monomial orders and the packed-integer encoding of monomials.
+"""The two monomial orders and the packed-integer encoding of monomials.
 
-Polynomials carry monomials as tuples of non-negative exponents.  Each
-order also packs an n-variable monomial into one int, its sort key
-(``order.key``), after Monagan & Pearce (CASC 2007).  The int is a row
-of 16-bit fields, each a 0/1-weighted sum of the exponents: the order's
-key rows first (most significant), then the n plain exponents, then
-the total degree when no row above already holds it.  So:
+Polynomials carry monomials as tuples of non-negative exponents, and
+every ring orders them by grevlex.  The Groebner core needs one more
+order, to eliminate an extra variable t.  So there are two layouts,
+each built once per arity: ``grevlex_layout(n)`` and
+``elimination_layout(n)``, whose extra last variable t goes in front.
+
+A layout packs a monomial into one int, its sort key, after Monagan &
+Pearce (CASC 2007).  The int is a row of 16-bit fields, each a
+0/1-weighted sum of the exponents: the order's key rows first (most
+significant), then the plain exponents, then the total degree when no
+row above already holds it.  So:
 
 - comparing packed ints realizes the order;
 - the product of two monomials is the sum of their ints;
@@ -15,12 +20,12 @@ the total degree when no row above already holds it.  So:
 The top bit of a field must stay clear, so a monomial of total degree
 ``DEGREE_LIMIT`` (2**15) or more is refused with a ``UsageError``.
 Since every field is at most the total degree, adding two valid ints
-gives a valid int exactly when no guard bit comes out set.  An order
-builds the layout for a given arity on first use.
+gives a valid int exactly when no guard bit comes out set.
 """
 
 from __future__ import annotations
 
+from functools import cache
 from operator import mul
 
 from .errors import UsageError
@@ -83,90 +88,23 @@ class Layout:
         return tuple([(m >> s) & FIELD_MASK for s in self.shifts])
 
 
-class MonomialOrder:
-    """A total order on monomials refining divisibility, given by the key
-    rows of its packed layout."""
-
-    def __init__(self):
-        self._layouts = {}
-
-    def key_rows(self, nvars):
-        raise NotImplementedError
-
-    def layout(self, nvars) -> Layout:
-        found = self._layouts.get(nvars)
-        if found is None:
-            found = self._layouts[nvars] = Layout(nvars, self.key_rows(nvars))
-        return found
-
-    def key(self, exps) -> int:
-        return self.layout(len(exps)).pack(exps)
+@cache
+def grevlex_layout(nvars) -> Layout:
+    """Graded reverse lexicographic order on nvars variables, the order
+    of every ring: degree first, then the last nonzero entry of the
+    exponent difference with reversed sign."""
+    return Layout(nvars, _prefix_rows(tuple(range(nvars)), nvars))
 
 
-class GrevLex(MonomialOrder):
-    """Graded reverse lexicographic: degree first, then the last nonzero
-    entry of the exponent difference with reversed sign."""
+@cache
+def elimination_layout(nvars) -> Layout:
+    """nvars variables and an extra last one, t, in front: the power of
+    t first, ties broken by grevlex on the others.
 
-    def key_rows(self, nvars):
-        return _prefix_rows(tuple(range(nvars)), nvars)
-
-    def __eq__(self, other):
-        return isinstance(other, GrevLex)
-
-    def __hash__(self):
-        return hash(GrevLex)
-
-    def __repr__(self):
-        return "grevlex"
-
-
-class Lex(MonomialOrder):
-    """Pure lexicographic order on exponent tuples."""
-
-    def key_rows(self, nvars):
-        return []
-
-    def __eq__(self, other):
-        return isinstance(other, Lex)
-
-    def __hash__(self):
-        return hash(Lex)
-
-    def __repr__(self):
-        return "lex"
-
-
-class BlockOrder(MonomialOrder):
-    """Elimination order: grevlex on a front block of variables, ties
-    broken by grevlex on the remaining block.
-
-    Any monomial involving a front variable is larger than any monomial
-    that avoids them all, so dropping basis elements whose leading term
-    uses a front variable computes the elimination ideal.
+    Any monomial involving t is larger than any monomial that avoids
+    it, so dropping basis elements whose leading term uses t computes
+    the elimination ideal.  On t-free monomials this is the grevlex
+    order of ``grevlex_layout(nvars)``.
     """
-
-    def __init__(self, front):
-        super().__init__()
-        self.front = frozenset(front)
-        if not self.front or any(i < 0 for i in self.front):
-            raise UsageError("front block must be a nonempty set of variable indices")
-
-    def key_rows(self, nvars):
-        front = tuple(sorted(i for i in self.front if i < nvars))
-        back = tuple(i for i in range(nvars) if i not in self.front)
-        if not front:
-            raise UsageError("front block indices exceed the ring arity")
-        return _prefix_rows(front, nvars) + _prefix_rows(back, nvars)
-
-    def __eq__(self, other):
-        return isinstance(other, BlockOrder) and other.front == self.front
-
-    def __hash__(self):
-        return hash((BlockOrder, self.front))
-
-    def __repr__(self):
-        return f"block(front={sorted(self.front)})"
-
-
-GREVLEX = GrevLex()
-LEX = Lex()
+    n = nvars + 1
+    return Layout(n, _prefix_rows((nvars,), n) + _prefix_rows(tuple(range(nvars)), n))

@@ -1,11 +1,11 @@
 """Multivariate polynomials with exact coefficients.
 
-A Ring fixes the coefficient field, the number of variables, the
-monomial order, and display names.  Polynomials are immutable: a tuple
-of (exponent tuple, coefficient) pairs sorted descending under the
-ring's order, with no zero coefficients.  A linear form is a row of
-coefficients, and ``Ring.linear`` is the one place where a row becomes
-a Polynomial.  ProductOfForms is the one routine that expands a
+A Ring fixes the coefficient field, the number of variables and
+display names; every ring orders its monomials by grevlex.  Polynomials
+are immutable: a tuple of (exponent tuple, coefficient) pairs sorted
+descending under grevlex, with no zero coefficients.  A linear form is
+a row of coefficients, and ``Ring.linear`` is the one place where a row
+becomes a Polynomial.  ProductOfForms is the one routine that expands a
 product of rows; the product itself is named by its labels, not stored.
 """
 
@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from .errors import UsageError
 from .fields import Field
-from .orders import GREVLEX, MonomialOrder, mono_mul
+from .orders import grevlex_layout, mono_mul
 
 
 def default_names(nvars: int):
@@ -23,16 +23,21 @@ def default_names(nvars: int):
 
 
 class Ring:
-    """Polynomial ring context: field, arity, monomial order, names."""
+    """Polynomial ring context: field, arity, names, and the grevlex
+    layout that packs its monomials (see ``orders``)."""
 
-    __slots__ = ("field", "nvars", "order", "names", "_zero_exps")
+    __slots__ = ("field", "nvars", "names", "layout", "_zero_exps")
 
-    def __init__(self, field: Field, nvars: int, order: MonomialOrder = GREVLEX, names=None):
+    # every ring is grevlex; the name stays readable for bench/tracer.py,
+    # which labels Groebner basis spans by ring and order
+    order = "grevlex"
+
+    def __init__(self, field: Field, nvars: int, names=None):
         if nvars < 1:
             raise UsageError("ring needs at least one variable")
         self.field = field
         self.nvars = nvars
-        self.order = order
+        self.layout = grevlex_layout(nvars)
         self.names = tuple(names) if names is not None else default_names(nvars)
         if len(self.names) != nvars:
             raise UsageError(f"expected {nvars} variable names, got {len(self.names)}")
@@ -49,19 +54,18 @@ class Ring:
             isinstance(other, Ring)
             and self.field == other.field
             and self.nvars == other.nvars
-            and self.order == other.order
             and self.names == other.names
         )
 
     def __hash__(self):
-        return hash((self.field, self.nvars, self.order, self.names))
+        return hash((self.field, self.nvars, self.names))
 
     def __repr__(self):
-        return f"{self.field}[{', '.join(self.names)}] ({self.order})"
+        return f"{self.field}[{', '.join(self.names)}]"
 
     def from_dict(self, coeffs: dict) -> "Polynomial":
         """Build a polynomial from {exponent tuple: coefficient}."""
-        pack = self.order.layout(self.nvars).pack
+        pack = self.layout.pack
         terms = []
         for exps, c in coeffs.items():
             if len(exps) != self.nvars:
@@ -108,7 +112,7 @@ class Ring:
 
 
 class Polynomial:
-    """Immutable polynomial: terms sorted descending under ring.order."""
+    """Immutable polynomial: terms sorted descending under grevlex."""
 
     __slots__ = ("ring", "terms")
 

@@ -5,14 +5,18 @@ with each order's key written as a tuple of ints.  It builds its own
 sorted term tuples, so nothing here goes through the packed encoding;
 the tests require the packed core to return the same polynomials, term
 for term.
+
+Each entry point takes the name of its order: "grevlex", the order of
+every ring, or "elimination", with the last variable t in front.  Under
+"elimination" the polynomials it returns hold their terms sorted by
+that order, not by their ring's grevlex, so a caller moves them back
+into a ring before comparing them with anything else.
 """
 
 from __future__ import annotations
 
-import random
 from heapq import heappop, heappush
 
-from starconfig.orders import BlockOrder, GrevLex, Lex
 from starconfig.polynomials import Polynomial
 
 
@@ -34,23 +38,13 @@ def mono_lcm(a, b):
 
 
 def tuple_key(order, exps):
-    """Sort key of an exponent tuple as a flat tuple of ints."""
-    if isinstance(order, GrevLex):
+    """Sort key of an exponent tuple under the named order, as a flat
+    tuple of ints."""
+    if order == "grevlex":
         return (sum(exps), *(-x for x in reversed(exps)))
-    if isinstance(order, Lex):
-        return tuple(exps)
-    if isinstance(order, BlockOrder):
-        front = sorted(i for i in order.front if i < len(exps))
-        back = [i for i in range(len(exps)) if i not in order.front]
-        fe = [exps[i] for i in front]
-        be = [exps[i] for i in back]
-        return (
-            sum(fe),
-            *(-x for x in reversed(fe)),
-            sum(be),
-            *(-x for x in reversed(be)),
-        )
-    raise TypeError(f"no tuple key for {order!r}")
+    if order == "elimination":
+        return (exps[-1], *tuple_key("grevlex", exps[:-1]))
+    raise ValueError(f"no tuple key for {order!r}")
 
 
 def monic(f):
@@ -61,20 +55,20 @@ def monic(f):
     return Polynomial(f.ring, tuple((e, fld.mul(inv, c)) for e, c in f.terms))
 
 
-def _from_dict(ring, coeffs):
+def _from_dict(ring, coeffs, order="grevlex"):
     zero = ring.field.zero
     terms = [(e, c) for e, c in coeffs.items() if c != zero]
-    terms.sort(key=lambda t: tuple_key(ring.order, t[0]), reverse=True)
+    terms.sort(key=lambda t: tuple_key(order, t[0]), reverse=True)
     return Polynomial(ring, tuple(terms))
 
 
-def reduce(f, basis):
+def reduce(f, basis, order="grevlex"):
+    """Remainder of f by basis elements whose terms are sorted under order."""
     if f.is_zero():
         return f
     ring = f.ring
     fld = ring.field
     zero = fld.zero
-    order = ring.order
     red = []
     for g in basis:
         if g.is_zero():
@@ -113,7 +107,7 @@ def reduce(f, basis):
         else:
             del work[e]
             out[e] = c
-    return _from_dict(ring, out)
+    return _from_dict(ring, out, order)
 
 
 def _shifted(f, exps, coeff):
@@ -121,31 +115,27 @@ def _shifted(f, exps, coeff):
     return {mono_mul(exps, e): fld.mul(coeff, c) for e, c in f.terms}
 
 
-def s_polynomial(f, g):
+def s_polynomial(f, g, order="grevlex"):
     fld = f.ring.field
     l = mono_lcm(f.lm(), g.lm())
     a = _shifted(f, mono_div(l, f.lm()), fld.inv(f.lc()))
     b = _shifted(g, mono_div(l, g.lm()), fld.inv(g.lc()))
     for e, c in b.items():
         a[e] = fld.sub(a.get(e, fld.zero), c)
-    return _from_dict(f.ring, a)
+    return _from_dict(f.ring, a, order)
 
 
-def buchberger(gens, seed=None):
-    polys = [g for g in gens if not g.is_zero()]
+def buchberger(gens, order="grevlex"):
+    polys = [_from_dict(g.ring, dict(g.terms), order) for g in gens if not g.is_zero()]
     if not polys:
         return ()
-    ring = polys[0].ring
-    if seed is not None:
-        rng = random.Random(seed)
-        rng.shuffle(polys)
 
     def key(e):
-        return tuple_key(ring.order, e)
+        return tuple_key(order, e)
 
     basis = []
     for g in polys:
-        r = monic(reduce(g, basis) if basis else g)
+        r = monic(reduce(g, basis, order) if basis else g)
         if not r.is_zero():
             basis.append(r)
 
@@ -179,7 +169,7 @@ def buchberger(gens, seed=None):
             continue
         if chain_skippable(i, j, l):
             continue
-        r = reduce(s_polynomial(basis[i], basis[j]), basis)
+        r = reduce(s_polynomial(basis[i], basis[j], order), basis, order)
         if r.is_zero():
             continue
         r = monic(r)
@@ -205,6 +195,6 @@ def buchberger(gens, seed=None):
     reduced = []
     for i, g in enumerate(minimal):
         others = minimal[:i] + minimal[i + 1 :]
-        reduced.append(monic(reduce(g, others)))
+        reduced.append(monic(reduce(g, others, order)))
     reduced.sort(key=lambda g: key(g.lm()))
     return tuple(reduced)

@@ -301,3 +301,29 @@ def test_console_script_runs(child_env):
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["results"]["min_distance"] == 2
+
+
+def test_closed_stdout_pipe_exits_two(child_env, tmp_path):
+    """A reader that stops early, like `| head -c 10`, closes the pipe
+    while the 88 KB report is still being written, more than a pipe
+    buffer holds: exit 2 with a one-line error, not a traceback."""
+    big = tmp_path / "big.json"
+    starconfig = [sys.executable, "-m", "starconfig"]
+    sampled = subprocess.run(
+        starconfig + ["random", "--k", "4", "--n", "9", "--seed", "0"],
+        capture_output=True,
+        env=child_env,
+    )
+    big.write_bytes(sampled.stdout)
+    proc = subprocess.Popen(
+        starconfig + ["sv-partition", "--all-j", str(big)],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=child_env,
+    )
+    assert proc.stdout.read(10) == b'{\n  "argum'
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    assert proc.wait() == 2
+    assert "Traceback" not in err and "BrokenPipeError" not in err
+    assert err == "error: stdout was closed before the report was written\n"

@@ -28,7 +28,7 @@ from starconfig.groebner import (
     s_polynomial,
 )
 from starconfig.errors import UsageError
-from starconfig.orders import DEGREE_LIMIT, GREVLEX, LEX, BlockOrder, mono_divides
+from starconfig.orders import DEGREE_LIMIT, elimination_layout, grevlex_layout, mono_divides
 from starconfig.polynomials import Ring
 
 import groebner_reference as ref
@@ -112,8 +112,7 @@ def test_fraction_free_step_scales_by_lc_over_gcd():
     """The core cancels a term c*m by a divisor with leading coefficient
     lc after scaling everything else by lc/gcd(lc, c), and returns that
     scale with the remainder it multiplies, finished terms included."""
-    ring = Ring(QQ, 2, names=("x", "y"))
-    layout = ring.order.layout(2)
+    layout = Ring(QQ, 2, names=("x", "y")).layout
     x, y = layout.pack((1, 0)), layout.pack((0, 1))
     six_x = [(x, (6, [(y, -1)]))]  # 6x - y
     assert _reduce({x: 12}, six_x, 0, layout) == ([(y, 2)], 1)  # 12x = 2(6x - y) + 2y
@@ -133,7 +132,7 @@ def test_top_reduction_stops_at_an_irreducible_leading_term(field):
     ring = Ring(field, 3, names=("x", "y", "z"))
     x, y, z = ring.gens()
     p = field.characteristic
-    layout = ring.order.layout(3)
+    layout = ring.layout
     basis = buchberger((3 * x * y - z + 1, 2 * y ** 2 - x * z))
     divisors = []
     for g in basis:
@@ -165,7 +164,7 @@ def test_int_core_basis_contract():
     for ideal in _fixture_ideals():
         ring = ideal.ring
         p = ring.field.characteristic
-        layout = ring.order.layout(ring.nvars)
+        layout = ring.layout
         for gens in (ideal.gens, [-g for g in ideal.gens]):
             core = _groebner([_pack(g, layout)[0] for g in gens], p, layout)
             for terms in core:
@@ -275,7 +274,7 @@ def test_ideal_eq_detects_equal_and_unequal(R):
 
 def _same_intersection(a, b):
     """intersect returns the old construction's basis term for term,
-    each element sorted in the ring's own order."""
+    each element's terms sorted under grevlex."""
     got = intersect(a, b)
     assert got.ring == a.ring
     assert got.gens == intersect_reference(a, b).gens
@@ -300,13 +299,6 @@ def test_intersection_with_containment(R):
     assert ideal_eq(_same_intersection(big, small), small)
 
 
-def test_intersection_matches_reference_in_a_lex_ring():
-    R = Ring(GF(32003), 3, order=LEX, names=("x", "y", "z"))
-    x, y, z = R.gens()
-    got = _same_intersection(Ideal(R, (x + z ** 2, y * z - 1)), Ideal(R, (x ** 2 - y, z + 3)))
-    assert got.gens
-
-
 def test_intersection_matches_reference_with_fractions():
     R = Ring(QQ, 3, names=("x", "y", "z"))
     x, y, z = R.gens()
@@ -329,11 +321,9 @@ def test_intersection_with_an_ideal_without_generators(R):
 @settings(max_examples=40, deadline=None)
 @given(data=st.data())
 def test_intersection_matches_reference(data):
-    """Random ideals over both fields, in rings under every order the
-    package has, against the old construction."""
+    """Random ideals over both fields against the old construction."""
     field = data.draw(st.sampled_from([GF(32003), GF(7), QQ]))
-    order = data.draw(st.sampled_from([GREVLEX, LEX, BlockOrder({0})]))
-    ring = Ring(field, 3, order=order, names=("x", "y", "z"))
+    ring = Ring(field, 3, names=("x", "y", "z"))
     a = Ideal(ring, _random_polys(data.draw, ring, data.draw(st.integers(0, 2))))
     b = Ideal(ring, _random_polys(data.draw, ring, data.draw(st.integers(0, 2))))
     _same_intersection(a, b)
@@ -346,6 +336,9 @@ def test_radical_membership_basics(R):
     assert radical_member(x + y, I)
     assert not radical_member(z, I)
     assert radical_member(R.zero, I)
+    # with no generator to reduce it, y*f - 1 enters the core as packed
+    assert not radical_member(x, Ideal(R, ()))
+    assert not radical_member(R.one, Ideal(R, (R.zero,)))
 
 
 def _power_hit(f, ideal, limit=6):
@@ -452,6 +445,27 @@ def _random_polys(draw, ring, count):
     return out
 
 
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_padding_keeps_terms_sorted(data):
+    """intersect and radical_member pack their systems without sorting:
+    a polynomial's grevlex terms padded with 0 or with 1 for the extra
+    variable stay descending in both layouts, and so does (1-t)*g
+    written as the t-terms followed by g's own."""
+    field = data.draw(st.sampled_from([GF(101), QQ]))
+    n = data.draw(st.integers(1, 6))
+    ring = Ring(field, n)
+    exps = st.tuples(*[st.integers(0, 3)] * n)
+    f = ring.from_dict(data.draw(st.dictionaries(exps, _coeffs(field), min_size=1, max_size=8)))
+    grevlex, elimination = grevlex_layout(n + 1), elimination_layout(n)
+    for layout in (grevlex, elimination):
+        low, high = _pack(f, layout, (0,))[0], _pack(f, layout, (1,))[0]
+        systems = (low, high, high + low) if layout is elimination else (low, high)
+        for terms in systems:
+            keys = [m for m, _ in terms]
+            assert keys == sorted(keys, reverse=True)
+
+
 @settings(max_examples=40, deadline=None)
 @given(data=st.data())
 def test_packed_core_matches_tuple_reference(data):
@@ -466,9 +480,8 @@ def test_packed_core_matches_tuple_reference(data):
     fraction-free division runs against the reference's.
     """
     field = data.draw(st.sampled_from([GF(32003), GF(101), GF(7), QQ]))
-    order = data.draw(st.sampled_from([GREVLEX, LEX, BlockOrder({2}), BlockOrder({0, 2})]))
     seed = data.draw(st.sampled_from([None, 1, 2]))
-    ring = Ring(field, 3, order=order, names=("x", "y", "z"))
+    ring = Ring(field, 3, names=("x", "y", "z"))
     gens = _random_polys(data.draw, ring, data.draw(st.integers(1, 3)))
     if data.draw(st.booleans()):
         g = _random_polys(data.draw, ring, 1)[0]
@@ -491,7 +504,7 @@ def _rabinowitsch_reference(f, ideal):
     """Whether the tuple reference's basis of I + <1 - u*f>, grevlex
     with u last, is [1]; terms are sorted by the reference's own keys."""
     ring = ideal.ring
-    ext = Ring(ring.field, ring.nvars + 1, order=GREVLEX, names=ring.names + ("u",))
+    ext = Ring(ring.field, ring.nvars + 1, names=ring.names + ("u",))
     neg = ring.field.neg
     gens = [ref._from_dict(ext, {e + (0,): c for e, c in g.terms}) for g in ideal.gens]
     adjoined = {e + (1,): neg(c) for e, c in f.terms}
@@ -504,12 +517,11 @@ def _rabinowitsch_reference(f, ideal):
 @given(data=st.data())
 def test_radical_member_matches_tuple_reference(data):
     """radical_member builds its packed grevlex system itself, so it is
-    checked against the reference's Rabinowitsch run, also for a ring
-    under a block order.  f is a product or power of generators, always
-    a member, or a random polynomial, in general not one."""
+    checked against the reference's Rabinowitsch run.  f is a product
+    or power of generators, always a member, or a random polynomial, in
+    general not one."""
     field = data.draw(st.sampled_from([GF(7), GF(32003), QQ]))
-    order = data.draw(st.sampled_from([GREVLEX, BlockOrder({0, 2})]))
-    ring = Ring(field, 3, order=order, names=("x", "y", "z"))
+    ring = Ring(field, 3, names=("x", "y", "z"))
     exps = st.tuples(*[st.integers(0, 1)] * 3)
     coeffs = _coeffs(field)
 
@@ -533,21 +545,23 @@ def test_radical_member_matches_tuple_reference(data):
 
 
 def test_radical_member_reference_sees_both_answers():
-    """The reference oracle above separates members from non-members,
-    over a block-ordered ring too."""
-    for order in (GREVLEX, BlockOrder({0, 2})):
-        ring = Ring(GF(7), 3, order=order, names=("x", "y", "z"))
-        x, y, z = ring.gens()
-        ideal = Ideal(ring, (x ** 2 - y * z, y ** 2))
-        for f, member in ((x * y, True), (x, True), (z, False), (x + z, False)):
-            assert _rabinowitsch_reference(f, ideal) is member
-            assert radical_member(f, ideal) is member
+    """The reference oracle above separates members from non-members."""
+    ring = Ring(GF(7), 3, names=("x", "y", "z"))
+    x, y, z = ring.gens()
+    ideal = Ideal(ring, (x ** 2 - y * z, y ** 2))
+    for f, member in ((x * y, True), (x, True), (z, False), (x + z, False)):
+        assert _rabinowitsch_reference(f, ideal) is member
+        assert radical_member(f, ideal) is member
 
 
-def test_lex_reduction_past_degree_limit_raises():
-    """Lex division can raise the degree above every input's: x^200 by
-    x - y^200 would end at y^40000, which the packed core refuses."""
-    R = Ring(QQ, 2, order=LEX, names=("x", "y"))
-    x, y = R.gens()
-    with pytest.raises(UsageError, match=f"limit {DEGREE_LIMIT}"):
-        reduce(x ** 200, [x - y ** 200])
+def test_elimination_reduction_past_degree_limit_raises():
+    """Division under the elimination order can raise the degree above
+    every input's, which grevlex division never does: t^200 by
+    t - y^200, with t in front, would end at y^40000, and the packed
+    core refuses it."""
+    layout = elimination_layout(1)
+    t, y200 = layout.pack((0, 1)), layout.pack((200, 0))
+    for p in (0, 32003):
+        divisor = [(t, (1, [(y200, p - 1)]))]  # t - y^200
+        with pytest.raises(UsageError, match=f"limit {DEGREE_LIMIT}"):
+            _reduce({layout.pack((0, 200)): 1}, divisor, p, layout)

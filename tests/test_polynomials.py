@@ -1,4 +1,4 @@
-"""Polynomial arithmetic, monomial orders, forms and their products."""
+"""Polynomial arithmetic, the two monomial orders, forms and their products."""
 
 import re
 
@@ -8,10 +8,9 @@ from hypothesis import given, settings, strategies as st
 from starconfig.errors import UsageError
 from starconfig.fields import GF, QQ
 from starconfig.orders import (
-    GREVLEX,
-    LEX,
-    BlockOrder,
     DEGREE_LIMIT,
+    elimination_layout,
+    grevlex_layout,
     mono_divides,
     mono_mul,
 )
@@ -20,39 +19,40 @@ from starconfig.polynomials import ProductOfForms, Ring
 from groebner_reference import tuple_key
 
 
-def cmp_monomials(order, a, b):
-    """Compare two monomials under the order: -1, 0, or 1."""
+def cmp_monomials(layout, a, b):
+    """Compare two monomials under the layout's order: -1, 0, or 1."""
     if len(a) != len(b):
         raise UsageError(f"monomial arity mismatch: {len(a)} vs {len(b)}")
-    ka, kb = order.key(a), order.key(b)
+    ka, kb = layout.pack(a), layout.pack(b)
     return (ka > kb) - (ka < kb)
 
 
-def _orders(n):
-    return (GREVLEX, LEX, BlockOrder({n - 1}), BlockOrder({0, n - 1}))
+def _layouts(n):
+    """Each order's name for ``tuple_key``, its layout, and its arity."""
+    return (("grevlex", grevlex_layout(n), n), ("elimination", elimination_layout(n), n + 1))
 
 
 def test_grevlex_orders_by_degree_then_reverse():
     # x1^2*x2 beats x1*x2^2: same degree, smaller last exponent wins
-    assert cmp_monomials(GREVLEX, (2, 1, 0), (1, 2, 0)) == 1
-    assert cmp_monomials(GREVLEX, (0, 0, 3), (1, 1, 0)) == 1
-    assert cmp_monomials(GREVLEX, (1, 1), (1, 1)) == 0
-
-
-def test_lex_ignores_degree():
-    assert cmp_monomials(LEX, (1, 0), (0, 5)) == 1
+    grevlex = grevlex_layout(3)
+    assert cmp_monomials(grevlex, (2, 1, 0), (1, 2, 0)) == 1
+    assert cmp_monomials(grevlex, (0, 0, 3), (1, 1, 0)) == 1
+    assert cmp_monomials(grevlex_layout(2), (1, 1), (1, 1)) == 0
 
 
 def test_block_order_eliminates_front_block():
-    # any monomial touching the front variable outranks any that avoids it
-    order = BlockOrder({2})
-    assert cmp_monomials(order, (0, 0, 1), (4, 5, 0)) == 1
+    # any monomial touching the front variable t outranks any that
+    # avoids it, and on t-free monomials the order is grevlex's
+    elimination = elimination_layout(2)
+    assert cmp_monomials(elimination, (0, 0, 1), (4, 5, 0)) == 1
+    assert cmp_monomials(elimination, (0, 3, 1), (9, 0, 1)) == -1
+    assert cmp_monomials(elimination, (2, 1, 0), (1, 2, 0)) == 1
 
 
 def test_cmp_rejects_arity_mismatch():
-    for order in _orders(3):
+    for _, layout, _ in _layouts(3):
         with pytest.raises(UsageError):
-            cmp_monomials(order, (1, 0), (1, 0, 0))
+            cmp_monomials(layout, (1, 0), (1, 0, 0))
 
 
 def test_mono_helpers():
@@ -64,21 +64,21 @@ def test_mono_helpers():
 @settings(max_examples=60, deadline=None)
 @given(data=st.data())
 def test_packed_keys_match_tuple_keys(data):
-    """The packed int of each order sorts like its tuple key, adds under
+    """The packed int of each layout sorts like its tuple key, adds under
     products, and its guard test is componentwise <=."""
     n = data.draw(st.integers(1, 6))
-    exps = st.tuples(*[st.integers(0, 40)] * n)
-    monos = data.draw(st.lists(exps, min_size=2, max_size=12, unique=True))
-    for order in _orders(n):
-        layout = order.layout(n)
-        assert sorted(monos, key=order.key) == sorted(monos, key=lambda e: tuple_key(order, e))
+    for order, layout, width in _layouts(n):
+        key = layout.pack
+        exps = st.tuples(*[st.integers(0, 40)] * width)
+        monos = data.draw(st.lists(exps, min_size=2, max_size=12, unique=True))
+        assert sorted(monos, key=key) == sorted(monos, key=lambda e: tuple_key(order, e))
         for a in monos[:4]:
             for b in monos:
-                assert order.key(mono_mul(a, b)) == order.key(a) + order.key(b)
-                assert not (order.key(mono_mul(a, b)) - order.key(a)) & layout.guard
-                packed_divides = not (order.key(b) - order.key(a)) & layout.guard
+                assert key(mono_mul(a, b)) == key(a) + key(b)
+                assert not (key(mono_mul(a, b)) - key(a)) & layout.guard
+                packed_divides = not (key(b) - key(a)) & layout.guard
                 assert packed_divides == all(x <= y for x, y in zip(a, b))
-        assert [layout.unpack(order.key(e)) for e in monos] == monos
+        assert [layout.unpack(key(e)) for e in monos] == monos
 
 
 def test_degree_past_packed_limit_raises():
@@ -106,7 +106,7 @@ def test_terms_sorted_and_no_zeros(R):
     x, y, z = R.gens()
     f = x * y + z * z * z - x * y
     assert f == z ** 3
-    keys = [R.order.key(e) for e, _ in (x ** 2 + y ** 2 + x * y).terms]
+    keys = [R.layout.pack(e) for e, _ in (x ** 2 + y ** 2 + x * y).terms]
     assert keys == sorted(keys, reverse=True)
 
 
