@@ -2,10 +2,13 @@
 
 Samples n forms in k variables over GF(32003) with every k of them
 independent, then for each admissible j constructs the j + 1 claimed
-generators, verifies the radical equality (each generator answered by
-a Groebner radical test and by the minimal primes, and the two answers
-cross-checked), and shows what a corrupted certificate looks like when
-it is rejected.
+generators, verifies the radical equality, and shows what a corrupted
+certificate looks like when it is rejected.  Each direction has two
+routes.  That every generator lies in the a-fold product ideal is
+answered by the level partition's labels and by a reduction against
+every minimal prime.  That every a-fold product lies in the radical of
+the generators is answered by the labels, through the Schmitt-Vogel
+lemma, and by a Groebner radical test of each product.
 """
 
 import json

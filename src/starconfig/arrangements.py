@@ -13,11 +13,17 @@ from __future__ import annotations
 
 import random
 from itertools import combinations
+from math import comb
 
 from .errors import DegenerateInputError, GenerationError, UsageError
 from .fields import DEFAULT_PRIME, GF, Field, PrimeField, RationalField
 from .groebner import Ideal, intersect
 from .polynomials import Polynomial, ProductOfForms, Ring
+
+# Most subsets of forms that the flat enumeration may visit, at a few
+# thousand per second.  Every shape in the tests and the benchmark needs
+# under 10,000; 16 forms of rank 10 need 50,642.
+MAX_FLAT_SUBSETS = 100_000
 
 
 def rref(field: Field, rows):
@@ -171,8 +177,15 @@ class Arrangement:
         spanned by h of its forms, so one rref per subset of at most
         rank-1 forms, deduplicated by echelon rows, finds them all; the
         span of all forms comes last.  A flat is the span of its
-        support, so F lies in G exactly when supp F lies in supp G."""
+        support, so F lies in G exactly when supp F lies in supp G.
+        Past MAX_FLAT_SUBSETS subsets the enumeration is refused."""
         if self._flat_cache is None:
+            count = sum(comb(self.n, size) for size in range(1, self.rank()))
+            if count > MAX_FLAT_SUBSETS:
+                raise UsageError(
+                    f"the flats of {self.n} forms of rank {self.rank()} need {count} "
+                    f"subsets of forms, past the limit of {MAX_FLAT_SUBSETS}"
+                )
             spans = {}
             for size in range(1, self.rank()):
                 for subset in combinations(self.forms, size):

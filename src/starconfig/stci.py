@@ -7,21 +7,21 @@ explicit generators.  A certificate is that level partition, stored
 as label tuples so it can be serialized, mutated, and re-verified from
 scratch.
 
-Two things are checked of it.  For any arrangement at all the levels
-satisfy the classical covering and divisibility conditions, so j+1
-level sums always suffice up to radical; that check works on labels
-alone.  For an arrangement whose rank-many subsets are all independent
-the level sums also cut out the a-fold product variety, which
-verify_certificate proves by computer algebra.
+For any arrangement at all the levels satisfy the covering and
+divisibility conditions of the Schmitt-Vogel lemma (Math. Ann. 245,
+1979), so the j+1 level sums cut out the a-fold product variety; that
+check works on labels alone.  For an arrangement whose rank-many
+subsets are all independent, j+1 is also the height, which makes the
+variety a set-theoretic complete intersection.
 
-Verification tests literal containment of each level sum in the
-a-fold ideal and radical membership of each a-fold product in the
-certificate ideal.  Each level sum is also answered by two
-independent routes: containment or, failing that, a Groebner radical
-test against the a-fold ideal; and a reduction against every minimal
-prime, which is exact.  The two answers are cross-checked; a
-disagreement is reported as an internal inconsistency, never resolved
-silently.
+verify_certificate proves each direction of the radical equality
+twice.  The label check covers both: distinct ground-set entries put
+every level sum in the a-fold ideal, and covering plus divisibility
+give the lemma.  Each level sum is also reduced against every minimal
+prime of the a-fold ideal, which is exact, and each a-fold product
+gets a Rabinowitsch radical test against the certificate ideal.  An
+algebraic failure under a passing label check is reported as an
+internal inconsistency, never resolved silently.
 """
 
 from __future__ import annotations
@@ -108,7 +108,8 @@ def corrupt_certificate(cert: SVPartition, mode: str) -> SVPartition:
     drop-summand removes the first product of the last level (F1),
     swap-form replaces form 1 by form 2 throughout the last level, and
     truncate-tail drops one factor from the level-0 product.  Each
-    breaks a different check.
+    fails the label check; drop-summand breaks the a-fold to
+    certificate direction, truncate-tail the other, and swap-form both.
     """
     if mode not in CORRUPTION_MODES:
         raise UsageError(f"unknown corruption mode {mode!r}")
@@ -155,16 +156,17 @@ def verify_certificate(
 ) -> VerificationReport:
     """Check that the certificate cuts out the a-fold product variety.
 
-    The level sums reuse the a-fold ideal's generators, so each a-fold
-    product is expanded once; a level entry outside the ground set, as
-    under some corruptions, is expanded afresh.  The checks run in one
-    order: literal containment of each certificate generator in the
-    a-fold ideal; a Groebner radical test against the a-fold ideal for
-    each generator that containment did not settle; every a-fold
-    product against the certificate radical; every generator reduced
-    against every minimal prime, which is exact; and a cross-check of
-    the two answers for each generator.  A budget turns remaining work
-    into an inconclusive verdict; it never flips a failure already
+    Each direction gets a label proof and one algebraic route.  The
+    checks run in one order: sv-partition, the covering and
+    divisibility conditions on labels, which prove both directions;
+    each a-fold product against the certificate radical, by
+    Rabinowitsch; and each level sum reduced against every minimal
+    prime, which is exact.  The level sums reuse the a-fold ideal's
+    generators, so each a-fold product is expanded once; a level entry
+    outside the ground set, as under some corruptions, is expanded
+    afresh.  When the labels pass but an algebraic check fails, a
+    cross-check reports the disagreement.  A budget turns remaining
+    work into an inconclusive verdict; it never flips a failure already
     found.  A NaN or negative budget is refused; an infinite one never
     cuts.
     """
@@ -176,82 +178,58 @@ def verify_certificate(
     j = cert.j
     a = arr.n - j
     ring = arr.ring
-    afold = arr.afold_ideal(a)
-    # afold.gens are the products of these label tuples, in this order
-    products = dict(zip(combinations(arr.labels, a), afold.gens))
+    # afold_ideal(a).gens are the products of these label tuples, in this order
+    products = dict(zip(combinations(arr.labels, a), arr.afold_ideal(a).gens))
     gens = sv_sums(cert, products)
-    named = tuple(zip(cert.names(), gens))
     cert_ideal = Ideal(ring, gens)
     checks: list[CheckResult] = []
 
-    def run(name, fn, witness_fn):
-        """Run one unit unless the budget is gone; record the outcome."""
+    def run(name, fn):
+        """Run one check unless the budget is gone; fn returns the
+        witness of a failure, or None when the check passes."""
         if deadline is not None and time.monotonic() > deadline:
             checks.append(CheckResult(name, None, "budget exhausted"))
             return None
-        ok = fn()
-        checks.append(CheckResult(name, ok, None if ok else witness_fn()))
-        return ok
+        witness = fn()
+        checks.append(CheckResult(name, witness is None, witness))
+        return witness is None
 
-    contained = [
-        run(
-            f"containment:{name}",
-            lambda g=g: afold.contains(g),
-            lambda name=name: f"{name} does not lie in the {a}-fold product ideal",
-        )
-        for name, g in named
-    ]
-
-    # containment already implies radical membership, so only retest
-    # what failed or was skipped
-    groebner_side = [
-        ok or run(
-            f"radical-membership:{name}-in-afold",
-            lambda g=g: radical_member(g, afold),
-            lambda name=name: f"{name} is not in the radical of the "
-            f"{a}-fold product ideal",
-        )
-        for (name, g), ok in zip(named, contained)
-    ]
-
+    labels_ok = run("sv-partition", lambda: sv_check_partition(cert)[1])
+    rejected = []  # (subject, route) of each failed algebraic check
     for labels, f in products.items():
-        label = _product_label(labels)
-        run(
-            f"radical-membership:{label}-in-certificate",
-            lambda f=f: radical_member(f, cert_ideal),
-            lambda label=label: f"{a}-fold product {label} is not in the "
-            "radical of the certificate ideal",
-        )
+        name = _product_label(labels)
+        if run(
+            f"radical-membership:{name}-in-certificate",
+            lambda f=f, name=name: None if radical_member(f, cert_ideal) else
+            f"{a}-fold product {name} is not in the radical of the certificate ideal",
+        ) is False:
+            rejected.append((name, "Rabinowitsch says"))
 
     primes = [(p, p.gens_in(ring)) for p in arr.minimal_linear_primes(j)]
 
-    def outside(g):
-        """The first minimal prime that does not contain g, if any."""
-        return next((p for p, gens in primes if not reduce(g, gens).is_zero()), None)
-
-    prime_side = [
-        run(
-            f"minimal-primes:{name}",
-            lambda g=g: outside(g) is None,
-            lambda name=name, g=g: f"{name} is not in the minimal prime "
-            f"spanned by forms {list(outside(g).support)}",
+    def outside(name, g):
+        """The witness of a minimal prime that does not contain g, if any."""
+        p = next((p for p, pgens in primes if not reduce(g, pgens).is_zero()), None)
+        return None if p is None else (
+            f"{name} is not in the minimal prime spanned by forms {list(p.support)}"
         )
-        for name, g in named
-    ]
 
-    # both routes answered the same question for each generator:
-    # membership in the a-fold radical, which is the intersection of the
-    # minimal primes; any disagreement is a bug, not a verdict
-    for (name, _), gside, pside in zip(named, groebner_side, prime_side):
-        if gside is not None and pside is not None and gside != pside:
-            checks.append(
-                CheckResult(
-                    f"cross-check:{name}",
-                    False,
-                    f"routes disagree on {name}: groebner says "
-                    f"{gside}, minimal primes say {pside}",
-                )
+    for name, g in zip(cert.names(), gens):
+        if run(f"minimal-primes:{name}", lambda name=name, g=g: outside(name, g)) is False:
+            rejected.append((name, "the minimal primes say"))
+
+    # a passing label proof implies every algebraic answer, so a failure
+    # under it is a bug, not a verdict; the converse does not hold
+    if labels_ok:
+        checks.extend(
+            CheckResult(
+                f"cross-check:{name}",
+                False,
+                f"routes disagree on {name}: the level partition says True, "
+                f"{route} False",
             )
+            for name, route in rejected
+        )
 
     failed = any(c.ok is False for c in checks)
     skipped = any(c.ok is None for c in checks)

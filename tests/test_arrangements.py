@@ -412,3 +412,14 @@ def test_one_rref_per_subset_of_flats(monkeypatch):
         arr.height_afold(j)
     arr.min_distance()
     assert 0 < len(calls) <= comb(9, 1) + comb(9, 2) + comb(9, 3) + 2
+
+
+def test_flat_enumeration_refuses_past_its_limit(monkeypatch):
+    """Six forms of rank 4 take 6 + 15 + 20 = 41 subsets to find the flats."""
+    rows = random_generic_arrangement(4, 6, GF(32003), seed=0).forms
+    monkeypatch.setattr(arrangements, "MAX_FLAT_SUBSETS", 41)
+    assert Arrangement(GF(32003), rows).min_distance() == 3
+    monkeypatch.setattr(arrangements, "MAX_FLAT_SUBSETS", 40)
+    with pytest.raises(UsageError) as exc:
+        Arrangement(GF(32003), rows).min_distance()
+    assert "need 41 subsets" in str(exc.value) and "limit of 40" in str(exc.value)

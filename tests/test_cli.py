@@ -292,6 +292,22 @@ def test_usage_errors_exit_two(capsys, tmp_path):
     capsys.readouterr()
 
 
+def test_too_many_flats_exit_two(capsys, tmp_path):
+    """18 forms of rank 16 would take 261,971 subsets of forms to find
+    the flats; every subcommand that needs them refuses at once."""
+    assert run(["random", "--k", "16", "--n", "18"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "261971 subsets" in err and "limit of 100000" in err
+    forms = [[int(i == c) for c in range(16)] for i in range(16)]
+    forms += [[1] * 16, [c + 1 for c in range(16)]]
+    path = tmp_path / "wide.json"
+    path.write_text(json.dumps({"field": "GF(32003)", "forms": forms}))
+    for args in (["min-distance"], ["height", "--all-j"], ["verify", "--j", "1"]):
+        assert run(args + [str(path)]) == 2, args
+        assert "261971 subsets" in capsys.readouterr().err
+
+
 def test_console_script_runs(child_env):
     proc = subprocess.run(
         [sys.executable, "-m", "starconfig", "min-distance", HARTSHORNE],

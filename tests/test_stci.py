@@ -11,6 +11,7 @@ from starconfig import stci
 from starconfig.arrangements import Arrangement, random_generic_arrangement
 from starconfig.errors import GenericityError, UsageError
 from starconfig.fields import GF, QQ
+from starconfig.groebner import Ideal
 from starconfig.stci import (
     CORRUPTION_MODES,
     SVPartition,
@@ -129,20 +130,34 @@ def test_corrupted_certificates_fail_with_witnesses(coord_plus_sum):
 
 
 def test_corruption_modes_break_different_checks(coord_plus_sum):
-    cert = theorem_generators(coord_plus_sum, 1)
-    first_failures = {}
-    for mode in CORRUPTION_MODES:
-        rep = verify_certificate(corrupt_certificate(cert, mode))
-        first_failures[mode] = next(c.name for c in rep.checks if c.ok is False)
-    # the tail corruption is caught at containment, the summand drop only
-    # at the radical stage
-    assert first_failures["truncate-tail"].startswith("containment")
-    assert first_failures["drop-summand"].startswith("radical-membership")
+    """Every corruption fails the label check with a product witness, and
+    the algebraic route of the direction it broke fails too: a dropped
+    summand loses a product from the certificate radical, a truncated
+    tail leaves the a-fold ideal, and a swapped form does both."""
+    generic = random_generic_arrangement(4, 6, field=GF(32003), seed=0)
+    for arr, j in ((coord_plus_sum, 1), (generic, 1), (generic, 2)):
+        cert = theorem_generators(arr, j)
+        for mode in CORRUPTION_MODES:
+            rep = verify_certificate(corrupt_certificate(cert, mode))
+            failures = [c for c in rep.checks if c.ok is False]
+            assert failures[0].name == "sv-partition", (j, mode)
+            assert failures[0].witness.startswith("product l"), (j, mode)
+            kinds = {c.name.split(":")[0] for c in failures[1:]}
+            first = failures[1].name
+            if mode == "drop-summand":
+                assert first.startswith("radical-membership:") and first.endswith("-in-certificate")
+                assert kinds == {"radical-membership"}
+            elif mode == "truncate-tail":
+                assert first == "minimal-primes:tail"
+                assert kinds == {"minimal-primes"}
+            else:
+                assert kinds == {"radical-membership", "minimal-primes"}, j
+            assert not any(c.name.startswith("cross-check") for c in rep.checks)
 
 
 def test_disagreeing_routes_fail_the_cross_check(coord_plus_sum, monkeypatch):
-    # a minimal prime that wrongly rejects F1, while containment and the
-    # Groebner route still accept it
+    # a minimal prime that wrongly rejects F1, while the level partition
+    # still proves it lies in the a-fold ideal
     cert = theorem_generators(coord_plus_sum, 1)
     f1 = cert.gens[-1]
     original = stci.reduce
@@ -152,8 +167,40 @@ def test_disagreeing_routes_fail_the_cross_check(coord_plus_sum, monkeypatch):
     cross = [c for c in rep.checks if c.name.startswith("cross-check")]
     assert [c.name for c in cross] == ["cross-check:F1"]
     assert cross[0].ok is False
-    assert "groebner says True" in cross[0].witness
-    assert "minimal primes say False" in cross[0].witness
+    assert "the level partition says True" in cross[0].witness
+    assert "the minimal primes say False" in cross[0].witness
+
+
+def test_rejected_product_fails_the_cross_check(coord_plus_sum, monkeypatch):
+    # a Rabinowitsch run that wrongly rejects one a-fold product, while
+    # the level partition still proves it lies in the certificate radical
+    cert = theorem_generators(coord_plus_sum, 1)
+    f = coord_plus_sum.product((1, 3, 4))
+    original = stci.radical_member
+    monkeypatch.setattr(
+        stci, "radical_member", lambda g, ideal: g != f and original(g, ideal)
+    )
+    rep = verify_certificate(cert)
+    assert rep.holds is False and rep.status == "fails"
+    assert [c.name for c in rep.checks if c.ok is False] == [
+        "radical-membership:l1*l3*l4-in-certificate",
+        "cross-check:l1*l3*l4",
+    ]
+    cross = rep.checks[-1]
+    assert "the level partition says True" in cross.witness
+    assert "Rabinowitsch says False" in cross.witness
+
+
+def test_verify_computes_no_groebner_basis_of_an_ideal(coord_plus_sum, monkeypatch):
+    def refuse(ideal):
+        raise AssertionError("verify asked for a Groebner basis")
+
+    monkeypatch.setattr(Ideal, "groebner_basis", refuse)
+    for arr, j in ((coord_plus_sum, 1), (random_generic_arrangement(4, 6, GF(32003), seed=0), 2)):
+        rep = verify_certificate(theorem_generators(arr, j))
+        assert rep.holds is True and rep.stci is True
+        names = [c.name for c in rep.checks]
+        assert names.count("sv-partition") == 1 and names[0] == "sv-partition"
 
 
 def test_unknown_corruption_mode(coord_plus_sum):
@@ -324,3 +371,43 @@ def test_random_generic_verification_property(seed, k, extra):
         ok, witness = sv_check_partition(part)
         assert ok, witness
         assert sv_sums(part) == theorem_generators(arr, j).gens
+
+
+@settings(max_examples=6, deadline=None)
+@given(
+    field=st.sampled_from([GF(32003), QQ]),
+    seed=st.integers(0, 10 ** 6),
+    k=st.integers(3, 4),
+    extra=st.integers(0, 2),
+    data=st.data(),
+)
+def test_relabelled_and_random_partitions(field, seed, k, extra, data):
+    """The level conditions depend on labels alone, so any relabelling of
+    the canonical partition passes them and verifies.  A random
+    assignment of the products to levels still sums products, so every
+    level sum lies in every minimal prime, and no route contradicts the
+    label check whatever it says.  Random assignments stay at j = 1:
+    at j = 2 over QQ one Rabinowitsch run on such an ideal can take
+    over 10 s."""
+    arr = random_generic_arrangement(k, k + extra, field=field, seed=seed)
+    j = data.draw(st.integers(1, k - 2), label="j")
+    relabel = dict(zip(arr.labels, data.draw(st.permutations(arr.labels), label="labels")))
+    canonical = sv_ara_partition(arr, j).levels
+    permuted = SVPartition(
+        arr, j, [[[relabel[i] for i in p] for p in level] for level in canonical]
+    )
+    assert sv_check_partition(permuted) == (True, None)
+    rep = verify_certificate(permuted)
+    assert rep.holds is True and rep.stci is True
+
+    ground = list(combinations(arr.labels, arr.n - 1))
+    count = data.draw(st.integers(1, 3), label="level count")
+    where = data.draw(
+        st.lists(st.integers(0, count - 1), min_size=len(ground), max_size=len(ground)),
+        label="levels",
+    )
+    part = SVPartition(arr, 1, [[p for p, u in zip(ground, where) if u == v] for v in range(count)])
+    rep = verify_certificate(part)
+    assert all(c.ok for c in rep.checks if c.name.startswith("minimal-primes"))
+    assert not any(c.name.startswith("cross-check") for c in rep.checks)
+    assert rep.holds is sv_check_partition(part)[0]
