@@ -7,13 +7,7 @@ same variety, and verify the radical equality mechanically by two
 independent routes.
 """
 
-from .arrangements import (
-    Arrangement,
-    LinearPrime,
-    matrix_rank,
-    random_generic_arrangement,
-    rref,
-)
+from .arrangements import Arrangement, LinearPrime, random_generic_arrangement
 from .errors import (
     DegenerateInputError,
     GenerationError,
@@ -23,19 +17,8 @@ from .errors import (
     UsageError,
 )
 from .fields import DEFAULT_PRIME, GF, Field, PrimeField, QQ, RationalField
-from .groebner import (
-    Ideal,
-    buchberger,
-    intersect,
-    radical_member,
-    reduce,
-    s_polynomial,
-)
-from .polynomials import (
-    Polynomial,
-    ProductOfForms,
-    Ring,
-)
+from .groebner import Ideal, buchberger, intersect, radical_member
+from .polynomials import Polynomial, Ring
 from .stci import (
     CORRUPTION_MODES,
     CheckResult,
@@ -66,7 +49,6 @@ __all__ = [
     "ParseError",
     "Polynomial",
     "PrimeField",
-    "ProductOfForms",
     "QQ",
     "RationalField",
     "Ring",
@@ -77,12 +59,8 @@ __all__ = [
     "buchberger",
     "corrupt_certificate",
     "intersect",
-    "matrix_rank",
     "radical_member",
     "random_generic_arrangement",
-    "reduce",
-    "rref",
-    "s_polynomial",
     "sv_ara_partition",
     "sv_check_partition",
     "sv_sums",

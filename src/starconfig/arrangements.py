@@ -104,16 +104,6 @@ class LinearPrime:
     def ideal_in(self, ring: Ring) -> Ideal:
         return Ideal(ring, self.gens_in(ring))
 
-    def __eq__(self, other):
-        return (
-            isinstance(other, LinearPrime)
-            and self.field == other.field
-            and self.rows == other.rows
-        )
-
-    def __hash__(self):
-        return hash((self.field, self.rows))
-
     def __repr__(self):
         return f"LinearPrime(height={self.height}, support={list(self.support)})"
 

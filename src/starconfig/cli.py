@@ -20,6 +20,7 @@ import sys
 import time
 from dataclasses import asdict
 from fractions import Fraction
+from functools import cache
 
 from .arrangements import Arrangement, random_generic_arrangement
 from .errors import ParseError, StarConfigError, UsageError
@@ -124,8 +125,10 @@ def _emit(data: dict):
     sys.stdout.write("\n")
 
 
+@cache
 def _build_parser() -> argparse.ArgumentParser:
-    # the shared flags live on a parent parser and use SUPPRESS so they
+    # built once per process, since parse_args keeps no state in it.
+    # The shared flags live on a parent parser and use SUPPRESS so they
     # can be given before or after the subcommand without the
     # subparser's default clobbering an earlier value
     common = argparse.ArgumentParser(add_help=False)

@@ -150,10 +150,7 @@ QQ = RationalField()
 #: strong probabilistic evidence for the corresponding statement over the
 #: rationals; rerun over QQ when an exact characteristic-zero answer is
 #: required.  The Groebner core divides fraction-free on integer
-#: polynomials, so QQ is not much slower: in single runs of
-#: ``verify --mode both`` on seed-0 random arrangements, QQ took 1.5-2.5x
-#: the GF(p) time at (k, n, j) = (4,6,2), (5,7,2) and (5,8,2), and 5.6x
-#: at (5,8,3) (33 s).
+#: polynomials, so QQ costs a small factor more, growing with the shape.
 DEFAULT_PRIME = 32003
 
 

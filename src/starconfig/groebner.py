@@ -41,6 +41,7 @@ from __future__ import annotations
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from math import gcd, lcm
+from time import monotonic
 
 from .errors import UsageError
 from .orders import degree_error, elimination_layout, grevlex_layout
@@ -48,8 +49,8 @@ from .polynomials import Polynomial, Ring
 
 # The core works on packed terms: lists of (packed monomial, int
 # coefficient) pairs, descending, with no zero coefficient.  A basis
-# element is normalized by ``_normalize`` and also kept as a divisor:
-# (leading monomial, (leading coefficient, tail)).
+# element or divisor is one record, built by ``_record``: (leading
+# monomial, (leading coefficient, tail)).
 
 
 def _pack(f: Polynomial, layout, pad=()):
@@ -73,8 +74,8 @@ def _unpack(ring: Ring, layout, terms, scale) -> Polynomial:
 
 
 def _normalize(terms, p):
-    """The basis element for nonzero packed terms: monic residues over
-    GF(p), primitive with a positive leading coefficient over QQ."""
+    """Nonzero packed terms normalized: monic residues over GF(p),
+    primitive with a positive leading coefficient over QQ."""
     c = terms[0][1]
     if p:
         if c == 1:
@@ -87,6 +88,12 @@ def _normalize(terms, p):
     if g == 1:
         return terms
     return [(m, v // g) for m, v in terms]
+
+
+def _record(terms, p):
+    """The basis record of nonzero packed terms, normalized."""
+    terms = _normalize(terms, p)
+    return terms[0][0], (terms[0][1], terms[1:])
 
 
 def _reduce(work, divisors, p, layout, full=True):
@@ -165,7 +172,7 @@ def _reduce(work, divisors, p, layout, full=True):
 
 
 def _spoly(l, a, b, layout):
-    """S-polynomial of packed basis elements a and b with lcm l, up to a
+    """S-polynomial of basis records a and b with lcm l, up to a
     nonzero scalar, as a dict whose coefficients ``_reduce`` normalizes.
 
     With g = gcd(lc_a, lc_b), the tails are multiplied by lc_b/g and
@@ -173,13 +180,13 @@ def _spoly(l, a, b, layout):
     factors are 1 over GF(p).
     """
     guard = layout.guard
-    (ma, ca), (mb, cb) = a[0], b[0]
+    (ma, (ca, tail_a)), (mb, (cb, tail_b)) = a, b
     g = gcd(ca, cb)
     ua, ub = cb // g, ca // g
     qa, qb = l - ma, l - mb
-    work = {qa + m: c * ua for m, c in a[1:]}
+    work = {qa + m: c * ua for m, c in tail_a}
     get = work.get
-    for m, c in b[1:]:
+    for m, c in tail_b:
         mt = qb + m
         work[mt] = get(mt, 0) - c * ub
     for mt in work:
@@ -206,8 +213,7 @@ def reduce(f: Polynomial, basis) -> Polynomial:
             continue
         if g.ring != ring:
             raise UsageError("divisor lives in a different ring")
-        terms = _normalize(_pack(g, layout)[0], p)
-        divisors.append((terms[0][0], (terms[0][1], terms[1:])))
+        divisors.append(_record(_pack(g, layout)[0], p))
     work, den = _pack(f, layout)
     terms, scale = _reduce(dict(work), divisors, p, layout)
     return _unpack(ring, layout, terms, den * scale)
@@ -223,10 +229,10 @@ def s_polynomial(f: Polynomial, g: Polynomial) -> Polynomial:
     p = ring.field.characteristic
     layout = ring.layout
     l = layout.pack(tuple(map(max, f.lm(), g.lm())))
-    a, b = _normalize(_pack(f, layout)[0], p), _normalize(_pack(g, layout)[0], p)
+    a, b = _record(_pack(f, layout)[0], p), _record(_pack(g, layout)[0], p)
     terms, _ = _reduce(_spoly(l, a, b, layout), (), p, layout)
     # _spoly's result is lcm(lc_a, lc_b) times the monic S-polynomial
-    return _unpack(ring, layout, terms, lcm(a[0][1], b[0][1]))
+    return _unpack(ring, layout, terms, lcm(a[1][0], b[1][0]))
 
 
 def buchberger(gens):
@@ -247,7 +253,7 @@ def buchberger(gens):
     return tuple(_unpack(ring, layout, terms, terms[0][1]) for terms in basis)
 
 
-def _groebner(packed_gens, p, layout):
+def _groebner(packed_gens, p, layout, deadline=None):
     """Reduced basis of packed int generators over GF(p), or over QQ
     when p is 0, as normalized packed terms sorted by leading monomial.
 
@@ -258,20 +264,19 @@ def _groebner(packed_gens, p, layout):
     Stops with the unit basis as soon as a reduced generator or an
     S-pair remainder is a nonzero constant (packed monomial 0 in every
     layout): the ideal is then the whole ring, whose reduced basis is
-    (1,) whatever else the pair queue holds.
+    (1,) whatever else the pair queue holds.  Past deadline, a
+    ``time.monotonic()`` value, the next popped S-pair raises
+    ``TimeoutError``.
     """
     guard = layout.guard
     pack, unpack = layout.pack, layout.unpack
     unit = [[(0, 1)]]
 
     basis = []
-    divisors = []
     lm_exps = []
 
     def append(terms):
-        terms = _normalize(terms, p)
-        basis.append(terms)
-        divisors.append((terms[0][0], (terms[0][1], terms[1:])))
+        basis.append(_record(terms, p))
         lm_exps.append(unpack(terms[0][0]))
 
     def pair_lcm(i, j):
@@ -279,7 +284,7 @@ def _groebner(packed_gens, p, layout):
 
     for terms in packed_gens:
         if basis:
-            terms = _reduce(dict(terms), divisors, p, layout)[0]
+            terms = _reduce(dict(terms), basis, p, layout)[0]
         if terms:
             if terms[0][0] == 0:
                 return unit
@@ -293,7 +298,7 @@ def _groebner(packed_gens, p, layout):
             heappush(heap, (pair_lcm(i, j), i, j))
 
     def chain_skippable(i, j, l):
-        for k, (lmk, _) in enumerate(divisors):
+        for k, (lmk, _) in enumerate(basis):
             if k == i or k == j:
                 continue
             if not (l - lmk) & guard:
@@ -305,14 +310,16 @@ def _groebner(packed_gens, p, layout):
 
     while heap:
         l, i, j = heappop(heap)
+        if deadline is not None and monotonic() > deadline:
+            raise TimeoutError("the time budget ran out during a Groebner basis")
         if (i, j) not in pending:
             continue
         pending.discard((i, j))
-        if l == divisors[i][0] + divisors[j][0]:
+        if l == basis[i][0] + basis[j][0]:
             continue
         if chain_skippable(i, j, l):
             continue
-        r = _reduce(_spoly(l, basis[i], basis[j], layout), divisors, p, layout, False)[0]
+        r = _reduce(_spoly(l, basis[i], basis[j], layout), basis, p, layout, False)[0]
         if not r:
             continue
         if r[0][0] == 0:
@@ -323,24 +330,18 @@ def _groebner(packed_gens, p, layout):
             pending.add((i2, t))
             heappush(heap, (pair_lcm(i2, t), i2, t))
 
-    # keep only generators whose leading monomial is not covered
-    lms = [lm for lm, _ in divisors]
-    keep = []
-    for i, lm in enumerate(lms):
-        covered = any(
-            not (lm - lms[k]) & guard and (lms[k] != lm or k < i)
-            for k in range(len(basis))
-            if k != i
-        )
-        if not covered:
-            keep.append(i)
-    minimal = [divisors[i] for i in keep]
+    # keep the first element of each leading monomial that no kept one
+    # divides; a divisor never sorts after what it divides, so in
+    # ascending order every element is met after its divisors
+    minimal = []
+    for lm, body in sorted(basis, key=lambda record: record[0]):
+        if all((lm - kept) & guard for kept, _ in minimal):
+            minimal.append((lm, body))
 
     reduced = []
-    for i in range(len(keep)):
+    for i, (lm, (lc, tail)) in enumerate(minimal):
         others = minimal[:i] + minimal[i + 1 :]
-        reduced.append(_normalize(_reduce(dict(basis[keep[i]]), others, p, layout)[0], p))
-    reduced.sort(key=lambda terms: terms[0][0])
+        reduced.append(_normalize(_reduce(dict([(lm, lc), *tail]), others, p, layout)[0], p))
     return reduced
 
 
@@ -411,13 +412,14 @@ def intersect(a: Ideal, b: Ideal) -> Ideal:
     return Ideal(ring, tuple(kept))
 
 
-def radical_member(f: Polynomial, ideal: Ideal) -> bool:
+def radical_member(f: Polynomial, ideal: Ideal, deadline=None) -> bool:
     """Does f lie in the radical of the ideal?
 
     Exact both ways: f is in rad(I) iff the ideal I + <1 - y*f> in one
     more variable y, last under grevlex, is the whole ring.  That system
     is packed here in ``grevlex_layout`` with y padded on, which keeps
-    every generator's terms sorted.
+    every generator's terms sorted.  Past deadline, a
+    ``time.monotonic()`` value, the Groebner run raises ``TimeoutError``.
     """
     if f.ring != ideal.ring:
         raise UsageError("element lives in a different ring")
@@ -431,4 +433,4 @@ def radical_member(f: Polynomial, ideal: Ideal) -> bool:
     rabinowitsch, den = _pack(f, layout, (1,))
     rabinowitsch.append((0, p - den))
     gens.append(rabinowitsch)
-    return _groebner(gens, p, layout) == [[(0, 1)]]
+    return _groebner(gens, p, layout, deadline) == [[(0, 1)]]

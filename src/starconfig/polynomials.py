@@ -26,7 +26,7 @@ class Ring:
     """Polynomial ring context: field, arity, names, and the grevlex
     layout that packs its monomials (see ``orders``)."""
 
-    __slots__ = ("field", "nvars", "names", "layout", "_zero_exps")
+    __slots__ = ("field", "nvars", "names", "layout", "_zero_exps", "_units")
 
     # every ring is grevlex; the name stays readable for bench/tracer.py,
     # which labels Groebner basis spans by ring and order
@@ -48,6 +48,7 @@ class Ring:
         if repeated is not None:
             raise UsageError(f"variable name {repeated!r} is repeated")
         self._zero_exps = (0,) * nvars
+        self._units = tuple(tuple(int(j == i) for j in range(nvars)) for i in range(nvars))
 
     def __eq__(self, other):
         return (
@@ -64,7 +65,8 @@ class Ring:
         return f"{self.field}[{', '.join(self.names)}]"
 
     def from_dict(self, coeffs: dict) -> "Polynomial":
-        """Build a polynomial from {exponent tuple: coefficient}."""
+        """Build a polynomial from {exponent tuple: coefficient}.  This
+        is where zero coefficients are dropped, for the arithmetic too."""
         pack = self.layout.pack
         terms = []
         for exps, c in coeffs.items():
@@ -92,23 +94,19 @@ class Ring:
     def gen(self, i: int) -> "Polynomial":
         if not 0 <= i < self.nvars:
             raise UsageError(f"no variable with index {i}")
-        exps = tuple(1 if j == i else 0 for j in range(self.nvars))
-        return Polynomial(self, ((exps, self.field.one),))
+        return Polynomial(self, ((self._units[i], self.field.one),))
 
     def gens(self):
         return tuple(self.gen(i) for i in range(self.nvars))
 
     def linear(self, coeffs) -> "Polynomial":
-        """The form sum(coeffs[i] * x_i)."""
+        """The form sum(coeffs[i] * x_i).  Grevlex puts x_1 > ... > x_n
+        on degree-1 monomials, so index order is already term order."""
         coeffs = tuple(coeffs)
         if len(coeffs) != self.nvars:
             raise UsageError(f"expected {self.nvars} coefficients, got {len(coeffs)}")
-        d = {}
-        for i, c in enumerate(coeffs):
-            if c != self.field.zero:
-                exps = tuple(1 if j == i else 0 for j in range(self.nvars))
-                d[exps] = c
-        return self.from_dict(d)
+        zero = self.field.zero
+        return Polynomial(self, tuple((u, c) for u, c in zip(self._units, coeffs) if c != zero))
 
 
 class Polynomial:
@@ -160,11 +158,7 @@ class Polynomial:
         f = self.ring.field
         acc = dict(self.terms)
         for e, c in other.terms:
-            s = f.add(acc.get(e, f.zero), c)
-            if s == f.zero:
-                acc.pop(e, None)
-            else:
-                acc[e] = s
+            acc[e] = f.add(acc.get(e, f.zero), c)
         return self.ring.from_dict(acc)
 
     __radd__ = __add__
@@ -195,11 +189,7 @@ class Polynomial:
         for ea, ca in self.terms:
             for eb, cb in other.terms:
                 e = mono_mul(ea, eb)
-                s = f.add(acc.get(e, zero), f.mul(ca, cb))
-                if s == zero:
-                    acc.pop(e, None)
-                else:
-                    acc[e] = s
+                acc[e] = f.add(acc.get(e, zero), f.mul(ca, cb))
         return self.ring.from_dict(acc)
 
     __rmul__ = __mul__

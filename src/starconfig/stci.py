@@ -161,14 +161,14 @@ def verify_certificate(
     divisibility conditions on labels, which prove both directions;
     each a-fold product against the certificate radical, by
     Rabinowitsch; and each level sum reduced against every minimal
-    prime, which is exact.  The level sums reuse the a-fold ideal's
-    generators, so each a-fold product is expanded once; a level entry
-    outside the ground set, as under some corruptions, is expanded
-    afresh.  When the labels pass but an algebraic check fails, a
-    cross-check reports the disagreement.  A budget turns remaining
-    work into an inconclusive verdict; it never flips a failure already
-    found.  A NaN or negative budget is refused; an infinite one never
-    cuts.
+    prime, which is exact.  Each a-fold product is expanded once, keyed
+    by its label tuple, and the level sums reuse those expansions; a
+    level entry outside the ground set, as under some corruptions, is
+    expanded afresh.  When the labels pass but an algebraic check
+    fails, a cross-check reports the disagreement.  A budget turns
+    remaining work into an inconclusive verdict, a Rabinowitsch run
+    that it cuts included; it never flips a failure already found.  A
+    NaN or negative budget is refused; an infinite one never cuts.
     """
     if budget_seconds is not None and not budget_seconds >= 0:
         raise UsageError(f"budget must be a nonnegative number of seconds, got {budget_seconds}")
@@ -176,21 +176,24 @@ def verify_certificate(
     deadline = t0 + budget_seconds if budget_seconds is not None else None
     arr = cert.arrangement
     j = cert.j
+    arr._check_j(j)
     a = arr.n - j
     ring = arr.ring
-    # afold_ideal(a).gens are the products of these label tuples, in this order
-    products = dict(zip(combinations(arr.labels, a), arr.afold_ideal(a).gens))
+    products = {s: arr.product(s) for s in combinations(arr.labels, a)}
     gens = sv_sums(cert, products)
     cert_ideal = Ideal(ring, gens)
     checks: list[CheckResult] = []
 
     def run(name, fn):
-        """Run one check unless the budget is gone; fn returns the
-        witness of a failure, or None when the check passes."""
-        if deadline is not None and time.monotonic() > deadline:
+        """Run one check unless the budget is gone or cuts it; fn
+        returns the witness of a failure, or None when the check passes."""
+        try:
+            if deadline is not None and time.monotonic() > deadline:
+                raise TimeoutError
+            witness = fn()
+        except TimeoutError:
             checks.append(CheckResult(name, None, "budget exhausted"))
             return None
-        witness = fn()
         checks.append(CheckResult(name, witness is None, witness))
         return witness is None
 
@@ -200,7 +203,7 @@ def verify_certificate(
         name = _product_label(labels)
         if run(
             f"radical-membership:{name}-in-certificate",
-            lambda f=f, name=name: None if radical_member(f, cert_ideal) else
+            lambda f=f, name=name: None if radical_member(f, cert_ideal, deadline=deadline) else
             f"{a}-fold product {name} is not in the radical of the certificate ideal",
         ) is False:
             rejected.append((name, "Rabinowitsch says"))
@@ -324,7 +327,7 @@ def sv_sums(partition: SVPartition, expanded=None):
     When the partition passes the checks, these cut out the same
     variety as the whole ground set, bounding the arithmetic rank by
     the number of levels.  expanded maps label tuples to products
-    already expanded, such as the a-fold ideal's generators; a product
+    already expanded, as ``verify_certificate`` passes them; a product
     it lacks is expanded here.
     """
     arr = partition.arrangement

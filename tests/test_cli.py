@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 from starconfig.arrangements import random_generic_arrangement
-from starconfig.cli import parse_arrangement, parse_field_spec, run
+from starconfig.cli import _build_parser, parse_arrangement, parse_field_spec, run
 from starconfig.errors import ParseError
 from starconfig.fields import GF, QQ
 
@@ -159,6 +159,14 @@ def test_verify_corrupt_exits_one(capsys):
         assert rep["status"] == "fails"
         witnesses = [c["witness"] for c in rep["checks"] if c["ok"] is False]
         assert witnesses and all(witnesses)
+
+
+def test_shared_parser_keeps_no_flag_between_runs(capsys):
+    assert _build_parser() is _build_parser()
+    assert run(["--field", "GF(7)", "min-distance", COORD_PLUS_SUM]) == 0
+    assert read_report(capsys)["field"] == "GF(7)"
+    assert run(["min-distance", COORD_PLUS_SUM]) == 0
+    assert read_report(capsys)["field"] == "QQ"
 
 
 def test_verify_budget_exits_three(capsys):

@@ -5,6 +5,7 @@ Buchberger implementation, on a battery of deterministic fixtures.
 """
 
 import random
+import time
 from fractions import Fraction
 from math import gcd
 
@@ -339,6 +340,15 @@ def test_radical_membership_basics(R):
     # with no generator to reduce it, y*f - 1 enters the core as packed
     assert not radical_member(x, Ideal(R, ()))
     assert not radical_member(R.one, Ideal(R, (R.zero,)))
+
+
+def test_radical_member_past_its_deadline_raises(R):
+    x, _, _ = R.gens()
+    # x^2 and y*x - 1 reduce neither other, so the run pops an S-pair
+    ideal = Ideal(R, (x ** 2,))
+    with pytest.raises(TimeoutError):
+        radical_member(x, ideal, deadline=time.monotonic() - 1)
+    assert radical_member(x, ideal, deadline=time.monotonic() + 60)
 
 
 def _power_hit(f, ideal, limit=6):

@@ -110,6 +110,25 @@ def test_terms_sorted_and_no_zeros(R):
     assert keys == sorted(keys, reverse=True)
 
 
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_linear_matches_from_dict(data):
+    """A row with zero entries becomes the same polynomial as from_dict
+    of its terms, already descending by packed key."""
+    field = data.draw(st.sampled_from([GF(7), GF(32003), QQ]))
+    n = data.draw(st.integers(1, 6))
+    nums = data.draw(st.lists(st.integers(-3, 3), min_size=n, max_size=n))
+    den = field.from_int(data.draw(st.integers(1, 4)))
+    row = [field.div(field.from_int(c), den) for c in nums]
+    ring = Ring(field, n)
+    f = ring.linear(row)
+    units = [tuple(int(j == i) for j in range(n)) for i in range(n)]
+    assert f.terms == ring.from_dict(dict(zip(units, row))).terms
+    keys = [ring.layout.pack(e) for e, _ in f.terms]
+    assert all(a > b for a, b in zip(keys, keys[1:]))
+    assert len(f.terms) == sum(c != 0 for c in nums)
+
+
 def test_binomial_square_in_characteristic_two():
     R2 = Ring(GF(2), 2)
     x, y = R2.gens()

@@ -1,6 +1,7 @@
 """Explicit generators, their verification, and the level partitions."""
 
 import json
+import time
 from itertools import combinations
 from math import comb
 
@@ -14,6 +15,7 @@ from starconfig.fields import GF, QQ
 from starconfig.groebner import Ideal
 from starconfig.stci import (
     CORRUPTION_MODES,
+    CheckResult,
     SVPartition,
     corrupt_certificate,
     sv_ara_partition,
@@ -178,7 +180,7 @@ def test_rejected_product_fails_the_cross_check(coord_plus_sum, monkeypatch):
     f = coord_plus_sum.product((1, 3, 4))
     original = stci.radical_member
     monkeypatch.setattr(
-        stci, "radical_member", lambda g, ideal: g != f and original(g, ideal)
+        stci, "radical_member", lambda g, ideal, **kw: g != f and original(g, ideal, **kw)
     )
     rep = verify_certificate(cert)
     assert rep.holds is False and rep.status == "fails"
@@ -215,6 +217,26 @@ def test_budget_gives_inconclusive(coord_plus_sum):
     assert rep.status == "inconclusive"
     assert rep.stci is None
     assert all(c.ok is None for c in rep.checks)
+
+
+def test_budget_cuts_a_running_radical_test():
+    # these levels fail the label check, and over QQ the Rabinowitsch
+    # run for l1*l2*l3 alone takes seconds: the budget must stop it
+    # mid-run, not only between checks
+    arr = random_generic_arrangement(4, 5, QQ, seed=11)
+    levels = [
+        [(1, 4, 5), (2, 4, 5)],
+        [(1, 3, 4), (1, 3, 5), (1, 2, 3), (1, 2, 5), (2, 3, 4)],
+        [(2, 3, 5), (1, 2, 4), (3, 4, 5)],
+    ]
+    t0 = time.monotonic()
+    rep = verify_certificate(SVPartition(arr, 2, levels), budget_seconds=0.5)
+    assert time.monotonic() - t0 < 2.5
+    assert rep.holds is False and rep.status == "fails"
+    assert rep.checks[0].name == "sv-partition" and rep.checks[0].ok is False
+    assert rep.checks[1] == CheckResult(
+        "radical-membership:l1*l2*l3-in-certificate", None, "budget exhausted"
+    )
 
 
 def test_nan_and_negative_budgets_rejected(coord_plus_sum):
