@@ -161,6 +161,31 @@ class Arrangement:
             self._rank = matrix_rank(self.field, self.forms)
         return self._rank
 
+    def adapted(self) -> "Arrangement":
+        """The same forms, labels and field, in coordinates where a
+        basis of the forms are the variables.
+
+        The basis is chosen greedily from the last form backwards, so
+        on a generic arrangement it is the last rank forms, and the
+        tail product shares their variables.  Basis form i, in label
+        order, becomes the variable x_i, and every form is rewritten as
+        its coefficients in the basis, so a basis form's row is a unit
+        row.  Both come from one rref of the forms written as columns,
+        last form first: the pivot columns are the greedy basis, and
+        row operations keep every linear relation among columns, so
+        each column holds its form's coefficients in that basis, one
+        row per basis form, last form first.  A linear change of
+        variables is a graded ring automorphism, and a rank below the
+        number of variables leaves the forms in a polynomial subring,
+        so radical membership, heights and the supports of flats, and
+        with them every statement made in labels, are the same in both
+        coordinates.
+        """
+        rows, _ = rref(self.field, list(zip(*reversed(self.forms))))
+        return Arrangement(
+            self.field, [[row[self.n - label] for row in reversed(rows)] for label in self.labels]
+        )
+
     def _flats(self):
         """Every nonzero flat, as a LinearPrime whose support is the
         labels of the forms in its span.  A proper flat of height h is

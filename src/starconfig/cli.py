@@ -308,6 +308,9 @@ def run(argv=None) -> int:
             }
 
         elif args.subcommand == "verify":
+            # a report speaks only in labels, which a change of variables
+            # keeps, so every j is verified where the last forms are variables
+            arr = arr.adapted()
             js = [args.j]
             if args.all_j:
                 r = arr.rank()

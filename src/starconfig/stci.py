@@ -36,6 +36,12 @@ from .errors import GenericityError, UsageError
 from .groebner import Ideal, radical_member, reduce
 
 
+def _check_deadline(deadline):
+    """Raise TimeoutError once the deadline, if any, is reached."""
+    if deadline is not None and time.monotonic() >= deadline:
+        raise TimeoutError
+
+
 def _product_label(labels) -> str:
     """A product of forms by its labels, as l1*l2*l4."""
     return "*".join(f"l{i}" for i in labels) or "1"
@@ -161,14 +167,17 @@ def verify_certificate(
     divisibility conditions on labels, which prove both directions;
     each a-fold product against the certificate radical, by
     Rabinowitsch; and each level sum reduced against every minimal
-    prime, which is exact.  Each a-fold product is expanded once, keyed
-    by its label tuple, and the level sums reuse those expansions; a
-    level entry outside the ground set, as under some corruptions, is
-    expanded afresh.  When the labels pass but an algebraic check
-    fails, a cross-check reports the disagreement.  A budget turns
-    remaining work into an inconclusive verdict, a Rabinowitsch run
-    that it cuts included; it never flips a failure already found.  A
-    NaN or negative budget is refused; an infinite one never cuts.
+    prime, which is exact.  After the label check, each a-fold product
+    is expanded once, keyed by its label tuple, and the level sums
+    reuse those expansions; a level entry outside the ground set, as
+    under some corruptions, is expanded afresh.  When the labels pass
+    but an algebraic check fails, a cross-check reports the
+    disagreement.  A budget turns remaining work into an inconclusive
+    verdict, the expansions and a Rabinowitsch run that it cuts
+    included; it never flips a failure already found.  A budget of 0
+    runs no check; a NaN or negative one is refused; an infinite one
+    never cuts.  The checks speak only in labels, so the report is the
+    same in any coordinates, as ``Arrangement.adapted`` gives them.
     """
     if budget_seconds is not None and not budget_seconds >= 0:
         raise UsageError(f"budget must be a nonnegative number of seconds, got {budget_seconds}")
@@ -179,17 +188,13 @@ def verify_certificate(
     arr._check_j(j)
     a = arr.n - j
     ring = arr.ring
-    products = {s: arr.product(s) for s in combinations(arr.labels, a)}
-    gens = sv_sums(cert, products)
-    cert_ideal = Ideal(ring, gens)
     checks: list[CheckResult] = []
 
     def run(name, fn):
         """Run one check unless the budget is gone or cuts it; fn
         returns the witness of a failure, or None when the check passes."""
         try:
-            if deadline is not None and time.monotonic() > deadline:
-                raise TimeoutError
+            _check_deadline(deadline)
             witness = fn()
         except TimeoutError:
             checks.append(CheckResult(name, None, "budget exhausted"))
@@ -198,12 +203,26 @@ def verify_certificate(
         return witness is None
 
     labels_ok = run("sv-partition", lambda: sv_check_partition(cert)[1])
+    # the expansions stop at the deadline too; a cut leaves products and
+    # gens unfinished, and no algebraic check reads them, since each
+    # one after the cut finds the deadline already past
+    products = {}
+    try:
+        for s in combinations(arr.labels, a):
+            _check_deadline(deadline)
+            products[s] = arr.product(s)
+        gens = sv_sums(cert, products, deadline=deadline)
+        cert_ideal = Ideal(ring, gens)
+    except TimeoutError:
+        pass
+
     rejected = []  # (subject, route) of each failed algebraic check
-    for labels, f in products.items():
+    for labels in combinations(arr.labels, a):
         name = _product_label(labels)
         if run(
             f"radical-membership:{name}-in-certificate",
-            lambda f=f, name=name: None if radical_member(f, cert_ideal, deadline=deadline) else
+            lambda labels=labels, name=name: None
+            if radical_member(products[labels], cert_ideal, deadline=deadline) else
             f"{a}-fold product {name} is not in the radical of the certificate ideal",
         ) is False:
             rejected.append((name, "Rabinowitsch says"))
@@ -217,8 +236,8 @@ def verify_certificate(
             f"{name} is not in the minimal prime spanned by forms {list(p.support)}"
         )
 
-    for name, g in zip(cert.names(), gens):
-        if run(f"minimal-primes:{name}", lambda name=name, g=g: outside(name, g)) is False:
+    for u, name in enumerate(cert.names()):
+        if run(f"minimal-primes:{name}", lambda u=u, name=name: outside(name, gens[u])) is False:
             rejected.append((name, "the minimal primes say"))
 
     # a passing label proof implies every algebraic answer, so a failure
@@ -245,7 +264,7 @@ def verify_certificate(
     height = arr.height_afold(j)
     stci = None
     if holds is not None:
-        stci = bool(holds and height == len(gens) == j + 1)
+        stci = bool(holds and height == len(cert.levels) == j + 1)
     return VerificationReport(
         holds=holds,
         status=status,
@@ -253,7 +272,7 @@ def verify_certificate(
         a=a,
         j=j,
         height=height,
-        generator_count=len(gens),
+        generator_count=len(cert.levels),
         stci=stci,
         checks=checks,
         wall_time_seconds=time.monotonic() - t0,
@@ -321,19 +340,21 @@ def sv_check_partition(partition: SVPartition):
     return True, None
 
 
-def sv_sums(partition: SVPartition, expanded=None):
+def sv_sums(partition: SVPartition, expanded=None, deadline=None):
     """The level sums: one polynomial per level, a sum of products of forms.
 
     When the partition passes the checks, these cut out the same
     variety as the whole ground set, bounding the arithmetic rank by
     the number of levels.  expanded maps label tuples to products
     already expanded, as ``verify_certificate`` passes them; a product
-    it lacks is expanded here.
+    it lacks is expanded here.  Once deadline is reached, the next
+    product raises TimeoutError.
     """
     arr = partition.arrangement
     expanded = expanded or {}
 
     def product(p):
+        _check_deadline(deadline)
         return expanded[p] if p in expanded else arr.product(p)
 
     return tuple(

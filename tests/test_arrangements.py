@@ -423,3 +423,68 @@ def test_flat_enumeration_refuses_past_its_limit(monkeypatch):
     with pytest.raises(UsageError) as exc:
         Arrangement(GF(32003), rows).min_distance()
     assert "need 41 subsets" in str(exc.value) and "limit of 40" in str(exc.value)
+
+
+def greedy_basis_from_the_back(arr):
+    """Labels of the forms that raise the rank, scanning n down to 1."""
+    chosen = []
+    for label in reversed(arr.labels):
+        if matrix_rank(arr.field, [arr.form(i) for i in chosen + [label]]) > len(chosen):
+            chosen.append(label)
+    return sorted(chosen)
+
+
+def unit_row(field, i, r):
+    return tuple(field.one if c == i else field.zero for c in range(r))
+
+
+def test_adapted_makes_the_last_rank_forms_the_variables():
+    for field in (GF(32003), QQ):
+        for k, n in ((3, 5), (4, 7), (5, 6)):
+            arr = random_generic_arrangement(k, n, field, seed=3)
+            ad = arr.adapted()
+            assert (ad.field, ad.labels, ad.nvars) == (field, arr.labels, k)
+            tail = [ad.form(label) for label in range(n - k + 1, n + 1)]
+            assert tail == [unit_row(field, i, k) for i in range(k)]
+
+
+def test_adapted_hartshorne_skips_the_dependent_forms(hartshorne):
+    # scanning back from form 6: 4 = 6 - 5 and 1 = 3 - 2 are dependent
+    ad = hartshorne.adapted()
+    assert greedy_basis_from_the_back(hartshorne) == [2, 3, 5, 6]
+    assert ad.nvars == ad.rank() == 4
+    assert [ad.form(i) for i in (2, 3, 5, 6)] == [unit_row(QQ, i, 4) for i in range(4)]
+    assert ad.form(1) == (1, -1, 0, 0) and ad.form(4) == (0, 0, 1, -1)
+    assert ad.s_generic_witness(4) == hartshorne.s_generic_witness(4) == (1, 2, 3, 4)
+
+
+def test_adapted_drops_the_variables_past_the_rank():
+    arr = Arrangement(QQ, [(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (1, 1, 1, 0)])
+    ad = arr.adapted()
+    assert arr.nvars == 4 and ad.nvars == ad.rank() == 3
+    # x = (x + y + z) - y - z, scaled to lead with 1
+    assert ad.forms == ((1, 1, -1), (1, 0, 0), (0, 1, 0), (0, 0, 1))
+
+
+@settings(max_examples=80, deadline=None)
+@given(arr=small_arrangements())
+def test_adapted_is_a_change_of_coordinates(arr):
+    """The greedy basis forms map to the unit rows in label order, every
+    form's new row times the basis is proportional to the old row, and
+    so the flats, heights and witnesses, all stated in labels, agree."""
+    ad = arr.adapted()
+    basis = greedy_basis_from_the_back(arr)
+    r = arr.rank()
+    assert ad.nvars == r == len(basis)
+    assert [ad.form(b) for b in basis] == [unit_row(arr.field, i, r) for i in range(r)]
+    for old, new in zip(arr.forms, ad.forms):
+        back = [arr.field.zero] * arr.nvars
+        for c, b in zip(new, basis):
+            back = [arr.field.add(v, arr.field.mul(c, w)) for v, w in zip(back, arr.form(b))]
+        assert matrix_rank(arr.field, [old, back]) == 1
+    for s in range(1, arr.n + 2):
+        assert ad.s_generic_witness(s) == arr.s_generic_witness(s)
+    for j in range(arr.n):
+        got = [(p.height, p.support) for p in ad.minimal_linear_primes(j)]
+        assert got == [(p.height, p.support) for p in arr.minimal_linear_primes(j)]
+    assert ad.min_distance() == arr.min_distance()

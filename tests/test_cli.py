@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from starconfig.arrangements import random_generic_arrangement
+from starconfig.arrangements import Arrangement, random_generic_arrangement
 from starconfig.cli import _build_parser, parse_arrangement, parse_field_spec, run
 from starconfig.errors import ParseError
 from starconfig.fields import GF, QQ
@@ -15,6 +15,8 @@ from starconfig.fields import GF, QQ
 FIXTURES = Path(__file__).parent / "fixtures"
 HARTSHORNE = str(FIXTURES / "hartshorne.json")
 COORD_PLUS_SUM = str(FIXTURES / "coordinate_plus_sum.json")
+# the same four forms with a zero last coefficient: rank 3 in 4 variables
+COORD_PLUS_SUM_IN_FOUR = str(FIXTURES / "coordinate_plus_sum_in_four_variables.json")
 
 
 def read_report(capsys):
@@ -159,6 +161,42 @@ def test_verify_corrupt_exits_one(capsys):
         assert rep["status"] == "fails"
         witnesses = [c["witness"] for c in rep["checks"] if c["ok"] is False]
         assert witnesses and all(witnesses)
+
+
+def run_both_coordinates(argv, capsys, monkeypatch):
+    """(exit code, report minus wall times, stderr) of one command in
+    adapted coordinates, then with the change of variables left out."""
+
+    def outcome():
+        code = run(argv)
+        captured = capsys.readouterr()
+        report = json.loads(captured.out) if captured.out else None
+        if report is not None:
+            report.pop("wall_time_seconds")
+            for rep in report["results"].get("reports", [report["results"]]):
+                rep.pop("wall_time_seconds")
+        return code, report, captured.err
+
+    adapted = outcome()
+    with monkeypatch.context() as m:
+        m.setattr(Arrangement, "adapted", lambda self: self)
+        return adapted, outcome()
+
+
+def test_verify_reports_do_not_depend_on_coordinates(capsys, monkeypatch):
+    adapted, plain = run_both_coordinates(["verify", "--all-j", HARTSHORNE], capsys, monkeypatch)
+    assert adapted == plain and adapted[0] == 0
+    adapted, plain = run_both_coordinates(["verify", "--j", "1", HARTSHORNE], capsys, monkeypatch)
+    assert adapted == plain
+    assert adapted[:2] == (2, None) and "forms [1, 2, 3, 4] are dependent" in adapted[2]
+
+
+def test_verify_with_rank_below_the_variable_count(capsys, monkeypatch):
+    argv = ["verify", "--all-j", COORD_PLUS_SUM_IN_FOUR]
+    adapted, plain = run_both_coordinates(argv, capsys, monkeypatch)
+    assert adapted == plain and adapted[0] == 0
+    reports = adapted[1]["results"]["reports"]
+    assert [(r["j"], r["holds"], r["height"]) for r in reports] == [(0, True, 1), (1, True, 2)]
 
 
 def test_shared_parser_keeps_no_flag_between_runs(capsys):

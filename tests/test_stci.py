@@ -2,6 +2,7 @@
 
 import json
 import time
+from dataclasses import asdict
 from itertools import combinations
 from math import comb
 
@@ -210,13 +211,21 @@ def test_unknown_corruption_mode(coord_plus_sum):
         corrupt_certificate(theorem_generators(coord_plus_sum, 1), "nope")
 
 
-def test_budget_gives_inconclusive(coord_plus_sum):
-    cert = theorem_generators(coord_plus_sum, 1)
-    rep = verify_certificate(cert, budget_seconds=0.0)
-    assert rep.holds is None
-    assert rep.status == "inconclusive"
-    assert rep.stci is None
-    assert all(c.ok is None for c in rep.checks)
+def test_budget_gives_inconclusive(coord_plus_sum, monkeypatch):
+    # a zero budget runs no check and expands no product
+    calls = []
+    product = Arrangement.product
+    monkeypatch.setattr(
+        Arrangement, "product", lambda self, labels: calls.append(labels) or product(self, labels)
+    )
+    for arr, j in ((coord_plus_sum, 1), (random_generic_arrangement(5, 7, GF(32003), seed=0), 2)):
+        rep = verify_certificate(theorem_generators(arr, j), budget_seconds=0.0)
+        assert rep.holds is None
+        assert rep.status == "inconclusive"
+        assert rep.stci is None
+        assert len(rep.checks) == 1 + comb(arr.n, arr.n - j) + j + 1
+        assert all(c.ok is None and c.witness == "budget exhausted" for c in rep.checks)
+    assert calls == []
 
 
 def test_budget_cuts_a_running_radical_test():
@@ -245,6 +254,44 @@ def test_nan_and_negative_budgets_rejected(coord_plus_sum):
         with pytest.raises(UsageError):
             verify_certificate(cert, budget_seconds=budget)
     assert verify_certificate(cert, budget_seconds=float("inf")).status == "holds"
+
+
+def _without_wall_time(rep):
+    return {k: v for k, v in asdict(rep).items() if k != "wall_time_seconds"}
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    field=st.sampled_from([GF(32003), QQ]),
+    seed=st.integers(0, 10 ** 6),
+    k=st.integers(2, 4),
+    extra=st.integers(0, 2),
+    pad=st.booleans(),
+    data=st.data(),
+)
+def test_reports_agree_in_adapted_coordinates(field, seed, k, extra, pad, data):
+    """A change of variables keeps every statement a report makes, plain
+    and under each corruption.  With pad the forms get a last
+    coefficient equal to their first, so the rank is one below the
+    number of variables.  Every route runs on the one adapted
+    arrangement, so the cross-check cannot catch a wrong transform;
+    tests/test_arrangements.py maps each adapted form back to its
+    input row."""
+    arr = random_generic_arrangement(k, k + extra, field=field, seed=seed)
+    if pad:
+        arr = Arrangement(field, [row + row[:1] for row in arr.forms])
+    ad = arr.adapted()
+    assert ad.nvars == k
+    j = data.draw(st.integers(0, max(0, k - 2)), label="j")
+    for mode in (None,) + CORRUPTION_MODES:
+        certs = [theorem_generators(a, j) for a in (arr, ad)]
+        if mode is not None:
+            try:
+                certs = [corrupt_certificate(c, mode) for c in certs]
+            except UsageError:  # undefined at this j
+                continue
+        plain, adapted = (_without_wall_time(verify_certificate(c)) for c in certs)
+        assert adapted == plain, mode
 
 
 def test_deletion_keeps_construction_valid():
