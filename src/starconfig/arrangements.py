@@ -55,48 +55,23 @@ def matrix_rank(field: Field, rows) -> int:
     return len(rref(field, rows)[1])
 
 
-def span_contains(field: Field, rows, pivots, vec) -> bool:
-    """Is the vector in the row space given in reduced echelon form?
-
-    The pivot entries fix the only candidate combination: vec[c] times
-    the row with pivot c.  It matches vec at every pivot, so only the
-    other columns are compared, stopping at the first mismatch.
-    """
-    zero = field.zero
-    combo = [(vec[c], row) for row, c in zip(rows, pivots) if vec[c] != zero]
-    skip = set(pivots)
-    for c, x in enumerate(vec):
-        if c in skip:
-            continue
-        s = zero
-        for f, row in combo:
-            s = field.add(s, field.mul(f, row[c]))
-        if s != x:
-            return False
-    return True
-
-
 class LinearPrime:
     """A prime ideal generated by linear forms, stored as an echelon basis.
 
-    The echelon rows are a reduced Groebner basis of the ideal, so
-    membership of a linear form is a single back-substitution and the
+    The echelon rows are a reduced Groebner basis of the ideal, so the
     height is just the number of rows.
     """
 
-    __slots__ = ("field", "rows", "pivots", "support")
+    __slots__ = ("field", "rows", "support")
 
     def __init__(self, field: Field, rows, support=()):
         self.field = field
-        self.rows, self.pivots = rref(field, rows)
+        self.rows = rref(field, rows)[0]
         self.support = tuple(support)
 
     @property
     def height(self) -> int:
         return len(self.rows)
-
-    def contains_form(self, row) -> bool:
-        return span_contains(self.field, self.rows, self.pivots, row)
 
     def gens_in(self, ring: Ring):
         return tuple(ring.linear(row) for row in self.rows)
@@ -190,10 +165,15 @@ class Arrangement:
         """Every nonzero flat, as a LinearPrime whose support is the
         labels of the forms in its span.  A proper flat of height h is
         spanned by h of its forms, so one rref per subset of at most
-        rank-1 forms, deduplicated by echelon rows, finds them all; the
-        span of all forms comes last.  A flat is the span of its
-        support, so F lies in G exactly when supp F lies in supp G.
-        Past MAX_FLAT_SUBSETS subsets the enumeration is refused."""
+        rank-1 labels, deduplicated by echelon rows, finds them all; the
+        span of all forms comes last.  A flat's support is the union of
+        the subsets whose echelon rows are its own, and that is exact:
+        every form of a subset lies in its span, and a form i of a flat
+        F of height h < rank extends to a basis of F of h forms, a
+        subset the enumeration visits, whose reduced echelon rows are
+        F's.  A flat is the span of its support, so F lies in G exactly
+        when supp F lies in supp G.  Past MAX_FLAT_SUBSETS subsets the
+        enumeration is refused."""
         if self._flat_cache is None:
             count = sum(comb(self.n, size) for size in range(1, self.rank()))
             if count > MAX_FLAT_SUBSETS:
@@ -201,17 +181,15 @@ class Arrangement:
                     f"the flats of {self.n} forms of rank {self.rank()} need {count} "
                     f"subsets of forms, past the limit of {MAX_FLAT_SUBSETS}"
                 )
-            spans = {}
+            spans = {}  # echelon rows -> (the first prime with them, union of subsets)
             for size in range(1, self.rank()):
-                for subset in combinations(self.forms, size):
-                    p = LinearPrime(self.field, subset)
-                    if p.rows not in spans:
-                        p.support = tuple(
-                            i for i, row in enumerate(self.forms, 1) if p.contains_form(row)
-                        )
-                        spans[p.rows] = p
+                for subset in combinations(self.labels, size):
+                    p = LinearPrime(self.field, [self.forms[i - 1] for i in subset])
+                    spans.setdefault(p.rows, (p, set()))[1].update(subset)
+            for p, support in spans.values():
+                p.support = tuple(sorted(support))
             top = LinearPrime(self.field, self.forms, self.labels)
-            self._flat_cache = (*spans.values(), top)
+            self._flat_cache = (*(p for p, _ in spans.values()), top)
         return self._flat_cache
 
     def s_generic_witness(self, s: int):

@@ -37,7 +37,7 @@ from .stci import (
 
 # parsed flags that a report shows elsewhere or not at all; every other
 # flag of the subcommand is echoed under "arguments"
-NOT_ARGUMENTS = frozenset({"subcommand", "input", "field", "seed", "budget_seconds"})
+NOT_ARGUMENTS = frozenset({"subcommand", "input", "field", "budget_seconds"})
 
 
 def parse_field_spec(spec: str) -> Field:
@@ -125,10 +125,18 @@ def _emit(data: dict):
     sys.stdout.write("\n")
 
 
+def _budget_seconds(text: str) -> float:
+    """A number of seconds, refused when it is NaN or negative."""
+    value = float(text)
+    if not value >= 0:
+        raise argparse.ArgumentTypeError(f"must be a nonnegative number, got {text!r}")
+    return value
+
+
 @cache
 def _build_parser() -> argparse.ArgumentParser:
     # built once per process, since parse_args keeps no state in it.
-    # The shared flags live on a parent parser and use SUPPRESS so they
+    # The shared flag lives on a parent parser and uses SUPPRESS so it
     # can be given before or after the subcommand without the
     # subparser's default clobbering an earlier value
     common = argparse.ArgumentParser(add_help=False)
@@ -136,15 +144,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "--field",
         default=argparse.SUPPRESS,
         help="override the file's field: QQ or GF(p)",
-    )
-    common.add_argument(
-        "--seed", type=int, default=argparse.SUPPRESS, help="seed for randomized subcommands"
-    )
-    common.add_argument(
-        "--budget-seconds",
-        type=float,
-        default=argparse.SUPPRESS,
-        help="soft time budget; verification past it reports inconclusive",
     )
 
     parser = argparse.ArgumentParser(
@@ -194,6 +193,11 @@ def _build_parser() -> argparse.ArgumentParser:
         choices=CORRUPTION_MODES,
         help="mutate the certificate first; verification should then fail",
     )
+    p.add_argument(
+        "--budget-seconds",
+        type=_budget_seconds,
+        help="soft time budget; verification past it reports inconclusive",
+    )
 
     p = command("sv-partition", "level partition bounding the arithmetic rank")
     j_or_all_j(p)
@@ -202,6 +206,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = command("random", "sample an arrangement with independent k-subsets", needs_input=False)
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--n", type=int, required=True)
+    p.add_argument("--seed", type=int, help="seed of the sampler")
 
     return parser
 
@@ -229,15 +234,11 @@ def run(argv=None) -> int:
 
     t0 = time.monotonic()
     field_flag = getattr(args, "field", None)
-    seed = getattr(args, "seed", None)
-    budget = getattr(args, "budget_seconds", None)
     try:
-        if budget is not None and not budget >= 0:
-            raise UsageError(f"--budget-seconds must be a nonnegative number, got {budget}")
         override = parse_field_spec(field_flag) if field_flag else None
 
         if args.subcommand == "random":
-            arr = random_generic_arrangement(args.k, args.n, field=override, seed=seed)
+            arr = random_generic_arrangement(args.k, args.n, field=override, seed=args.seed)
             rows = [[int(c) if c.denominator == 1 else str(c) for c in r] for r in arr.forms]
             _emit({"field": repr(arr.field), "forms": rows})
             return 0
@@ -326,8 +327,8 @@ def run(argv=None) -> int:
                         refusal = e
                         continue
                 remaining = None
-                if budget is not None:
-                    remaining = max(0.0, budget - (time.monotonic() - t0))
+                if args.budget_seconds is not None:
+                    remaining = max(0.0, args.budget_seconds - (time.monotonic() - t0))
                 rep = verify_certificate(cert, budget_seconds=remaining)
                 reports.append(asdict(rep))
             if not reports:
@@ -363,7 +364,6 @@ def run(argv=None) -> int:
             "arguments": {k: v for k, v in vars(args).items() if k not in NOT_ARGUMENTS},
             "field": repr(arr.field),
             "input_sha256": digest,
-            "seed": seed,
             "results": results,
             "wall_time_seconds": time.monotonic() - t0,
         })

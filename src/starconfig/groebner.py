@@ -264,7 +264,7 @@ def _groebner(packed_gens, p, layout, deadline=None):
     Stops with the unit basis as soon as a reduced generator or an
     S-pair remainder is a nonzero constant (packed monomial 0 in every
     layout): the ideal is then the whole ring, whose reduced basis is
-    (1,) whatever else the pair queue holds.  Past deadline, a
+    (1,) whatever else the pair queue holds.  At or past deadline, a
     ``time.monotonic()`` value, the next popped S-pair raises
     ``TimeoutError``.
     """
@@ -310,7 +310,7 @@ def _groebner(packed_gens, p, layout, deadline=None):
 
     while heap:
         l, i, j = heappop(heap)
-        if deadline is not None and monotonic() > deadline:
+        if deadline is not None and monotonic() >= deadline:
             raise TimeoutError("the time budget ran out during a Groebner basis")
         if (i, j) not in pending:
             continue
@@ -418,7 +418,7 @@ def radical_member(f: Polynomial, ideal: Ideal, deadline=None) -> bool:
     Exact both ways: f is in rad(I) iff the ideal I + <1 - y*f> in one
     more variable y, last under grevlex, is the whole ring.  That system
     is packed here in ``grevlex_layout`` with y padded on, which keeps
-    every generator's terms sorted.  Past deadline, a
+    every generator's terms sorted.  At or past deadline, a
     ``time.monotonic()`` value, the Groebner run raises ``TimeoutError``.
     """
     if f.ring != ideal.ring:

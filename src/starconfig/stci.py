@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
+from functools import cache
 from itertools import combinations
 from math import comb
 
@@ -173,10 +174,11 @@ def verify_certificate(
     under some corruptions, is expanded afresh.  When the labels pass
     but an algebraic check fails, a cross-check reports the
     disagreement.  A budget turns remaining work into an inconclusive
-    verdict, the expansions and a Rabinowitsch run that it cuts
-    included; it never flips a failure already found.  A budget of 0
-    runs no check; a NaN or negative one is refused; an infinite one
-    never cuts.  The checks speak only in labels, so the report is the
+    verdict, the label check, the expansions and a Rabinowitsch run
+    that it cuts included, and a spent budget skips the minimal primes;
+    it never flips a failure already found.  A budget of 0 runs no
+    check; a NaN or negative one is refused; an infinite one never
+    cuts.  The checks speak only in labels, so the report is the
     same in any coordinates, as ``Arrangement.adapted`` gives them.
     """
     if budget_seconds is not None and not budget_seconds >= 0:
@@ -202,7 +204,7 @@ def verify_certificate(
         checks.append(CheckResult(name, witness is None, witness))
         return witness is None
 
-    labels_ok = run("sv-partition", lambda: sv_check_partition(cert)[1])
+    labels_ok = run("sv-partition", lambda: sv_check_partition(cert, deadline=deadline)[1])
     # the expansions stop at the deadline too; a cut leaves products and
     # gens unfinished, and no algebraic check reads them, since each
     # one after the cut finds the deadline already past
@@ -227,11 +229,15 @@ def verify_certificate(
         ) is False:
             rejected.append((name, "Rabinowitsch says"))
 
-    primes = [(p, p.gens_in(ring)) for p in arr.minimal_linear_primes(j)]
+    @cache
+    def primes():
+        """The minimal primes with their generators, fetched by the
+        first minimal-primes check, so that a spent budget skips them."""
+        return [(p, p.gens_in(ring)) for p in arr.minimal_linear_primes(j)]
 
     def outside(name, g):
         """The witness of a minimal prime that does not contain g, if any."""
-        p = next((p for p, pgens in primes if not reduce(g, pgens).is_zero()), None)
+        p = next((p for p, pgens in primes() if not reduce(g, pgens).is_zero()), None)
         return None if p is None else (
             f"{name} is not in the minimal prime spanned by forms {list(p.support)}"
         )
@@ -279,7 +285,7 @@ def verify_certificate(
     )
 
 
-def sv_check_partition(partition: SVPartition):
+def sv_check_partition(partition: SVPartition, deadline=None):
     """Validate the covering and divisibility conditions.
 
     Returns (ok, witness).  The conditions: the levels partition the
@@ -287,6 +293,8 @@ def sv_check_partition(partition: SVPartition):
     products at one level have their pairwise product divisible by
     something from a strictly earlier level.  Products are compared as
     label bitmasks, where d divides p*q exactly when d & ~(p | q) == 0.
+    Once deadline, a ``time.monotonic()`` value, is reached, the next
+    pair of products raises TimeoutError.
 
     The label test is exact, not a proxy for polynomial division.  A
     nonzero linear form is irreducible, and ``Arrangement`` rejects
@@ -330,6 +338,8 @@ def sv_check_partition(partition: SVPartition):
     earlier = list(masks[0])
     for l in range(1, len(levels)):
         for (p, mp), (q, mq) in combinations(zip(levels[l], masks[l]), 2):
+            if deadline is not None and time.monotonic() >= deadline:
+                raise TimeoutError
             union = mp | mq
             if not any(d & ~union == 0 for d in earlier):
                 return False, (

@@ -3,8 +3,8 @@ replaced, kept as test references: genericity as the first dependent
 s-subset, the minimal primes as the inclusion-minimal spans of
 subarrangements of at most j+1 forms, and the minimum distance as the
 largest support of a span of fewer than rank forms.  Span membership
-is a rank test here, so the references share no code with
-``span_contains``."""
+is a rank test here, independent of the union of subsets that
+``Arrangement._flats`` reads each support from."""
 
 from itertools import combinations
 

@@ -19,7 +19,6 @@ from starconfig.arrangements import (
     matrix_rank,
     random_generic_arrangement,
     rref,
-    span_contains,
 )
 from starconfig.errors import DegenerateInputError, GenerationError, UsageError
 from starconfig.fields import GF, QQ
@@ -27,6 +26,7 @@ from starconfig.groebner import Ideal
 
 from arrangement_helpers import delete
 from flat_reference import (
+    _support,
     min_distance_reference,
     minimal_linear_primes_reference,
     s_generic_witness_reference,
@@ -62,36 +62,6 @@ def test_rref_and_rank():
     assert matrix_rank(GF(5), [(1, 2), (0, 1)]) == 2
     # (3, 1) = 4*(2, 4) mod 5, so the rows are proportional
     assert matrix_rank(GF(5), [(2, 4), (3, 1)]) == 1
-
-
-@st.composite
-def span_cases(draw):
-    """A field, up to four rows and a vector, all of one width.  Half
-    the vectors are combinations of the rows, so membership often
-    holds."""
-    field = draw(st.sampled_from([GF(2), GF(3), GF(5), GF(32003), QQ]))
-    width = draw(st.integers(1, 5))
-    ints = st.lists(st.integers(-3, 3), min_size=width, max_size=width)
-    rows = [[field.from_int(c) for c in row] for row in draw(st.lists(ints, max_size=4))]
-    if rows and draw(st.booleans()):
-        vec = [field.zero] * width
-        for row in rows:
-            f = field.from_int(draw(st.integers(-3, 3)))
-            vec = [field.add(v, field.mul(f, r)) for v, r in zip(vec, row)]
-    else:
-        vec = [field.from_int(c) for c in draw(ints)]
-    return field, rows, vec
-
-
-@settings(max_examples=200, deadline=None)
-@given(case=span_cases())
-def test_span_contains_iff_rank_unchanged(case):
-    """A vector lies in the span of some rows exactly when appending it
-    leaves the rank unchanged."""
-    field, rows, vec = case
-    echelon, pivots = rref(field, rows)
-    unchanged = matrix_rank(field, rows + [vec]) == matrix_rank(field, rows)
-    assert span_contains(field, echelon, pivots, vec) == unchanged
 
 
 def test_proportional_forms_rejected():
@@ -180,7 +150,9 @@ def test_minimal_primes_contain_all_products(hartshorne):
         for p in hartshorne.minimal_linear_primes(j):
             assert len(p.support) >= j + 1
             for labels in combinations(hartshorne.labels, a):
-                assert any(p.contains_form(hartshorne.form(i)) for i in labels)
+                assert any(
+                    matrix_rank(QQ, p.rows + (hartshorne.form(i),)) == p.height for i in labels
+                )
 
 
 def test_minimal_primes_are_minimal(hartshorne):
@@ -256,17 +228,13 @@ def test_delete_reassigns_labels(hartshorne):
 
 def test_linear_prime_membership():
     p = LinearPrime(QQ, [(1, 0, 0), (0, 1, 0)], support=(1, 2))
-    # a row need not be normalized to lie in the span
-    assert p.contains_form((2, 3, 0))
-    assert not p.contains_form((0, 0, 1))
-    assert not p.contains_form((1, 1, 1))
     assert p.height == 2
-    q = LinearPrime(GF(5), [(1, 2, 0), (0, 0, 1)])
-    assert q.contains_form((3, 1, 4))  # 3 * (1, 2, 0) + 4 * (0, 0, 1)
-    assert not q.contains_form((0, 1, 0))
+    # the flat spanned by forms 1 and 2 also holds form 3 = x + y; the
+    # enumeration reaches it from {1, 2}, {1, 3}, {2, 3} and {1, 2, 3}
     hartshorne = Arrangement(QQ, HARTSHORNE_ROWS)
     span = LinearPrime(QQ, [hartshorne.form(1), hartshorne.form(2)])
-    assert [i for i in hartshorne.labels if span.contains_form(hartshorne.form(i))] == [1, 2, 3]
+    (flat,) = [f for f in hartshorne._flats() if f.rows == span.rows]
+    assert flat.support == (1, 2, 3)
 
 
 def test_int_entries_are_reduced_before_the_leading_entry():
@@ -390,6 +358,18 @@ def test_flats_answer_like_the_subset_loops(arr):
         assert [(p.rows, p.support) for p in got] == [(p.rows, p.support) for p in primes]
         assert arr.height_afold(j) == min(p.height for p in primes)
     assert arr.min_distance() == min_distance_reference(ref)
+
+
+@settings(max_examples=80, deadline=None)
+@given(arr=small_arrangements())
+def test_flat_supports_are_the_forms_in_each_span(arr):
+    """The support read off the subset enumeration is every form that
+    lies in the flat, by a rank test, and no two flats share echelon
+    rows."""
+    flats = arr._flats()
+    for p in flats:
+        assert p.support == _support(arr, p)
+    assert len({p.rows for p in flats}) == len(flats)
 
 
 def test_one_rref_per_subset_of_flats(monkeypatch):

@@ -219,6 +219,17 @@ def test_verify_rejects_nan_and_negative_budgets(capsys):
     assert run(["verify", "--j", "1", "--budget-seconds", "inf", COORD_PLUS_SUM]) == 0
 
 
+def test_seed_and_budget_belong_to_random_and_verify(capsys):
+    """Only random reads --seed and only verify reads --budget-seconds;
+    any other subcommand refuses them rather than ignoring them."""
+    assert run(["radical", "--j", "1", "--budget-seconds", "1", HARTSHORNE]) == 2
+    assert run(["min-distance", "--seed", "3", HARTSHORNE]) == 2
+    assert capsys.readouterr().out == ""
+    for argv in (["min-distance", HARTSHORNE], ["verify", "--j", "1", COORD_PLUS_SUM]):
+        assert run(argv) == 0
+        assert "seed" not in read_report(capsys)
+
+
 LATIN1 = b'{"field": "QQ", "forms": [[1, 0]], "variables": ["\xe9", "y"]}'
 
 

@@ -248,6 +248,26 @@ def test_budget_cuts_a_running_radical_test():
     )
 
 
+def test_budget_cuts_the_label_check_and_skips_the_minimal_primes(monkeypatch):
+    """At (7,12,5) the label check alone takes about half a second and
+    the minimal primes most of the rest: a 0.02 s budget cuts the first
+    and never fetches the second."""
+    cert = theorem_generators(random_generic_arrangement(7, 12, GF(32003), seed=0).adapted(), 5)
+    fetched = []
+    minimal = Arrangement.minimal_linear_primes
+    monkeypatch.setattr(
+        Arrangement,
+        "minimal_linear_primes",
+        lambda self, j: fetched.append(j) or minimal(self, j),
+    )
+    t0 = time.monotonic()
+    rep = verify_certificate(cert, budget_seconds=0.02)
+    assert time.monotonic() - t0 < 0.5
+    assert rep.status == "inconclusive"
+    assert rep.checks[0] == CheckResult("sv-partition", None, "budget exhausted")
+    assert fetched == []
+
+
 def test_nan_and_negative_budgets_rejected(coord_plus_sum):
     cert = theorem_generators(coord_plus_sum, 1)
     for budget in (float("nan"), -1.0):
