@@ -23,7 +23,7 @@ from fractions import Fraction
 from functools import cache
 
 from .arrangements import Arrangement, random_generic_arrangement
-from .errors import ParseError, StarConfigError, UsageError
+from .errors import GenericityError, ParseError, StarConfigError, UsageError
 from .fields import QQ, Field, GF
 from .stci import (
     CORRUPTION_MODES,
@@ -312,20 +312,17 @@ def run(argv=None) -> int:
             # a report speaks only in labels, which a change of variables
             # keeps, so every j is verified where the last forms are variables
             arr = arr.adapted()
-            js = [args.j]
-            if args.all_j:
-                r = arr.rank()
-                js = [0] + (list(range(1, r - 1)) if arr.is_s_generic(r) else [])
+            js = range(max(arr.rank() - 1, 1)) if args.all_j else [args.j]
             reports = []
             refusal = None
             for j in js:
-                cert = theorem_generators(arr, j)
-                if args.corrupt:
-                    try:
+                try:
+                    cert = theorem_generators(arr, j)
+                    if args.corrupt:
                         cert = corrupt_certificate(cert, args.corrupt)
-                    except UsageError as e:  # undefined at this j; skip it
-                        refusal = e
-                        continue
+                except (GenericityError, UsageError) as e:  # no certificate at this j; skip it
+                    refusal = refusal or e
+                    continue
                 remaining = None
                 if args.budget_seconds is not None:
                     remaining = max(0.0, args.budget_seconds - (time.monotonic() - t0))

@@ -253,6 +253,13 @@ def buchberger(gens):
     return tuple(_unpack(ring, layout, terms, terms[0][1]) for terms in basis)
 
 
+def check_deadline(deadline):
+    """Raise TimeoutError once deadline, a ``time.monotonic()`` value,
+    is reached; None never is."""
+    if deadline is not None and monotonic() >= deadline:
+        raise TimeoutError
+
+
 def _groebner(packed_gens, p, layout, deadline=None):
     """Reduced basis of packed int generators over GF(p), or over QQ
     when p is 0, as normalized packed terms sorted by leading monomial.
@@ -310,8 +317,7 @@ def _groebner(packed_gens, p, layout, deadline=None):
 
     while heap:
         l, i, j = heappop(heap)
-        if deadline is not None and monotonic() >= deadline:
-            raise TimeoutError("the time budget ran out during a Groebner basis")
+        check_deadline(deadline)
         if (i, j) not in pending:
             continue
         pending.discard((i, j))

@@ -28,10 +28,6 @@ class Ring:
 
     __slots__ = ("field", "nvars", "names", "layout", "_zero_exps", "_units")
 
-    # every ring is grevlex; the name stays readable for bench/tracer.py,
-    # which labels Groebner basis spans by ring and order
-    order = "grevlex"
-
     def __init__(self, field: Field, nvars: int, names=None):
         if nvars < 1:
             raise UsageError("ring needs at least one variable")

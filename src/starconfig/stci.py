@@ -34,13 +34,7 @@ from math import comb
 
 from .arrangements import Arrangement
 from .errors import GenericityError, UsageError
-from .groebner import Ideal, radical_member, reduce
-
-
-def _check_deadline(deadline):
-    """Raise TimeoutError once the deadline, if any, is reached."""
-    if deadline is not None and time.monotonic() >= deadline:
-        raise TimeoutError
+from .groebner import Ideal, check_deadline, radical_member, reduce
 
 
 def _product_label(labels) -> str:
@@ -168,18 +162,19 @@ def verify_certificate(
     divisibility conditions on labels, which prove both directions;
     each a-fold product against the certificate radical, by
     Rabinowitsch; and each level sum reduced against every minimal
-    prime, which is exact.  After the label check, each a-fold product
-    is expanded once, keyed by its label tuple, and the level sums
-    reuse those expansions; a level entry outside the ground set, as
-    under some corruptions, is expanded afresh.  When the labels pass
-    but an algebraic check fails, a cross-check reports the
-    disagreement.  A budget turns remaining work into an inconclusive
-    verdict, the label check, the expansions and a Rabinowitsch run
-    that it cuts included, and a spent budget skips the minimal primes;
-    it never flips a failure already found.  A budget of 0 runs no
-    check; a NaN or negative one is refused; an infinite one never
-    cuts.  The checks speak only in labels, so the report is the
-    same in any coordinates, as ``Arrangement.adapted`` gives them.
+    prime, which is exact.  The first algebraic check builds the level
+    sums and the certificate ideal, and each product, an entry outside
+    the ground set under some corruptions included, is expanded once.
+    When the labels pass but an algebraic check fails, a cross-check
+    reports the disagreement.  A budget turns remaining work into an
+    inconclusive verdict, the label check, the expansions and a
+    Rabinowitsch run that it cuts included, and a spent budget builds
+    and fetches nothing more; it never flips a failure already found.
+    The flats, which give the height, come first and run outside the
+    budget.  A budget of 0 runs no check; a NaN or negative one is
+    refused; an infinite one never cuts.  The checks speak only in
+    labels, so the report is the same in any coordinates, as
+    ``Arrangement.adapted`` gives them.
     """
     if budget_seconds is not None and not budget_seconds >= 0:
         raise UsageError(f"budget must be a nonnegative number of seconds, got {budget_seconds}")
@@ -187,7 +182,7 @@ def verify_certificate(
     deadline = t0 + budget_seconds if budget_seconds is not None else None
     arr = cert.arrangement
     j = cert.j
-    arr._check_j(j)
+    height = arr.height_afold(j)
     a = arr.n - j
     ring = arr.ring
     checks: list[CheckResult] = []
@@ -196,7 +191,7 @@ def verify_certificate(
         """Run one check unless the budget is gone or cuts it; fn
         returns the witness of a failure, or None when the check passes."""
         try:
-            _check_deadline(deadline)
+            check_deadline(deadline)
             witness = fn()
         except TimeoutError:
             checks.append(CheckResult(name, None, "budget exhausted"))
@@ -204,19 +199,19 @@ def verify_certificate(
         checks.append(CheckResult(name, witness is None, witness))
         return witness is None
 
+    @cache
+    def product(labels):
+        check_deadline(deadline)
+        return arr.product(labels)
+
+    @cache
+    def certificate():
+        """The level sums and their ideal, built by the first algebraic
+        check, so that a spent budget builds nothing."""
+        gens = sv_sums(cert, product)
+        return gens, Ideal(ring, gens)
+
     labels_ok = run("sv-partition", lambda: sv_check_partition(cert, deadline=deadline)[1])
-    # the expansions stop at the deadline too; a cut leaves products and
-    # gens unfinished, and no algebraic check reads them, since each
-    # one after the cut finds the deadline already past
-    products = {}
-    try:
-        for s in combinations(arr.labels, a):
-            _check_deadline(deadline)
-            products[s] = arr.product(s)
-        gens = sv_sums(cert, products, deadline=deadline)
-        cert_ideal = Ideal(ring, gens)
-    except TimeoutError:
-        pass
 
     rejected = []  # (subject, route) of each failed algebraic check
     for labels in combinations(arr.labels, a):
@@ -224,7 +219,7 @@ def verify_certificate(
         if run(
             f"radical-membership:{name}-in-certificate",
             lambda labels=labels, name=name: None
-            if radical_member(products[labels], cert_ideal, deadline=deadline) else
+            if radical_member(product(labels), certificate()[1], deadline=deadline) else
             f"{a}-fold product {name} is not in the radical of the certificate ideal",
         ) is False:
             rejected.append((name, "Rabinowitsch says"))
@@ -235,15 +230,16 @@ def verify_certificate(
         first minimal-primes check, so that a spent budget skips them."""
         return [(p, p.gens_in(ring)) for p in arr.minimal_linear_primes(j)]
 
-    def outside(name, g):
-        """The witness of a minimal prime that does not contain g, if any."""
+    def outside(u, name):
+        """The witness of a minimal prime that does not contain level sum u, if any."""
+        g = certificate()[0][u]
         p = next((p for p, pgens in primes() if not reduce(g, pgens).is_zero()), None)
         return None if p is None else (
             f"{name} is not in the minimal prime spanned by forms {list(p.support)}"
         )
 
     for u, name in enumerate(cert.names()):
-        if run(f"minimal-primes:{name}", lambda u=u, name=name: outside(name, gens[u])) is False:
+        if run(f"minimal-primes:{name}", lambda u=u, name=name: outside(u, name)) is False:
             rejected.append((name, "the minimal primes say"))
 
     # a passing label proof implies every algebraic answer, so a failure
@@ -267,7 +263,6 @@ def verify_certificate(
         holds, status = None, "inconclusive"
     else:
         holds, status = True, "holds"
-    height = arr.height_afold(j)
     stci = None
     if holds is not None:
         stci = bool(holds and height == len(cert.levels) == j + 1)
@@ -338,8 +333,7 @@ def sv_check_partition(partition: SVPartition, deadline=None):
     earlier = list(masks[0])
     for l in range(1, len(levels)):
         for (p, mp), (q, mq) in combinations(zip(levels[l], masks[l]), 2):
-            if deadline is not None and time.monotonic() >= deadline:
-                raise TimeoutError
+            check_deadline(deadline)
             union = mp | mq
             if not any(d & ~union == 0 for d in earlier):
                 return False, (
@@ -350,23 +344,18 @@ def sv_check_partition(partition: SVPartition, deadline=None):
     return True, None
 
 
-def sv_sums(partition: SVPartition, expanded=None, deadline=None):
+def sv_sums(partition: SVPartition, product=None):
     """The level sums: one polynomial per level, a sum of products of forms.
 
     When the partition passes the checks, these cut out the same
     variety as the whole ground set, bounding the arithmetic rank by
-    the number of levels.  expanded maps label tuples to products
-    already expanded, as ``verify_certificate`` passes them; a product
-    it lacks is expanded here.  Once deadline is reached, the next
-    product raises TimeoutError.
+    the number of levels.  product expands one label tuple, by default
+    ``Arrangement.product``; ``verify_certificate`` passes one that
+    keeps each expansion for its Rabinowitsch tests and raises
+    TimeoutError once its budget is spent.
     """
     arr = partition.arrangement
-    expanded = expanded or {}
-
-    def product(p):
-        _check_deadline(deadline)
-        return expanded[p] if p in expanded else arr.product(p)
-
+    product = product or arr.product
     return tuple(
         sum((product(p) for p in level), arr.ring.zero) for level in partition.levels
     )

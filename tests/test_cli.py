@@ -7,10 +7,13 @@ from pathlib import Path
 
 import pytest
 
+from starconfig import arrangements
 from starconfig.arrangements import Arrangement, random_generic_arrangement
 from starconfig.cli import _build_parser, parse_arrangement, parse_field_spec, run
 from starconfig.errors import ParseError
 from starconfig.fields import GF, QQ
+
+from arrangement_helpers import count_products
 
 FIXTURES = Path(__file__).parent / "fixtures"
 HARTSHORNE = str(FIXTURES / "hartshorne.json")
@@ -363,6 +366,40 @@ def test_too_many_flats_exit_two(capsys, tmp_path):
     for args in (["min-distance"], ["height", "--all-j"], ["verify", "--j", "1"]):
         assert run(args + [str(path)]) == 2, args
         assert "261971 subsets" in capsys.readouterr().err
+
+
+def test_verify_refuses_the_flats_before_expanding(capsys, monkeypatch):
+    """Four forms of rank 3 take 4 + 6 = 10 subsets to find the flats;
+    past a limit of 9, verify refuses before it expands any product."""
+    monkeypatch.setattr(arrangements, "MAX_FLAT_SUBSETS", 9)
+    calls = count_products(monkeypatch)
+    for args in (["--j", "0"], ["--all-j"]):
+        assert run(["verify", *args, COORD_PLUS_SUM]) == 2, args
+        captured = capsys.readouterr()
+        assert captured.out == "" and "need 10 subsets" in captured.err
+        assert "limit of 9" in captured.err
+    assert calls == []
+
+
+def test_product_too_large_to_expand_exits_two(capsys, monkeypatch, tmp_path):
+    """Six general forms in 4 variables may have C(9, 3) = 84 terms; in
+    adapted coordinates four of them are variables, which only shift
+    exponents, so verify bounds C(5, 3) = 10 and still runs."""
+    arr = random_generic_arrangement(4, 6, GF(32003), seed=0)
+    path = tmp_path / "general.json"
+    path.write_text(json.dumps({"field": "GF(32003)", "forms": [list(r) for r in arr.forms]}))
+    monkeypatch.setattr(arrangements, "MAX_PRODUCT_TERMS", 84)
+    assert run(["stci-gens", "--j", "0", str(path)]) == 0
+    capsys.readouterr()
+    monkeypatch.setattr(arrangements, "MAX_PRODUCT_TERMS", 83)
+    for args in (["stci-gens", "--j", "0"], ["sv-partition", "--j", "0"]):
+        assert run([*args, str(path)]) == 2, args
+        captured = capsys.readouterr()
+        assert captured.out == "" and "may have 84 terms" in captured.err
+        assert "limit of 83" in captured.err
+    monkeypatch.setattr(arrangements, "MAX_PRODUCT_TERMS", 10)
+    assert run(["verify", "--j", "0", str(path)]) == 0
+    assert read_report(capsys)["results"]["status"] == "holds"
 
 
 def test_console_script_runs(child_env):

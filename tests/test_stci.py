@@ -26,7 +26,7 @@ from starconfig.stci import (
     verify_certificate,
 )
 
-from arrangement_helpers import delete
+from arrangement_helpers import count_products, delete
 
 
 @pytest.fixture
@@ -213,11 +213,7 @@ def test_unknown_corruption_mode(coord_plus_sum):
 
 def test_budget_gives_inconclusive(coord_plus_sum, monkeypatch):
     # a zero budget runs no check and expands no product
-    calls = []
-    product = Arrangement.product
-    monkeypatch.setattr(
-        Arrangement, "product", lambda self, labels: calls.append(labels) or product(self, labels)
-    )
+    calls = count_products(monkeypatch)
     for arr, j in ((coord_plus_sum, 1), (random_generic_arrangement(5, 7, GF(32003), seed=0), 2)):
         rep = verify_certificate(theorem_generators(arr, j), budget_seconds=0.0)
         assert rep.holds is None
@@ -266,6 +262,39 @@ def test_budget_cuts_the_label_check_and_skips_the_minimal_primes(monkeypatch):
     assert rep.status == "inconclusive"
     assert rep.checks[0] == CheckResult("sv-partition", None, "budget exhausted")
     assert fetched == []
+
+
+def test_budget_spent_during_the_expansions_builds_nothing_more(monkeypatch):
+    """The label check passes, then the budget runs out while the level
+    sums are expanded: every algebraic check is inconclusive, none
+    raises, and the expansions stop at the deadline."""
+    arr = random_generic_arrangement(4, 6, GF(32003), seed=0)
+    calls = count_products(monkeypatch, wait_on=3)
+    rep = verify_certificate(theorem_generators(arr, 2), budget_seconds=0.5)
+    assert rep.status == "inconclusive" and rep.holds is None
+    assert rep.checks[0] == CheckResult("sv-partition", True, None)
+    assert len(rep.checks) == 1 + comb(6, 4) + 3
+    assert all(c.ok is None and c.witness == "budget exhausted" for c in rep.checks[1:])
+    assert len(calls) == len(set(calls)) == 3
+
+
+def test_verify_expands_each_product_once(monkeypatch):
+    """The level sums and the Rabinowitsch tests share one expansion of
+    each a-fold product; swap-form adds its entries with a repeated
+    label, which lie outside the ground set."""
+    arr = random_generic_arrangement(4, 6, GF(32003), seed=0)
+    calls = count_products(monkeypatch)
+    for j in (1, 2):
+        a = arr.n - j
+        cert = theorem_generators(arr, j)
+        bad = corrupt_certificate(cert, "swap-form")
+        outside = {p for level in bad.levels for p in level if len(set(p)) < a}
+        assert outside
+        for part, extra in ((cert, set()), (bad, outside)):
+            calls.clear()
+            verify_certificate(part)
+            assert len(calls) == comb(arr.n, a) + len(extra)
+            assert set(calls) == set(combinations(arr.labels, a)) | extra
 
 
 def test_nan_and_negative_budgets_rejected(coord_plus_sum):
@@ -358,17 +387,18 @@ def test_sums_match_certificate_for_generic(coord_plus_sum):
 
 @pytest.mark.parametrize("field", [GF(32003), QQ])
 def test_sums_from_expanded_products_match_fresh_sums(field):
-    """Level sums built from the a-fold ideal's expanded generators equal
-    the sums expanded from scratch, on the certificate and on every
-    corruption, whose entries outside the ground set are expanded
-    afresh."""
+    """Level sums built through a product function that reads the a-fold
+    ideal's expanded generators equal the sums expanded from scratch, on
+    the certificate and on every corruption, whose entries outside the
+    ground set it expands afresh."""
     arr = random_generic_arrangement(4, 6, field=field, seed=0)
     for j in (1, 2):
         a = arr.n - j
         expanded = dict(zip(combinations(arr.labels, a), arr.afold_ideal(a).gens))
+        product = lambda p: expanded[p] if p in expanded else arr.product(p)
         cert = theorem_generators(arr, j)
         for part in [cert] + [corrupt_certificate(cert, mode) for mode in CORRUPTION_MODES]:
-            assert sv_sums(part, expanded) == sv_sums(part)
+            assert sv_sums(part, product) == sv_sums(part)
 
 
 def test_sums_bound_matches_height_for_generic():
