@@ -21,8 +21,11 @@ from .groebner import Ideal, intersect
 from .polynomials import Polynomial, ProductOfForms, Ring
 
 # Most subsets of forms that the flat enumeration may visit, at a few
-# thousand per second.  Every shape in the tests and the benchmark needs
-# under 10,000; 16 forms of rank 10 need 50,642.
+# thousand per second, and most minors that the genericity test may
+# expand, at tens of thousands per second; past it that test leaves the
+# verdict to the flats.  Every shape in the tests and the benchmark needs
+# under 10,000 subsets; 16 forms of rank 10 need 50,642.  Generic input
+# needs C(n, rank) - 1 minors and no subsets: 3,002 for 14 forms of rank 8.
 MAX_FLAT_SUBSETS = 100_000
 
 # Most terms that one expanded product of forms may have, bounded before
@@ -59,6 +62,30 @@ def rref(field: Field, rows):
 
 def matrix_rank(field: Field, rows) -> int:
     return len(rref(field, rows)[1])
+
+
+def _all_minors_nonzero(field: Field, block) -> bool:
+    """Whether every square submatrix of block is nonsingular.  Each
+    s x s minor is a Laplace expansion along its first row over the
+    (s-1) x (s-1) minors of its other rows, kept from the round before,
+    so nested minors share their work and nothing is divided, in either
+    field; the first zero minor ends the search."""
+    ncols = len(block[0]) if block else 0
+    below = {((), ()): field.one}
+    for s in range(1, min(len(block), ncols) + 1):
+        minors = {}
+        for rows in combinations(range(len(block)), s):
+            first, rest = block[rows[0]], rows[1:]
+            for cols in combinations(range(ncols), s):
+                det = field.zero
+                for t, c in enumerate(cols):
+                    term = field.mul(first[c], below[rest, cols[:t] + cols[t + 1:]])
+                    det = field.sub(det, term) if t % 2 else field.add(det, term)
+                if det == field.zero:
+                    return False
+                minors[rows, cols] = det
+        below = minors
+    return True
 
 
 class LinearPrime:
@@ -121,6 +148,7 @@ class Arrangement:
             seen[row] = label
         self.ring = Ring(field, width, names=names)
         self._rank = None
+        self._generic = None
         self._flat_cache = None
 
     @property
@@ -167,16 +195,42 @@ class Arrangement:
             self.field, [[row[self.n - label] for row in reversed(rows)] for label in self.labels]
         )
 
+    def _in_general_position(self) -> bool:
+        """Whether the minors show every rank forms independent; cached.
+
+        In adapted coordinates the last rank forms are the unit rows
+        when they are independent.  Then a set of rank forms is a basis
+        exactly when the minor of the other rows that it takes, on the
+        columns of the unit rows that it leaves out, is nonzero, so
+        every rank forms are independent exactly when every square
+        submatrix of the first n - rank rows is nonsingular: the MDS
+        criterion for a generator matrix [I | A] (MacWilliams & Sloane,
+        The Theory of Error-Correcting Codes, ch. 11, Thm 8).  That is
+        C(n, rank) - 1 minors.  When the last rank forms are dependent,
+        a basis form is among the first rows, and the zeros of its unit
+        row are vanishing minors.  False when a minor vanishes or there
+        are more than MAX_FLAT_SUBSETS of them; the queries then ask
+        the flats.
+        """
+        if self._generic is None:
+            r = self.rank()
+            self._generic = comb(self.n, r) - 1 <= MAX_FLAT_SUBSETS and _all_minors_nonzero(
+                self.field, self.adapted().forms[: self.n - r]
+            )
+        return self._generic
+
     def _flats(self):
         """Every nonzero flat, as a LinearPrime whose support is the
-        labels of the forms in its span.  A proper flat of height h is
-        spanned by h of its forms, so one rref per subset of at most
-        rank-1 labels, deduplicated by echelon rows, finds them all; the
-        span of all forms comes last.  A flat's support is the union of
-        the subsets whose echelon rows are its own, and that is exact:
-        every form of a subset lies in its span, and a form i of a flat
-        F of height h < rank extends to a basis of F of h forms, a
-        subset the enumeration visits, whose reduced echelon rows are
+        labels of the forms in its span, for what the minors and j = 0
+        leave open: input that the minors do not show generic, and
+        genericity at an s other than the rank.  A proper flat of
+        height h is spanned by h of its forms, so one rref per subset of
+        at most rank-1 labels, deduplicated by echelon rows, finds them
+        all; the span of all forms comes last.  A flat's support is the
+        union of the subsets whose echelon rows are its own, and that is
+        exact: every form of a subset lies in its span, and a form i of
+        a flat F of height h < rank extends to a basis of F of h forms,
+        a subset the enumeration visits, whose reduced echelon rows are
         F's.  A flat is the span of its support, so F lies in G exactly
         when supp F lies in supp G.  Past MAX_FLAT_SUBSETS subsets the
         enumeration is refused."""
@@ -200,12 +254,16 @@ class Arrangement:
 
     def s_generic_witness(self, s: int):
         """None if any s forms are independent, else the labels of the
-        first dependent s-subset in lexicographic order: the least first
-        s labels of a flat with height < s <= |support|.  Any dependent
-        s-subset spans such a flat, whose first s labels are dependent
-        and come no later."""
+        first dependent s-subset in lexicographic order.  At s = rank
+        the minors answer None when they show every rank forms
+        independent.  Otherwise the witness is the least first s labels
+        of a flat with height < s <= |support|: any dependent s-subset
+        spans such a flat, whose first s labels are dependent and come
+        no later."""
         if s < 1:
             raise UsageError("genericity level must be positive")
+        if s == self.rank() and self._in_general_position():
+            return None
         witnesses = (p.support[:s] for p in self._flats() if p.height < s <= len(p.support))
         return min(witnesses, default=None)
 
@@ -248,9 +306,23 @@ class Arrangement:
         A linear prime contains every (n-j)-fold product exactly when
         its span holds at least j+1 of the forms, so the minimal primes
         are the inclusion-minimal flats with support at least j+1,
-        compared as support bitmasks.  No genericity is assumed.
+        sorted by height and support.  At j = 0 they are the n forms,
+        in label order: forms are pairwise non-proportional, so each
+        one's span holds no other.  When every rank forms are
+        independent, a subset of fewer than rank forms spans a flat
+        that holds no other form, so they are the spans of the
+        (j+1)-subsets in lexicographic order, or only the span of all
+        forms once j+1 >= rank.  Otherwise the flats are compared as
+        support bitmasks.
         """
         self._check_j(j)
+        if j == 0 or (j + 1 < self.rank() and self._in_general_position()):
+            return tuple(
+                LinearPrime(self.field, [self.form(i) for i in subset], subset)
+                for subset in combinations(self.labels, j + 1)
+            )
+        if self._in_general_position():
+            return (LinearPrime(self.field, self.forms, self.labels),)
         flats = [p for p in self._flats() if len(p.support) > j]
         masks = [sum(1 << i for i in p.support) for p in flats]
         minimal = [
@@ -260,8 +332,14 @@ class Arrangement:
 
     def height_afold(self, j: int) -> int:
         """Height of the ideal of (n-j)-fold products: the least height
-        of a flat with support at least j+1, which a minimal one has."""
+        of a flat with support at least j+1, which a minimal one has.
+        That is 1 at j = 0, and min(j+1, rank) when every rank forms
+        are independent, by the minimal primes above."""
         self._check_j(j)
+        if j == 0:
+            return 1
+        if self._in_general_position():
+            return min(j + 1, self.rank())
         return min(p.height for p in self._flats() if len(p.support) > j)
 
     def combinatorial_radical(self, j: int) -> Ideal:
@@ -288,8 +366,12 @@ class Arrangement:
     def min_distance(self) -> int:
         """n minus the largest number of forms inside a proper subspace
         of the span: the largest support of a flat of height below the
-        rank.  For a k-generic spanning arrangement this equals n - k + 1."""
+        rank.  When every rank forms are independent that support is
+        rank - 1, and the distance n - rank + 1 meets the Singleton
+        bound."""
         r = self.rank()
+        if self._in_general_position():
+            return self.n - r + 1
         return self.n - max((len(p.support) for p in self._flats() if p.height < r), default=0)
 
     def __repr__(self):

@@ -313,6 +313,11 @@ def run(argv=None) -> int:
             # keeps, so every j is verified where the last forms are variables
             arr = arr.adapted()
             js = range(max(arr.rank() - 1, 1)) if args.all_j else [args.j]
+            if args.all_j and arr.rank() > 2:
+                # every j >= 1 asks the same genericity: decide it first,
+                # so that a refusal of the flats ends the run before j = 0
+                # expands a product, and is not taken for a j to skip
+                arr.s_generic_witness(arr.rank())
             reports = []
             refusal = None
             for j in js:

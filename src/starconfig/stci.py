@@ -170,9 +170,11 @@ def verify_certificate(
     inconclusive verdict, the label check, the expansions and a
     Rabinowitsch run that it cuts included, and a spent budget builds
     and fetches nothing more; it never flips a failure already found.
-    The flats, which give the height, come first and run outside the
-    budget.  A budget of 0 runs no check; a NaN or negative one is
-    refused; an infinite one never cuts.  The checks speak only in
+    The height comes first and runs outside the budget; at j = 0 and
+    on input whose minors show every rank forms independent it is a
+    closed form, and only other input builds the flats for it.  A
+    budget of 0 runs no check; a NaN or negative one is refused; an
+    infinite one never cuts.  The checks speak only in
     labels, so the report is the same in any coordinates, as
     ``Arrangement.adapted`` gives them.
     """

@@ -26,3 +26,12 @@ def count_products(monkeypatch, wait_on=None):
 
     monkeypatch.setattr(Arrangement, "product", counted)
     return calls
+
+
+def refuse_flats(monkeypatch):
+    """Make every enumeration of flats from now on fail the test."""
+
+    def refuse(self):
+        raise AssertionError("the flats were built")
+
+    monkeypatch.setattr(Arrangement, "_flats", refuse)

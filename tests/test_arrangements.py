@@ -10,7 +10,7 @@ from itertools import combinations
 from math import comb
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, event, example, given, settings, strategies as st
 
 from starconfig import arrangements
 from starconfig.arrangements import (
@@ -344,12 +344,44 @@ def small_arrangements(draw):
         assume(False)
 
 
-@settings(max_examples=80, deadline=None)
-@given(arr=small_arrangements())
+@st.composite
+def dense_arrangements(draw):
+    """Arrangements with coefficients in -9..9 over GF(7), GF(32003) and
+    QQ, mostly generic, with one form sometimes replaced by the sum of
+    two others."""
+    field = draw(st.sampled_from([GF(7), GF(32003), QQ]))
+    k = draw(st.integers(1, 5))
+    n = draw(st.integers(1, 8))
+    rows = draw(
+        st.lists(
+            st.lists(st.integers(-9, 9), min_size=k, max_size=k),
+            min_size=n,
+            max_size=n,
+        )
+    )
+    if n >= 3 and draw(st.booleans()):
+        target, a, b = draw(st.permutations(range(n)))[:3]
+        rows[target] = [x + y for x, y in zip(rows[a], rows[b])]
+    try:
+        return Arrangement(field, [[field.from_int(c) for c in row] for row in rows])
+    except DegenerateInputError:
+        assume(False)
+
+
+@settings(max_examples=200, deadline=None)
+@given(arr=st.one_of(small_arrangements(), dense_arrangements()))
+# one example of each minors verdict: five forms in general position,
+# and five whose last three share a plane
+@example(arr=Arrangement(GF(32003), [(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 2, 3), (1, 5, 7)]))
+@example(arr=Arrangement(GF(32003), [(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 2, 3), (1, 2, 4)]))
 def test_flats_answer_like_the_subset_loops(arr):
-    """Genericity, minimal primes, heights and distance derived from the
-    one enumeration of flats equal the separate subset loops."""
+    """Genericity, minimal primes, heights and distance, whether the
+    minors or the flats give them, equal the separate subset loops, and
+    the minors verdict is genericity at the rank."""
     ref = Arrangement(arr.field, arr.forms)
+    generic = arr._in_general_position()
+    event(f"in general position: {generic}")
+    assert generic == (s_generic_witness_reference(ref, arr.rank()) is None)
     for s in range(1, arr.n + 2):
         assert arr.s_generic_witness(s) == s_generic_witness_reference(ref, s)
     for j in range(arr.n):
@@ -372,11 +404,18 @@ def test_flat_supports_are_the_forms_in_each_span(arr):
     assert len({p.rows for p in flats}) == len(flats)
 
 
+def with_sum_form(rows, field):
+    """The rows with the last one replaced by the sum of the first two,
+    so that the last form and forms 1 and 2 are dependent."""
+    return [*rows[:-1], tuple(field.add(a, b) for a, b in zip(rows[0], rows[1]))]
+
+
 def test_one_rref_per_subset_of_flats(monkeypatch):
-    """Every combinatorial query on a (4,9) arrangement shares one
-    enumeration: one rref per subset of at most 3 forms, one for the
-    rank and one for the span of all forms."""
-    rows = random_generic_arrangement(4, 9, GF(32003), seed=0).forms
+    """Every combinatorial query past j = 0 on a (4,9) arrangement with
+    form 9 = form 1 + form 2 shares one enumeration: one rref per subset
+    of at most 3 forms, one for the rank, one for the adapted
+    coordinates whose minors fail, and one for the span of all forms."""
+    rows = with_sum_form(random_generic_arrangement(4, 9, GF(32003), seed=0).forms, GF(32003))
     calls = []
 
     def counted(field, matrix):
@@ -387,18 +426,21 @@ def test_one_rref_per_subset_of_flats(monkeypatch):
     arr = Arrangement(GF(32003), rows)
     for s in range(1, arr.n + 2):
         arr.s_generic_witness(s)
-    for j in range(arr.n):
+    for j in range(1, arr.n):
         arr.minimal_linear_primes(j)
         arr.height_afold(j)
     arr.min_distance()
-    assert 0 < len(calls) <= comb(9, 1) + comb(9, 2) + comb(9, 3) + 2
+    assert arr.s_generic_witness(4) is not None
+    assert 0 < len(calls) <= comb(9, 1) + comb(9, 2) + comb(9, 3) + 3
 
 
 def test_flat_enumeration_refuses_past_its_limit(monkeypatch):
-    """Six forms of rank 4 take 6 + 15 + 20 = 41 subsets to find the flats."""
-    rows = random_generic_arrangement(4, 6, GF(32003), seed=0).forms
+    """Six forms of rank 4 with form 6 = form 1 + form 2 take 6 + 15 +
+    20 = 41 subsets to find the flats; forms 1, 2, 6 and any fourth
+    lie in a flat of height 3."""
+    rows = with_sum_form(random_generic_arrangement(4, 6, GF(32003), seed=0).forms, GF(32003))
     monkeypatch.setattr(arrangements, "MAX_FLAT_SUBSETS", 41)
-    assert Arrangement(GF(32003), rows).min_distance() == 3
+    assert Arrangement(GF(32003), rows).min_distance() == 2
     monkeypatch.setattr(arrangements, "MAX_FLAT_SUBSETS", 40)
     with pytest.raises(UsageError) as exc:
         Arrangement(GF(32003), rows).min_distance()

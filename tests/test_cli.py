@@ -13,7 +13,7 @@ from starconfig.cli import _build_parser, parse_arrangement, parse_field_spec, r
 from starconfig.errors import ParseError
 from starconfig.fields import GF, QQ
 
-from arrangement_helpers import count_products
+from arrangement_helpers import count_products, refuse_flats
 
 FIXTURES = Path(__file__).parent / "fixtures"
 HARTSHORNE = str(FIXTURES / "hartshorne.json")
@@ -352,33 +352,98 @@ def test_usage_errors_exit_two(capsys, tmp_path):
     capsys.readouterr()
 
 
-def test_too_many_flats_exit_two(capsys, tmp_path):
-    """18 forms of rank 16 would take 261,971 subsets of forms to find
-    the flats; every subcommand that needs them refuses at once."""
-    assert run(["random", "--k", "16", "--n", "18"]) == 2
-    out, err = capsys.readouterr()
-    assert out == ""
-    assert "261971 subsets" in err and "limit of 100000" in err
+def wide_forms():
+    """18 forms of rank 16 over GF(32003): the unit rows, all ones, and
+    1..16, which are 16-generic."""
     forms = [[int(i == c) for c in range(16)] for i in range(16)]
-    forms += [[1] * 16, [c + 1 for c in range(16)]]
+    return forms + [[1] * 16, [c + 1 for c in range(16)]]
+
+
+def test_too_many_flats_exit_two(capsys, tmp_path):
+    """With the last form replaced by form 1 + form 2, the wide forms
+    are not 16-generic, and would take 261,971 subsets of forms to find
+    the flats; every subcommand that needs them refuses at once."""
+    forms = wide_forms()[:-1] + [[1, 1] + [0] * 14]
     path = tmp_path / "wide.json"
     path.write_text(json.dumps({"field": "GF(32003)", "forms": forms}))
-    for args in (["min-distance"], ["height", "--all-j"], ["verify", "--j", "1"]):
+    for args in (
+        ["min-distance"],
+        ["height", "--all-j"],
+        ["verify", "--j", "1"],
+        ["verify", "--all-j"],
+    ):
         assert run(args + [str(path)]) == 2, args
-        assert "261971 subsets" in capsys.readouterr().err
+        captured = capsys.readouterr()
+        assert captured.out == "" and "261971 subsets" in captured.err, args
+        assert "limit of 100000" in captured.err
 
 
-def test_verify_refuses_the_flats_before_expanding(capsys, monkeypatch):
-    """Four forms of rank 3 take 4 + 6 = 10 subsets to find the flats;
-    past a limit of 9, verify refuses before it expands any product."""
+def test_generic_input_past_the_flat_limit_answers(capsys, tmp_path):
+    """Generic input needs C(18, 16) - 1 = 152 minors and no flats."""
+    assert run(["random", "--k", "16", "--n", "18", "--seed", "0"]) == 0
+    sampled = tmp_path / "sampled.json"
+    sampled.write_text(capsys.readouterr().out)
+    wide = tmp_path / "wide.json"
+    wide.write_text(json.dumps({"field": "GF(32003)", "forms": wide_forms()}))
+    for path in (sampled, wide):
+        assert run(["min-distance", str(path)]) == 0
+        assert read_report(capsys)["results"] == {"min_distance": 3, "n": 18, "rank": 16}
+
+
+def test_j_zero_needs_no_flats(capsys, monkeypatch):
+    """The Hartshorne forms are not 3-generic, yet at j = 0 the height
+    is 1, the minimal primes are the six forms and verify holds."""
+    refuse_flats(monkeypatch)
+    assert run(["height", "--j", "0", HARTSHORNE]) == 0
+    assert read_report(capsys)["results"] == {"j": 0, "height": 1}
+    assert run(["min-primes", "--j", "0", HARTSHORNE]) == 0
+    primes = read_report(capsys)["results"]["primes"]
+    assert primes == [
+        {"generators": [g], "height": 1, "support": [i]}
+        for i, g in enumerate(["x", "y", "x + y", "z", "w", "z + w"], 1)
+    ]
+    assert run(["verify", "--j", "0", HARTSHORNE]) == 0
+    rep = read_report(capsys)["results"]
+    assert rep["status"] == "holds" and rep["height"] == 1
+
+
+@pytest.mark.parametrize("field, k, n", [("GF(32003)", 4, 7), ("QQ", 3, 6)])
+def test_generic_input_builds_no_flats(capsys, monkeypatch, tmp_path, field, k, n):
+    """On a sampled generic arrangement the minors answer every query
+    that the flats would, so no subcommand builds them."""
+    refuse_flats(monkeypatch)
+    assert run(["random", "--k", str(k), "--n", str(n), "--seed", "0", "--field", field]) == 0
+    path = tmp_path / "generic.json"
+    path.write_text(capsys.readouterr().out)
+    for args in (
+        ["verify", "--all-j"],
+        ["stci-gens", "--j", "1"],
+        ["check-generic", "--s", str(k)],
+        *(["min-primes", "--j", str(j)] for j in range(n)),
+        ["height", "--all-j"],
+        ["min-distance"],
+        ["radical", "--j", "1"],
+    ):
+        assert run(args + [str(path)]) == 0, args
+        assert read_report(capsys)["field"] == field
+
+
+def test_verify_refuses_the_flats_before_expanding(capsys, monkeypatch, tmp_path):
+    """Four forms of rank 3 with form 4 = form 1 + form 2 take 4 + 6 =
+    10 subsets to find the flats; past a limit of 9, verify refuses at
+    any j >= 1 before it expands any product.  j = 0 needs no flats."""
+    path = tmp_path / "dependent.json"
+    path.write_text(json.dumps({"field": "QQ", "forms": [[1, 0, 0], [0, 1, 0], [0, 0, 1], [1, 1, 0]]}))
     monkeypatch.setattr(arrangements, "MAX_FLAT_SUBSETS", 9)
     calls = count_products(monkeypatch)
-    for args in (["--j", "0"], ["--all-j"]):
-        assert run(["verify", *args, COORD_PLUS_SUM]) == 2, args
+    for args in (["--j", "1"], ["--all-j"]):
+        assert run(["verify", *args, str(path)]) == 2, args
         captured = capsys.readouterr()
         assert captured.out == "" and "need 10 subsets" in captured.err
         assert "limit of 9" in captured.err
     assert calls == []
+    assert run(["verify", "--j", "0", str(path)]) == 0
+    assert read_report(capsys)["results"]["status"] == "holds"
 
 
 def test_product_too_large_to_expand_exits_two(capsys, monkeypatch, tmp_path):
