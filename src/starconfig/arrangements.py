@@ -222,11 +222,10 @@ class Arrangement:
     def _flats(self):
         """Every nonzero flat, as a LinearPrime whose support is the
         labels of the forms in its span, for what the minors and j = 0
-        leave open: input that the minors do not show generic, and
-        genericity at an s other than the rank.  A proper flat of
-        height h is spanned by h of its forms, so one rref per subset of
-        at most rank-1 labels, deduplicated by echelon rows, finds them
-        all; the span of all forms comes last.  A flat's support is the
+        leave open: input that the minors do not show generic.  A
+        proper flat of height h is spanned by h of its forms, so one
+        rref per subset of at most rank-1 labels, deduplicated by
+        echelon rows, finds them all; the span of all forms comes last.  A flat's support is the
         union of the subsets whose echelon rows are its own, and that is
         exact: every form of a subset lies in its span, and a form i of
         a flat F of height h < rank extends to a basis of F of h forms,
@@ -254,15 +253,19 @@ class Arrangement:
 
     def s_generic_witness(self, s: int):
         """None if any s forms are independent, else the labels of the
-        first dependent s-subset in lexicographic order.  At s = rank
-        the minors answer None when they show every rank forms
-        independent.  Otherwise the witness is the least first s labels
-        of a flat with height < s <= |support|: any dependent s-subset
-        spans such a flat, whose first s labels are dependent and come
-        no later."""
+        first dependent s-subset in lexicographic order.  Past the rank
+        every s forms are dependent, so the witness is (1, ..., s), or
+        None when there are fewer than s forms.  Up to the rank the
+        minors answer None when they show every rank forms independent,
+        since then so are any fewer.  Otherwise the witness is the least
+        first s labels of a flat with height < s <= |support|: any
+        dependent s-subset spans such a flat, whose first s labels are
+        dependent and come no later."""
         if s < 1:
             raise UsageError("genericity level must be positive")
-        if s == self.rank() and self._in_general_position():
+        if s > self.rank():
+            return tuple(range(1, s + 1)) if s <= self.n else None
+        if self._in_general_position():
             return None
         witnesses = (p.support[:s] for p in self._flats() if p.height < s <= len(p.support))
         return min(witnesses, default=None)
@@ -351,9 +354,13 @@ class Arrangement:
         carries an odd one over, so every elimination joins two ideals
         of similar size.  That is N-1 intersections for N primes, as a
         left fold would take, but none of them pits one ever-growing
-        ideal against a single prime.  The result is the reduced
-        grevlex basis of the intersection, which does not depend on
-        how the intersections are grouped.
+        ideal against a single prime.  Linear primes, and every
+        intersection of them, have homogeneous generators, so each
+        elimination runs under ``intersect``'s degree-first order,
+        where far fewer S-pairs reduce to zero than with t in front.
+        The result is the reduced grevlex basis of the intersection,
+        which does not depend on how the intersections are grouped or
+        on the order used to eliminate.
         """
         level = [p.ideal_in(self.ring) for p in self.minimal_linear_primes(j)]
         while len(level) > 1:

@@ -1,13 +1,16 @@
 """Groebner bases and exact ideal arithmetic.
 
 Buchberger with the normal selection strategy (smallest lcm first),
-the coprimality criterion, and the chain criterion, followed by
-minimalization and interreduction.  The reduced basis is canonical:
-monic generators sorted by leading monomial, independent of input
-order, so two runs over shuffled generators must agree.  A basis needs
-only irreducible leading terms (Becker & Weispfenning, GTM 141), so
-S-pair remainders are top-reduced and their tails are reduced once, at
-interreduction, and only for the elements that are kept.
+the coprimality criterion, and the chain criterion.  Minimalization and
+interreduction are a separate step, run only on the elements a caller
+keeps: ``buchberger`` on all of them, ``intersect`` on those free of t,
+and ``radical_member``, which only asks whether the basis is (1), on
+none.  The reduced basis is canonical: monic generators sorted by
+leading monomial, independent of input order, so two runs over
+shuffled generators must agree.  A basis needs only irreducible
+leading terms (Becker & Weispfenning, GTM 141), so S-pair remainders
+are top-reduced and their tails are reduced once, at interreduction,
+and only for the elements that are kept.
 
 The core runs on packed-integer monomials (see ``orders``) and on
 Python ``int`` coefficients in both fields.  Over GF(p) they are
@@ -30,10 +33,17 @@ constant turns up, since the reduced basis is then (1,).
 Radical membership goes through the one-extra-variable trick:
 f lies in rad(I) iff 1 lies in I + <1 - y*f>, which is exact both ways.
 The adjoined system is packed directly and answered by that stop.
-Intersections eliminate t from t*a + (1-t)*b, packed directly too,
-under the elimination layout with t in front.  Padding a grevlex-sorted
-exponent tuple with a 0 or a 1 for the extra variable keeps its terms
-sorted in both layouts, so neither system is sorted afresh.
+Intersections eliminate t from t*a + (1-t)*b, packed directly too.
+When every generator of both ideals is homogeneous, as the primes of
+an arrangement's radical are, the order compares the degree in x
+first and the power of t next, which eliminates t on that system and
+meets its S-pairs in degree order, so far fewer of them reduce to zero
+than with t in front; other input keeps t in front.  Padding a
+grevlex-sorted exponent tuple with a 0 or a 1 for the extra variable
+keeps its terms sorted in every layout, and so does writing (1-t)*g as
+its t-terms followed by g's own terms, for homogeneous g under the
+degree-first order and for any g with t in front, so neither system
+is sorted afresh.
 """
 
 from __future__ import annotations
@@ -44,13 +54,15 @@ from math import gcd, lcm
 from time import monotonic
 
 from .errors import UsageError
-from .orders import degree_error, elimination_layout, grevlex_layout
+from .orders import degree_elimination_layout, degree_error, elimination_layout, grevlex_layout
 from .polynomials import Polynomial, Ring
 
 # The core works on packed terms: lists of (packed monomial, int
 # coefficient) pairs, descending, with no zero coefficient.  A basis
 # element or divisor is one record, built by ``_record``: (leading
-# monomial, (leading coefficient, tail)).
+# monomial, (leading coefficient, tail)).  The unit ideal's basis is
+# ``_UNIT``, the constant 1, whose packed monomial is 0 in every layout.
+_UNIT = ((0, (1, ())),)
 
 
 def _pack(f: Polynomial, layout, pad=()):
@@ -249,7 +261,8 @@ def buchberger(gens):
         if g.ring != ring:
             raise UsageError("generators live in different rings")
     layout = ring.layout
-    basis = _groebner([_pack(g, layout)[0] for g in polys], ring.field.characteristic, layout)
+    p = ring.field.characteristic
+    basis = _interreduce(_groebner([_pack(g, layout)[0] for g in polys], p, layout), p, layout)
     return tuple(_unpack(ring, layout, terms, terms[0][1]) for terms in basis)
 
 
@@ -261,23 +274,23 @@ def check_deadline(deadline):
 
 
 def _groebner(packed_gens, p, layout, deadline=None):
-    """Reduced basis of packed int generators over GF(p), or over QQ
-    when p is 0, as normalized packed terms sorted by leading monomial.
+    """A Groebner basis of packed int generators over GF(p), or over QQ
+    when p is 0, as basis records in the order they were found.  It is
+    neither minimal nor interreduced: ``_interreduce`` turns the
+    records a caller keeps into a reduced basis.
 
     The input generators are fully reduced; S-pair remainders are only
-    top-reduced, since a basis needs only irreducible leading terms;
-    interreduction reduces the tails of the elements it keeps.
+    top-reduced, since a basis needs only irreducible leading terms.
 
-    Stops with the unit basis as soon as a reduced generator or an
-    S-pair remainder is a nonzero constant (packed monomial 0 in every
-    layout): the ideal is then the whole ring, whose reduced basis is
-    (1,) whatever else the pair queue holds.  At or past deadline, a
-    ``time.monotonic()`` value, the next popped S-pair raises
-    ``TimeoutError``.
+    Returns ``_UNIT`` as soon as a reduced generator or an S-pair
+    remainder is a nonzero constant: the ideal is then the whole ring,
+    whatever else the pair queue holds.  A basis of the unit ideal
+    holds a constant, so a run that ends without one is not (1).  At or
+    past deadline, a ``time.monotonic()`` value, the next popped S-pair
+    raises ``TimeoutError``.
     """
     guard = layout.guard
     pack, unpack = layout.pack, layout.unpack
-    unit = [[(0, 1)]]
 
     basis = []
     lm_exps = []
@@ -294,7 +307,7 @@ def _groebner(packed_gens, p, layout, deadline=None):
             terms = _reduce(dict(terms), basis, p, layout)[0]
         if terms:
             if terms[0][0] == 0:
-                return unit
+                return _UNIT
             append(terms)
 
     pending = set()
@@ -329,13 +342,21 @@ def _groebner(packed_gens, p, layout, deadline=None):
         if not r:
             continue
         if r[0][0] == 0:
-            return unit
+            return _UNIT
         append(r)
         t = len(basis) - 1
         for i2 in range(t):
             pending.add((i2, t))
             heappush(heap, (pair_lcm(i2, t), i2, t))
+    return basis
 
+
+def _interreduce(basis, p, layout):
+    """The reduced basis that the basis records span, as normalized
+    packed terms sorted by leading monomial, when they are a Groebner
+    basis of their ideal: only the elements whose leading monomial no
+    other one divides, each with its tail reduced by the others."""
+    guard = layout.guard
     # keep the first element of each leading monomial that no kept one
     # divides; a divisor never sorts after what it divides, so in
     # ascending order every element is met after its divisors
@@ -381,19 +402,42 @@ class Ideal:
 def intersect(a: Ideal, b: Ideal) -> Ideal:
     """Intersection via t*a + (1-t)*b and elimination of t.
 
-    The system is packed directly in ``elimination_layout`` with t last
-    and in front: t*g is g's terms with t padded on, and (1-t)*g is
-    the negated t-terms followed by g's own terms, both already sorted.
-    The reduced basis elements whose leading monomial avoids t generate
-    the intersection.  They are returned monic under that order, which
-    is grevlex on t-free monomials, so their terms need no re-sort.
+    The basis elements whose leading monomial avoids t generate the
+    intersection.  Only t-free divisors can touch their terms, so only
+    those elements are minimalized and interreduced.  They are returned
+    monic and sorted under grevlex, which every layout here is on
+    t-free monomials, so their terms need no re-sort.
+
+    When every generator of both ideals is homogeneous, as under
+    ``Arrangement.combinatorial_radical``, the system is packed in
+    ``degree_elimination_layout``: the degree in x first, with t of
+    weight 0, then the power of t, then grevlex on x.  Every generator
+    of t*a + (1-t)*b is then homogeneous in x, and S-polynomials and
+    reductions keep that, so every basis element is too.  Within one
+    x-degree a term with t outranks every term without it, so an
+    element whose leading monomial avoids t avoids t altogether.  The
+    t-free elements form a Groebner basis of the intersection: the
+    leading monomial of any f in it is that of its top-degree part,
+    which lies in it too and is divisible by the leading monomial of
+    some basis element, which then avoids t.  So the result is the
+    reduced grevlex basis of the intersection, the same as with t in
+    front, but the run meets its S-pairs in degree order and far fewer
+    of them reduce to zero (Cox, Little & O'Shea, Ideals, Varieties,
+    and Algorithms, ch. 4 section 3, for the intersection; Becker &
+    Weispfenning, GTM 141, for homogeneous bases).
+
+    Other input is packed in ``elimination_layout``, with t in front,
+    which eliminates t from any system.  Either way t*g is g's terms
+    with t padded on, and (1-t)*g is the negated t-terms followed by
+    g's own terms, both already sorted.
     """
     if a.ring != b.ring:
         raise UsageError("ideals live in different rings")
     ring = a.ring
     nvars = ring.nvars
     p = ring.field.characteristic
-    layout = elimination_layout(nvars)
+    homogeneous = all(len({sum(e) for e, _ in g.terms}) <= 1 for g in a.gens + b.gens)
+    layout = (degree_elimination_layout if homogeneous else elimination_layout)(nvars)
     gens = []
     for g in a.gens:
         if not g.is_zero():
@@ -405,10 +449,9 @@ def intersect(a: Ideal, b: Ideal) -> Ideal:
             high, _ = _pack(g, layout, (1,))
             gens.append([(m, (p - c) if p else -c) for m, c in high] + low)
     unpack = layout.unpack
+    free = [record for record in _groebner(gens, p, layout) if not unpack(record[0])[nvars]]
     kept = []
-    for terms in _groebner(gens, p, layout):
-        if unpack(terms[0][0])[nvars]:
-            continue
+    for terms in _interreduce(free, p, layout):
         scale = terms[0][1]
         if p:
             out = [(unpack(m)[:nvars], c) for m, c in terms]
@@ -424,8 +467,10 @@ def radical_member(f: Polynomial, ideal: Ideal, deadline=None) -> bool:
     Exact both ways: f is in rad(I) iff the ideal I + <1 - y*f> in one
     more variable y, last under grevlex, is the whole ring.  That system
     is packed here in ``grevlex_layout`` with y padded on, which keeps
-    every generator's terms sorted.  At or past deadline, a
-    ``time.monotonic()`` value, the Groebner run raises ``TimeoutError``.
+    every generator's terms sorted.  The answer is whether the Groebner
+    run stopped at a constant, so its basis is never interreduced.  At
+    or past deadline, a ``time.monotonic()`` value, the Groebner run
+    raises ``TimeoutError``.
     """
     if f.ring != ideal.ring:
         raise UsageError("element lives in a different ring")
@@ -439,4 +484,4 @@ def radical_member(f: Polynomial, ideal: Ideal, deadline=None) -> bool:
     rabinowitsch, den = _pack(f, layout, (1,))
     rabinowitsch.append((0, p - den))
     gens.append(rabinowitsch)
-    return _groebner(gens, p, layout, deadline) == [[(0, 1)]]
+    return _groebner(gens, p, layout, deadline) is _UNIT

@@ -1,10 +1,15 @@
-"""The two monomial orders and the packed-integer encoding of monomials.
+"""The monomial orders and the packed-integer encoding of monomials.
 
 Polynomials carry monomials as tuples of non-negative exponents, and
-every ring orders them by grevlex.  The Groebner core needs one more
-order, to eliminate an extra variable t.  So there are two layouts,
-each built once per arity: ``grevlex_layout(n)`` and
-``elimination_layout(n)``, whose extra last variable t goes in front.
+every ring orders them by grevlex.  The Groebner core needs orders that
+eliminate an extra last variable t.  So there are three layouts, each
+built once per arity: ``grevlex_layout(n)``; ``elimination_layout(n)``,
+with t in front of everything; and ``degree_elimination_layout(n)``,
+which compares the degree in the other variables first and t next.
+``intersect`` eliminates t under the degree-first one when both ideals
+are given by homogeneous generators, where it is still an elimination
+order and its Groebner runs are cheaper, since the S-pairs come in
+degree order; other input keeps t in front.
 
 A layout packs a monomial into one int, its sort key, after Monagan &
 Pearce (CASC 2007).  The int is a row of 16-bit fields, each a
@@ -108,3 +113,20 @@ def elimination_layout(nvars) -> Layout:
     """
     n = nvars + 1
     return Layout(n, _prefix_rows((nvars,), n) + _prefix_rows(tuple(range(nvars)), n))
+
+
+@cache
+def degree_elimination_layout(nvars) -> Layout:
+    """nvars variables and an extra last one, t, of weight 0: the
+    degree in the others first, then the power of t, then grevlex on
+    the others.
+
+    This is not an elimination order in general, but it is one on
+    polynomials homogeneous in the other variables: all their terms
+    share one such degree, so a term with t outranks every term without
+    it, as under ``elimination_layout``.  On t-free monomials it is the
+    grevlex order of ``grevlex_layout(nvars)``.
+    """
+    n = nvars + 1
+    total, *prefixes = _prefix_rows(tuple(range(nvars)), n)
+    return Layout(n, [total, *_prefix_rows((nvars,), n), *prefixes])

@@ -7,10 +7,11 @@ the tests require the packed core to return the same polynomials, term
 for term.
 
 Each entry point takes the name of its order: "grevlex", the order of
-every ring, or "elimination", with the last variable t in front.  Under
-"elimination" the polynomials it returns hold their terms sorted by
-that order, not by their ring's grevlex, so a caller moves them back
-into a ring before comparing them with anything else.
+every ring, "elimination", with the last variable t in front, or
+"degree-elimination", with the degree in the other variables first and
+t next.  Under the last two the polynomials it returns hold their terms
+sorted by that order, not by their ring's grevlex, so a caller moves
+them back into a ring before comparing them with anything else.
 """
 
 from __future__ import annotations
@@ -44,6 +45,9 @@ def tuple_key(order, exps):
         return (sum(exps), *(-x for x in reversed(exps)))
     if order == "elimination":
         return (exps[-1], *tuple_key("grevlex", exps[:-1]))
+    if order == "degree-elimination":
+        degree, *rest = tuple_key("grevlex", exps[:-1])
+        return (degree, exps[-1], *rest)
     raise ValueError(f"no tuple key for {order!r}")
 
 

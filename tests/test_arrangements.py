@@ -392,6 +392,31 @@ def test_flats_answer_like_the_subset_loops(arr):
     assert arr.min_distance() == min_distance_reference(ref)
 
 
+def _flats_witness(arr, s):
+    """The witness as the flats give it, at any s: the least first s
+    labels of a flat with height < s <= |support|."""
+    witnesses = (p.support[:s] for p in arr._flats() if p.height < s <= len(p.support))
+    return min(witnesses, default=None)
+
+
+@settings(max_examples=100, deadline=None)
+@given(arr=st.one_of(small_arrangements(), dense_arrangements()))
+# five forms in general position, and four of rank 3 whose first three
+# share a plane, closed only past the rank
+@example(arr=Arrangement(GF(32003), [(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 2, 3), (1, 5, 7)]))
+@example(arr=Arrangement(QQ, [(1, 0, 0), (0, 1, 0), (1, 1, 0), (0, 0, 1)]))
+def test_closed_form_witnesses_match_the_flats(arr):
+    """Past the rank on any arrangement, and up to it on input that the
+    minors show generic, the witness is a closed form that builds no
+    flats, and it equals the witness the flats give."""
+    ref = Arrangement(arr.field, arr.forms)
+    closed = [s for s in range(1, arr.n + 3) if s > arr.rank() or arr._in_general_position()]
+    event(f"closed forms at {len(closed)} of {arr.n + 2} levels")
+    for s in closed:
+        assert arr.s_generic_witness(s) == _flats_witness(ref, s)
+    assert arr._flat_cache is None
+
+
 @settings(max_examples=80, deadline=None)
 @given(arr=small_arrangements())
 def test_flat_supports_are_the_forms_in_each_span(arr):

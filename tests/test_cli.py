@@ -390,6 +390,21 @@ def test_generic_input_past_the_flat_limit_answers(capsys, tmp_path):
         assert read_report(capsys)["results"] == {"min_distance": 3, "n": 18, "rank": 16}
 
 
+def test_genericity_off_the_rank_needs_no_flats(capsys, monkeypatch, tmp_path):
+    """18 sampled forms of rank 16, whose flats would take 261,971
+    subsets: any 15 of them are independent, and the first 17 are
+    dependent, as any 17 are."""
+    refuse_flats(monkeypatch)
+    assert run(["random", "--k", "16", "--n", "18", "--seed", "0"]) == 0
+    sampled = tmp_path / "sampled.json"
+    sampled.write_text(capsys.readouterr().out)
+    assert run(["check-generic", "--s", "15", str(sampled)]) == 0
+    assert read_report(capsys)["results"] == {"s": 15, "is_generic": True, "witness": None}
+    assert run(["check-generic", "--s", "17", str(sampled)]) == 1
+    assert read_report(capsys)["results"]["witness"] == list(range(1, 18))
+    assert run(["check-generic", "--s", "19", str(sampled)]) == 0
+
+
 def test_j_zero_needs_no_flats(capsys, monkeypatch):
     """The Hartshorne forms are not 3-generic, yet at j = 0 the height
     is 1, the minimal primes are the six forms and verify holds."""

@@ -7,6 +7,7 @@ Buchberger implementation, on a battery of deterministic fixtures.
 import random
 import time
 from fractions import Fraction
+from itertools import product
 from math import gcd
 
 import pytest
@@ -14,10 +15,12 @@ import sympy
 from hypothesis import given, settings, strategies as st
 from sympy.polys.domains import GF as SGF, QQ as SQQ
 
+from starconfig import groebner
 from starconfig.fields import GF, QQ
 from starconfig.groebner import (
     Ideal,
     _groebner,
+    _interreduce,
     _normalize,
     _pack,
     _reduce,
@@ -29,7 +32,13 @@ from starconfig.groebner import (
     s_polynomial,
 )
 from starconfig.errors import UsageError
-from starconfig.orders import DEGREE_LIMIT, elimination_layout, grevlex_layout, mono_divides
+from starconfig.orders import (
+    DEGREE_LIMIT,
+    degree_elimination_layout,
+    elimination_layout,
+    grevlex_layout,
+    mono_divides,
+)
 from starconfig.polynomials import Ring
 
 import groebner_reference as ref
@@ -167,7 +176,7 @@ def test_int_core_basis_contract():
         p = ring.field.characteristic
         layout = ring.layout
         for gens in (ideal.gens, [-g for g in ideal.gens]):
-            core = _groebner([_pack(g, layout)[0] for g in gens], p, layout)
+            core = _interreduce(_groebner([_pack(g, layout)[0] for g in gens], p, layout), p, layout)
             for terms in core:
                 coeffs = [c for _, c in terms]
                 assert all(type(c) is int for c in coeffs)
@@ -330,6 +339,43 @@ def test_intersection_matches_reference(data):
     _same_intersection(a, b)
 
 
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_homogeneous_intersection_matches_reference(data):
+    """Random homogeneous ideals, which intersect eliminates under the
+    degree-first order, against the old construction with t in front."""
+    field = data.draw(st.sampled_from([GF(32003), GF(7), QQ]))
+    ring = Ring(field, 3, names=("x", "y", "z"))
+    a = Ideal(ring, _random_homogeneous_polys(data.draw, ring, data.draw(st.integers(0, 2))))
+    b = Ideal(ring, _random_homogeneous_polys(data.draw, ring, data.draw(st.integers(0, 2))))
+    _same_intersection(a, b)
+
+
+def test_intersect_packs_homogeneous_input_degree_first(R, monkeypatch):
+    """Homogeneous generators, a constant among them, are eliminated
+    under the degree-first layout; one inhomogeneous generator in
+    either ideal keeps t in front."""
+    x, y, z = R.gens()
+    layouts = []
+    core = groebner._groebner
+
+    def spy(gens, p, layout, deadline=None):
+        layouts.append(layout)
+        return core(gens, p, layout, deadline)
+
+    monkeypatch.setattr(groebner, "_groebner", spy)
+    degree_first, t_first = degree_elimination_layout(3), elimination_layout(3)
+    for a, b, layout in (
+        ((x * y, z ** 2), (x + y,), degree_first),
+        ((R.one,), (x, y ** 2 - x * z), degree_first),
+        ((x * y, z + 1), (x + y,), t_first),
+        ((x * y,), (x + y, z ** 2 - x), t_first),
+    ):
+        layouts.clear()
+        _same_intersection(Ideal(R, a), Ideal(R, b))
+        assert layouts == [layout]
+
+
 def test_radical_membership_basics(R):
     x, y, z = R.gens()
     I = Ideal(R, (x ** 2, y ** 3))
@@ -455,25 +501,46 @@ def _random_polys(draw, ring, count):
     return out
 
 
+def _random_homogeneous_polys(draw, ring, count):
+    """Polynomials of up to three terms, each homogeneous of a degree
+    from 0 to 3; a constant makes its ideal the unit ideal."""
+    coeffs = _coeffs(ring.field)
+    out = []
+    for _ in range(count):
+        d = draw(st.integers(0, 3))
+        monos = [e for e in product(range(d + 1), repeat=ring.nvars) if sum(e) == d]
+        terms = draw(st.dictionaries(st.sampled_from(monos), coeffs, min_size=1, max_size=3))
+        out.append(ring.from_dict(terms))
+    return out
+
+
 @settings(max_examples=60, deadline=None)
 @given(data=st.data())
 def test_padding_keeps_terms_sorted(data):
     """intersect and radical_member pack their systems without sorting:
     a polynomial's grevlex terms padded with 0 or with 1 for the extra
-    variable stay descending in both layouts, and so does (1-t)*g
-    written as the t-terms followed by g's own."""
+    variable stay descending in every layout.  (1-t)*g written as the
+    t-terms followed by g's own stays descending with t in front for
+    any g, and under the degree-first order for homogeneous g, here
+    the terms of f of its top degree."""
     field = data.draw(st.sampled_from([GF(101), QQ]))
     n = data.draw(st.integers(1, 6))
     ring = Ring(field, n)
     exps = st.tuples(*[st.integers(0, 3)] * n)
     f = ring.from_dict(data.draw(st.dictionaries(exps, _coeffs(field), min_size=1, max_size=8)))
+    top = f.total_degree()
+    g = ring.from_dict({e: c for e, c in f.terms if sum(e) == top})
     grevlex, elimination = grevlex_layout(n + 1), elimination_layout(n)
-    for layout in (grevlex, elimination):
-        low, high = _pack(f, layout, (0,))[0], _pack(f, layout, (1,))[0]
-        systems = (low, high, high + low) if layout is elimination else (low, high)
-        for terms in systems:
-            keys = [m for m, _ in terms]
-            assert keys == sorted(keys, reverse=True)
+    degree_first = degree_elimination_layout(n)
+    for layout in (grevlex, elimination, degree_first):
+        for h in (f, g):
+            low, high = _pack(h, layout, (0,))[0], _pack(h, layout, (1,))[0]
+            systems = [low, high]
+            if layout is elimination or (layout is degree_first and h is g):
+                systems.append(high + low)
+            for terms in systems:
+                keys = [m for m, _ in terms]
+                assert keys == sorted(keys, reverse=True)
 
 
 @settings(max_examples=40, deadline=None)

@@ -1,4 +1,4 @@
-"""Polynomial arithmetic, the two monomial orders, forms and their products."""
+"""Polynomial arithmetic, the monomial orders, forms and their products."""
 
 import re
 
@@ -9,6 +9,7 @@ from starconfig.errors import UsageError
 from starconfig.fields import GF, QQ
 from starconfig.orders import (
     DEGREE_LIMIT,
+    degree_elimination_layout,
     elimination_layout,
     grevlex_layout,
     mono_divides,
@@ -29,7 +30,11 @@ def cmp_monomials(layout, a, b):
 
 def _layouts(n):
     """Each order's name for ``tuple_key``, its layout, and its arity."""
-    return (("grevlex", grevlex_layout(n), n), ("elimination", elimination_layout(n), n + 1))
+    return (
+        ("grevlex", grevlex_layout(n), n),
+        ("elimination", elimination_layout(n), n + 1),
+        ("degree-elimination", degree_elimination_layout(n), n + 1),
+    )
 
 
 def test_grevlex_orders_by_degree_then_reverse():
@@ -47,6 +52,18 @@ def test_block_order_eliminates_front_block():
     assert cmp_monomials(elimination, (0, 0, 1), (4, 5, 0)) == 1
     assert cmp_monomials(elimination, (0, 3, 1), (9, 0, 1)) == -1
     assert cmp_monomials(elimination, (2, 1, 0), (1, 2, 0)) == 1
+
+
+def test_degree_first_order_puts_t_second():
+    # the degree in the other variables decides first, whatever the
+    # power of t; within one degree a term with t outranks every term
+    # without it, and on t-free monomials the order is grevlex's
+    degree_first = degree_elimination_layout(2)
+    assert cmp_monomials(degree_first, (0, 0, 1), (4, 5, 0)) == -1
+    assert cmp_monomials(degree_first, (1, 0, 9), (2, 0, 0)) == -1
+    assert cmp_monomials(degree_first, (0, 2, 1), (2, 0, 0)) == 1
+    assert cmp_monomials(degree_first, (0, 2, 2), (1, 1, 1)) == 1
+    assert cmp_monomials(degree_first, (2, 1, 0), (1, 2, 0)) == 1
 
 
 def test_cmp_rejects_arity_mismatch():
