@@ -21,12 +21,18 @@ from .groebner import Ideal, intersect
 from .polynomials import Polynomial, ProductOfForms, Ring
 
 # Most subsets of forms that the flat enumeration may visit, at a few
-# thousand per second, and most minors that the genericity test may
-# expand, at tens of thousands per second; past it that test leaves the
-# verdict to the flats.  Every shape in the tests and the benchmark needs
-# under 10,000 subsets; 16 forms of rank 10 need 50,642.  Generic input
-# needs C(n, rank) - 1 minors and no subsets: 3,002 for 14 forms of rank 8.
+# thousand per second.  Every shape in the tests and the benchmark needs
+# under 10,000 subsets; 16 forms of rank 10 need 50,642.
 MAX_FLAT_SUBSETS = 100_000
+
+# Most minors that the genericity test may expand; past it that test
+# leaves the verdict to the flats.  Generic input needs C(n, rank) - 1
+# minors and no subsets: 3,002 for 14 forms of rank 8, and 167,959 for 20
+# forms of rank 11, whose flats would need 616,665 subsets.  Minors run at
+# about 170,000 a second over GF(32003) (48,619 for 18 forms of rank 9 in
+# 0.3 s) and 30,000 a second over QQ with one-digit input (those 167,959
+# in 5.2 s and 35 MiB), so the limit stays within about 15 s over QQ.
+MAX_MINORS = 500_000
 
 # Most terms that one expanded product of forms may have, bounded before
 # expanding.  The bound for 9 general forms in 11 variables, 92,378
@@ -209,12 +215,12 @@ class Arrangement:
         C(n, rank) - 1 minors.  When the last rank forms are dependent,
         a basis form is among the first rows, and the zeros of its unit
         row are vanishing minors.  False when a minor vanishes or there
-        are more than MAX_FLAT_SUBSETS of them; the queries then ask
-        the flats.
+        are more than MAX_MINORS of them; the queries then ask the
+        flats.
         """
         if self._generic is None:
             r = self.rank()
-            self._generic = comb(self.n, r) - 1 <= MAX_FLAT_SUBSETS and _all_minors_nonzero(
+            self._generic = comb(self.n, r) - 1 <= MAX_MINORS and _all_minors_nonzero(
                 self.field, self.adapted().forms[: self.n - r]
             )
         return self._generic

@@ -32,7 +32,10 @@ constant turns up, since the reduced basis is then (1,).
 
 Radical membership goes through the one-extra-variable trick:
 f lies in rad(I) iff 1 lies in I + <1 - y*f>, which is exact both ways.
-The adjoined system is packed directly and answered by that stop.
+The adjoined system is packed directly and answered by that stop; an
+ideal keeps its part of that system, packed and reduced, for every
+test after the first, and a polynomial keeps its packing in its own
+ring's layout, so nothing is packed twice.
 Intersections eliminate t from t*a + (1-t)*b, packed directly too.
 When every generator of both ideals is homogeneous, as the primes of
 an arrangement's radical are, the order compares the degree in x
@@ -51,6 +54,7 @@ from __future__ import annotations
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from math import gcd, lcm
+from operator import mul
 from time import monotonic
 
 from .errors import UsageError
@@ -68,12 +72,23 @@ _UNIT = ((0, (1, ())),)
 def _pack(f: Polynomial, layout, pad=()):
     """f's terms with each exponent tuple extended by pad and packed, in
     f's grevlex order, with int coefficients; and the positive int they
-    were scaled by: 1 over GF(p), the lcm of the denominators over QQ."""
+    were scaled by: 1 over GF(p), the lcm of the denominators over QQ.
+
+    Packed in its own ring's layout with no pad, f keeps the result, so
+    a polynomial that is reduced or divided by again and again is
+    packed once; callers must not mutate the returned list."""
+    own = not pad and layout is f.ring.layout
+    if own and f._packed is not None:
+        return f._packed
     pack = layout.pack
     if f.ring.field.characteristic:
-        return [(pack(e + pad), c) for e, c in f.terms], 1
-    den = lcm(*[c.denominator for _, c in f.terms])
-    return [(pack(e + pad), c.numerator * (den // c.denominator)) for e, c in f.terms], den
+        packed = [(pack(e + pad), c) for e, c in f.terms], 1
+    else:
+        den = lcm(*[c.denominator for _, c in f.terms])
+        packed = [(pack(e + pad), c.numerator * (den // c.denominator)) for e, c in f.terms], den
+    if own:
+        f._packed = packed
+    return packed
 
 
 def _unpack(ring: Ring, layout, terms, scale) -> Polynomial:
@@ -273,14 +288,35 @@ def check_deadline(deadline):
         raise TimeoutError
 
 
-def _groebner(packed_gens, p, layout, deadline=None):
+def _add_inputs(basis, packed_gens, p, layout):
+    """Append each packed generator to the list of basis records, fully
+    reduced by the records before it, and skip it when it reduces to
+    zero; returns basis, or ``_UNIT`` as soon as one reduces to a
+    nonzero constant."""
+    for terms in packed_gens:
+        if basis:
+            terms = _reduce(dict(terms), basis, p, layout)[0]
+        if terms:
+            if terms[0][0] == 0:
+                return _UNIT
+            basis.append(_record(terms, p))
+    return basis
+
+
+def _groebner(packed_gens, p, layout, deadline=None, start=()):
     """A Groebner basis of packed int generators over GF(p), or over QQ
     when p is 0, as basis records in the order they were found.  It is
     neither minimal nor interreduced: ``_interreduce`` turns the
     records a caller keeps into a reduced basis.
 
-    The input generators are fully reduced; S-pair remainders are only
-    top-reduced, since a basis needs only irreducible leading terms.
+    start holds basis records that are already the first basis
+    elements, each reduced by those before it, as ``_add_inputs``
+    leaves them; ``radical_member`` passes its ideal's generators this
+    way, so that they are packed and reduced once per ideal.  The input
+    generators are then fully reduced after them; S-pair remainders are
+    only top-reduced, since a basis needs only irreducible leading
+    terms.  Each pair's lcm is summed from the leading exponents kept
+    beside the records, with one guard test for the degree limit.
 
     Returns ``_UNIT`` as soon as a reduced generator or an S-pair
     remainder is a nonzero constant: the ideal is then the whole ring,
@@ -290,25 +326,25 @@ def _groebner(packed_gens, p, layout, deadline=None):
     raises ``TimeoutError``.
     """
     guard = layout.guard
-    pack, unpack = layout.pack, layout.unpack
+    units, unpack = layout.units, layout.unpack
 
-    basis = []
-    lm_exps = []
+    basis = _add_inputs(list(start), packed_gens, p, layout)
+    if basis is _UNIT:
+        return _UNIT
+    lm_exps = [unpack(lm) for lm, _ in basis]
 
     def append(terms):
         basis.append(_record(terms, p))
         lm_exps.append(unpack(terms[0][0]))
 
     def pair_lcm(i, j):
-        return pack(tuple(map(max, lm_exps[i], lm_exps[j])))
-
-    for terms in packed_gens:
-        if basis:
-            terms = _reduce(dict(terms), basis, p, layout)[0]
-        if terms:
-            if terms[0][0] == 0:
-                return _UNIT
-            append(terms)
+        # the degree of an lcm stays below twice the limit, so no field
+        # carries and a guard bit is set exactly when it reaches the limit
+        a, b = lm_exps[i], lm_exps[j]
+        l = sum(map(mul, map(max, a, b), units))
+        if l & guard:
+            raise degree_error(sum(map(max, a, b)))
+        return l
 
     pending = set()
     heap = []
@@ -373,7 +409,10 @@ def _interreduce(basis, p, layout):
 
 
 class Ideal:
-    """An ideal given by generators, with its Groebner basis cached."""
+    """An ideal given by generators, with two values cached: its reduced
+    Groebner basis, and the input that ``radical_member`` starts every
+    Rabinowitsch run on it from, its generators packed with y = 0 and
+    each reduced by those before it."""
 
     def __init__(self, ring: Ring, gens):
         gens = tuple(gens)
@@ -383,6 +422,7 @@ class Ideal:
         self.ring = ring
         self.gens = gens
         self._gb = None
+        self._rabinowitsch = None
 
     def groebner_basis(self):
         """Reduced grevlex basis, computed once."""
@@ -467,10 +507,14 @@ def radical_member(f: Polynomial, ideal: Ideal, deadline=None) -> bool:
     Exact both ways: f is in rad(I) iff the ideal I + <1 - y*f> in one
     more variable y, last under grevlex, is the whole ring.  That system
     is packed here in ``grevlex_layout`` with y padded on, which keeps
-    every generator's terms sorted.  The answer is whether the Groebner
-    run stopped at a constant, so its basis is never interreduced.  At
-    or past deadline, a ``time.monotonic()`` value, the Groebner run
-    raises ``TimeoutError``.
+    every generator's terms sorted.  The ideal's generators, with y = 0,
+    are packed and reduced by each other once, by its first call, and
+    kept on the ideal; every run starts from those records and packs
+    and reduces only y*f - 1, so it meets the same S-pairs in the same
+    order as a run on all the generators.  The answer is whether the
+    Groebner run stopped at a constant, so its basis is never
+    interreduced.  At or past deadline, a ``time.monotonic()`` value,
+    the Groebner run raises ``TimeoutError`` when it pops an S-pair.
     """
     if f.ring != ideal.ring:
         raise UsageError("element lives in a different ring")
@@ -478,10 +522,14 @@ def radical_member(f: Polynomial, ideal: Ideal, deadline=None) -> bool:
         return True
     p = f.ring.field.characteristic
     layout = grevlex_layout(f.ring.nvars + 1)
-    gens = [_pack(g, layout, (0,))[0] for g in ideal.gens]
+    start = ideal._rabinowitsch
+    if start is None:
+        gens = [_pack(g, layout, (0,))[0] for g in ideal.gens]
+        start = ideal._rabinowitsch = _add_inputs([], gens, p, layout)
+    if start is _UNIT:
+        return True
     # y*f - 1 spans the same ideal; its constant, -1 scaled by den, is
     # the residue p - 1 over GF(p) and -den over QQ, and comes last
     rabinowitsch, den = _pack(f, layout, (1,))
     rabinowitsch.append((0, p - den))
-    gens.append(rabinowitsch)
-    return _groebner(gens, p, layout, deadline) is _UNIT
+    return _groebner([rabinowitsch], p, layout, deadline, start) is _UNIT

@@ -106,13 +106,18 @@ class Ring:
 
 
 class Polynomial:
-    """Immutable polynomial: terms sorted descending under grevlex."""
+    """Immutable polynomial: terms sorted descending under grevlex.
 
-    __slots__ = ("ring", "terms")
+    _packed holds the packed terms that the Groebner core made of it in
+    its ring's layout, kept so that it is packed once; None until then.
+    """
+
+    __slots__ = ("ring", "terms", "_packed")
 
     def __init__(self, ring: Ring, terms):
         self.ring = ring
         self.terms = terms
+        self._packed = None
 
     # -- inspection ----------------------------------------------------
 
@@ -248,6 +253,11 @@ class ProductOfForms:
     over one field.
 
     A repeated factor is multiplied in again, so it expands as a power.
+    A row with a single nonzero coefficient c at x_i, as every basis
+    form is in adapted coordinates, is no multiplication: it adds 1 to
+    the exponent of x_i and multiplies the scalar by c.  Those rows make
+    the one-term product that the expansion starts from, and only the
+    other rows are multiplied into it.
     """
 
     __slots__ = ("field", "factors")
@@ -259,7 +269,17 @@ class ProductOfForms:
     def expand(self, ring: Ring) -> Polynomial:
         if ring.field != self.field:
             raise UsageError("ring field does not match the forms' field")
-        result = ring.one
+        field = self.field
+        exps, scalar = ring._zero_exps, field.one
+        dense = []
         for row in self.factors:
-            result = result * ring.linear(row)
+            form = ring.linear(row)
+            if len(form.terms) == 1:
+                (e, c), = form.terms
+                exps, scalar = mono_mul(exps, e), field.mul(scalar, c)
+            else:
+                dense.append(form)
+        result = Polynomial(ring, ((exps, scalar),))
+        for form in dense:
+            result = result * form
         return result

@@ -165,6 +165,11 @@ def verify_certificate(
     prime, which is exact.  The first algebraic check builds the level
     sums and the certificate ideal, and each product, an entry outside
     the ground set under some corruptions included, is expanded once.
+    Each of them also enters the Groebner core once: the certificate
+    ideal keeps its generators packed and reduced for every
+    Rabinowitsch run after the first, and the level sums and each
+    minimal prime's generators keep their packed terms across the
+    (sum, prime) reductions; all of it is dropped with the call.
     When the labels pass but an algebraic check fails, a cross-check
     reports the disagreement.  A budget turns remaining work into an
     inconclusive verdict, the label check, the expansions and a

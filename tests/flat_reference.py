@@ -4,7 +4,9 @@ s-subset, the minimal primes as the inclusion-minimal spans of
 subarrangements of at most j+1 forms, and the minimum distance as the
 largest support of a span of fewer than rank forms.  Span membership
 is a rank test here, independent of the union of subsets that
-``Arrangement._flats`` reads each support from."""
+``Arrangement._flats`` reads each support from.  The spans and their
+supports are computed once per arrangement, by ``reference_spans``,
+and the other two references filter them."""
 
 from itertools import combinations
 
@@ -30,18 +32,26 @@ def _support(arr, prime):
     return tuple(i for i, row in enumerate(arr.forms, 1) if _in_span(prime, (row,)))
 
 
-def minimal_linear_primes_reference(arr, j):
-    """Inclusion-minimal spans with support at least j+1, sorted by
-    (height, support); containment is tested on the echelon rows."""
+def reference_spans(arr):
+    """The span of every subarrangement of at most rank forms, once
+    each, with its support found by one rank test per form.  A span of
+    height h is spanned by h of its forms, so the spans of at most j+1
+    forms are the spans of height at most j+1."""
     spans = {}
-    for size in range(1, min(arr.rank(), j + 1) + 1):
+    for size in range(1, arr.rank() + 1):
         for subset in combinations(arr.forms, size):
             prime = LinearPrime(arr.field, subset)
-            if prime.rows in spans:
-                continue
-            prime.support = _support(arr, prime)
-            spans[prime.rows] = prime
-    candidates = [p for p in spans.values() if len(p.support) >= j + 1]
+            if prime.rows not in spans:
+                prime.support = _support(arr, prime)
+                spans[prime.rows] = prime
+    return tuple(spans.values())
+
+
+def minimal_linear_primes_reference(spans, j):
+    """Inclusion-minimal spans of at most j+1 forms with support at
+    least j+1, sorted by (height, support); containment is tested on
+    the echelon rows."""
+    candidates = [p for p in spans if p.height <= j + 1 and len(p.support) >= j + 1]
     minimal = [
         p
         for p in candidates
@@ -50,15 +60,7 @@ def minimal_linear_primes_reference(arr, j):
     return tuple(sorted(minimal, key=lambda p: (p.height, p.support)))
 
 
-def min_distance_reference(arr):
+def min_distance_reference(arr, spans):
     """n minus the largest support of a span of fewer than rank forms."""
-    best = 0
-    seen = set()
-    for size in range(1, arr.rank()):
-        for subset in combinations(arr.forms, size):
-            prime = LinearPrime(arr.field, subset)
-            if prime.rows in seen:
-                continue
-            seen.add(prime.rows)
-            best = max(best, len(_support(arr, prime)))
-    return arr.n - best
+    r = arr.rank()
+    return arr.n - max((len(p.support) for p in spans if p.height < r), default=0)

@@ -29,6 +29,7 @@ from flat_reference import (
     _support,
     min_distance_reference,
     minimal_linear_primes_reference,
+    reference_spans,
     s_generic_witness_reference,
 )
 from ideal_helpers import ideal_eq, radical_eq
@@ -384,12 +385,13 @@ def test_flats_answer_like_the_subset_loops(arr):
     assert generic == (s_generic_witness_reference(ref, arr.rank()) is None)
     for s in range(1, arr.n + 2):
         assert arr.s_generic_witness(s) == s_generic_witness_reference(ref, s)
+    spans = reference_spans(ref)
     for j in range(arr.n):
-        primes = minimal_linear_primes_reference(ref, j)
+        primes = minimal_linear_primes_reference(spans, j)
         got = arr.minimal_linear_primes(j)
         assert [(p.rows, p.support) for p in got] == [(p.rows, p.support) for p in primes]
         assert arr.height_afold(j) == min(p.height for p in primes)
-    assert arr.min_distance() == min_distance_reference(ref)
+    assert arr.min_distance() == min_distance_reference(ref, spans)
 
 
 def _flats_witness(arr, s):

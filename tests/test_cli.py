@@ -20,6 +20,8 @@ HARTSHORNE = str(FIXTURES / "hartshorne.json")
 COORD_PLUS_SUM = str(FIXTURES / "coordinate_plus_sum.json")
 # the same four forms with a zero last coefficient: rank 3 in 4 variables
 COORD_PLUS_SUM_IN_FOUR = str(FIXTURES / "coordinate_plus_sum_in_four_variables.json")
+# five 3-generic forms in 3 variables with fraction coefficients
+FRACTIONAL = str(FIXTURES / "fractional_five_forms.json")
 
 
 def read_report(capsys):
@@ -196,6 +198,17 @@ def test_verify_reports_do_not_depend_on_coordinates(capsys, monkeypatch):
 
 def test_verify_with_rank_below_the_variable_count(capsys, monkeypatch):
     argv = ["verify", "--all-j", COORD_PLUS_SUM_IN_FOUR]
+    adapted, plain = run_both_coordinates(argv, capsys, monkeypatch)
+    assert adapted == plain and adapted[0] == 0
+    reports = adapted[1]["results"]["reports"]
+    assert [(r["j"], r["holds"], r["height"]) for r in reports] == [(0, True, 1), (1, True, 2)]
+
+
+def test_verify_with_fraction_coefficients(capsys, monkeypatch):
+    """Denominators reach the kept Rabinowitsch input and the packed
+    level sums; verify holds with height j + 1 at every j, in either
+    coordinates."""
+    argv = ["verify", "--all-j", FRACTIONAL]
     adapted, plain = run_both_coordinates(argv, capsys, monkeypatch)
     assert adapted == plain and adapted[0] == 0
     reports = adapted[1]["results"]["reports"]
@@ -441,6 +454,30 @@ def test_generic_input_builds_no_flats(capsys, monkeypatch, tmp_path, field, k, 
     ):
         assert run(args + [str(path)]) == 0, args
         assert read_report(capsys)["field"] == field
+
+
+def test_minors_have_their_own_limit(capsys, monkeypatch, tmp_path):
+    """Seven generic forms of rank 4 take C(7, 4) - 1 = 34 minors, and
+    their flats 7 + 21 + 35 = 63 subsets.  With the flats limited to 10
+    subsets and the minors to 34, the minors answer alone; at 33 minors
+    the queries fall back to the flats, which refuse."""
+    arr = random_generic_arrangement(4, 7, GF(32003), seed=0)
+    path = tmp_path / "generic.json"
+    path.write_text(json.dumps({"field": "GF(32003)", "forms": [list(r) for r in arr.forms]}))
+    monkeypatch.setattr(arrangements, "MAX_FLAT_SUBSETS", 10)
+    monkeypatch.setattr(arrangements, "MAX_MINORS", 34)
+    with monkeypatch.context() as m:
+        refuse_flats(m)
+        assert run(["min-distance", str(path)]) == 0
+        assert read_report(capsys)["results"] == {"min_distance": 4, "n": 7, "rank": 4}
+        assert run(["check-generic", "--s", "4", str(path)]) == 0
+        assert read_report(capsys)["results"] == {"s": 4, "is_generic": True, "witness": None}
+    monkeypatch.setattr(arrangements, "MAX_MINORS", 33)
+    for args in (["min-distance"], ["check-generic", "--s", "4"]):
+        assert run([*args, str(path)]) == 2, args
+        captured = capsys.readouterr()
+        assert captured.out == "" and "need 63 subsets" in captured.err
+        assert "limit of 10" in captured.err
 
 
 def test_verify_refuses_the_flats_before_expanding(capsys, monkeypatch, tmp_path):

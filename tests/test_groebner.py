@@ -621,6 +621,86 @@ def test_radical_member_matches_tuple_reference(data):
     assert radical_member(f, ideal) == expected
 
 
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_one_ideal_answers_many_radical_tests_like_fresh_ones(data):
+    """One ideal keeps its packed, mutually reduced generators for every
+    Rabinowitsch run after the first, so a reused ideal must answer
+    each element as a fresh ideal and the tuple reference do.  The
+    generators may include a zero one, or g and g + c for a nonzero
+    constant c, which reduce to a unit before any element is adjoined."""
+    field = data.draw(st.sampled_from([GF(7), GF(32003), QQ]))
+    ring = Ring(field, 3, names=("x", "y", "z"))
+    exps = st.tuples(*[st.integers(0, 1)] * 3)
+    coeffs = _coeffs(field)
+
+    def poly(max_size):
+        return ring.from_dict(data.draw(st.dictionaries(exps, coeffs, min_size=1, max_size=max_size)))
+
+    gens = [poly(3) for _ in range(data.draw(st.integers(1, 2)))]
+    extra = data.draw(st.sampled_from(["none", "zero", "unit"]))
+    if extra == "zero":
+        gens.insert(data.draw(st.integers(0, len(gens))), ring.zero)
+    elif extra == "unit":
+        gens += [gens[0] + ring.constant(data.draw(st.integers(1, 6)))]
+    shared = Ideal(ring, gens)
+    elements = [gens[0] ** 2, gens[-1] * poly(2), poly(2), poly(2), ring.zero, ring.one]
+    answers = []
+    for f in elements:
+        expected = _rabinowitsch_reference(f, shared) if not f.is_zero() else True
+        assert radical_member(f, shared) == radical_member(f, Ideal(ring, gens)) == expected
+        answers.append(expected)
+    assert shared._rabinowitsch is not None
+    if extra == "unit":
+        assert all(answers)
+
+
+def test_warm_radical_input_still_meets_its_deadline(R):
+    """After the first call has kept the ideal's packed generators, a
+    run past its deadline still raises once it pops an S-pair, and the
+    next call with time left answers as before.  An ideal whose
+    generators reduce to a unit answers before any pair is popped."""
+    x, y, z = R.gens()
+    ideal = Ideal(R, (x ** 2, R.zero, y ** 3))
+    assert radical_member(x, ideal)
+    assert ideal._rabinowitsch is not None
+    for f in (x, z, x + y):
+        with pytest.raises(TimeoutError):
+            radical_member(f, ideal, deadline=time.monotonic() - 1)
+    assert radical_member(x + y, ideal, deadline=time.monotonic() + 60)
+    assert not radical_member(z, ideal, deadline=time.monotonic() + 60)
+    unit = Ideal(R, (x * y + z, x * y + z + 3))
+    assert radical_member(z, unit)
+    assert radical_member(x + 1, unit, deadline=time.monotonic() - 1)
+
+
+def test_polynomial_keeps_only_its_own_packing(R):
+    """A polynomial keeps its packing in its own ring's layout, which
+    every later reduction reuses; a padded packing in another layout,
+    as radical_member makes, is neither kept nor served in its place."""
+    x, y, z = R.gens()
+    f = x * y + R.constant(Fraction(2, 3)) * z
+    wide = grevlex_layout(R.nvars + 1)
+    padded = _pack(f, wide, (1,))
+    assert f._packed is None
+    own = _pack(f, R.layout)
+    assert _pack(f, R.layout) is own and f._packed is own
+    assert own == ([(R.layout.pack((1, 1, 0)), 3), (R.layout.pack((0, 0, 1)), 2)], 3)
+    assert _pack(f, wide, (1,)) == padded != own
+    assert radical_member(f, Ideal(R, (x, z))) and not radical_member(f, Ideal(R, (x,)))
+    assert reduce(f, [x]) == R.constant(Fraction(2, 3)) * z and f._packed is own
+
+
+def test_pair_lcm_past_degree_limit_raises():
+    """The lcm of x^20000 and y^20000 has degree 40,000, past the packed
+    limit, and is refused when its pair is queued."""
+    ring = Ring(GF(32003), 2, names=("x", "y"))
+    x, y = ring.gens()
+    for gens in ((x ** 20000 + y, y ** 20000 + x), (y ** 20000 + x, x ** 20000 + y)):
+        with pytest.raises(UsageError, match=f"degree 40000 .*limit {DEGREE_LIMIT}"):
+            buchberger(gens)
+
+
 def test_radical_member_reference_sees_both_answers():
     """The reference oracle above separates members from non-members."""
     ring = Ring(GF(7), 3, names=("x", "y", "z"))

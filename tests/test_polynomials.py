@@ -196,6 +196,32 @@ def test_product_of_forms_canonical_with_repeats(data):
     assert ProductOfForms(field, ()).expand(ring) == ring.one
 
 
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
+def test_expand_matches_plain_multiplication(data):
+    """expand multiplies a row with one nonzero coefficient in as an
+    exponent shift and a scalar; the result equals the product of the
+    forms by plain Polynomial multiplication, term for term.  Rows mix
+    dense forms, unit rows, single entries other than 1 and repeats."""
+    field = data.draw(st.sampled_from([GF(7), GF(32003), QQ]))
+    n = data.draw(st.integers(1, 4))
+    ring = Ring(field, n)
+    entries = st.integers(-4, 4).map(field.from_int)
+    dense = st.lists(entries, min_size=n, max_size=n)
+    single = st.tuples(st.integers(0, n - 1), entries.filter(lambda c: c != field.zero)).map(
+        lambda ic: [ic[1] if i == ic[0] else field.zero for i in range(n)]
+    )
+    unit = st.integers(0, n - 1).map(lambda i: [field.from_int(int(j == i)) for j in range(n)])
+    rows = data.draw(st.lists(st.one_of(dense, single, unit), max_size=6))
+    if rows and data.draw(st.booleans()):
+        rows += [rows[0]] * data.draw(st.integers(1, 3))
+    rows = [tuple(row) for row in data.draw(st.permutations(rows))]
+    plain = ring.one
+    for row in rows:
+        plain = plain * ring.linear(row)
+    assert ProductOfForms(field, rows).expand(ring).terms == plain.terms
+
+
 def test_product_expand(R):
     x, y, _ = R.gens()
     p = ProductOfForms(QQ, ((1, 1, 0), (1, 0, 0)))
