@@ -362,11 +362,10 @@ class Arrangement:
         left fold would take, but none of them pits one ever-growing
         ideal against a single prime.  Linear primes, and every
         intersection of them, have homogeneous generators, so each
-        elimination runs under ``intersect``'s degree-first order,
-        where far fewer S-pairs reduce to zero than with t in front.
+        elimination meets its S-pairs in degree order, where far fewer
+        of them reduce to zero than with the lcm alone as the key.
         The result is the reduced grevlex basis of the intersection,
-        which does not depend on how the intersections are grouped or
-        on the order used to eliminate.
+        which does not depend on how the intersections are grouped.
         """
         level = [p.ideal_in(self.ring) for p in self.minimal_linear_primes(j)]
         while len(level) > 1:

@@ -1,11 +1,14 @@
 """Groebner bases and exact ideal arithmetic.
 
-Buchberger with the normal selection strategy (smallest lcm first),
-the coprimality criterion, and the chain criterion.  Minimalization and
-interreduction are a separate step, run only on the elements a caller
-keeps: ``buchberger`` on all of them, ``intersect`` on those free of t,
-and ``radical_member``, which only asks whether the basis is (1), on
-none.  The reduced basis is canonical: monic generators sorted by
+Buchberger with degree-first pair selection (Giovini et al., ISSAC
+1991), the coprimality criterion, and the chain criterion.  The pair
+queue hands out the pair whose lcm has the least selection degree, a
+field that each layout fixes (see ``orders``), and among those the
+least lcm; under grevlex that is the normal strategy.  Minimalization
+and interreduction are a separate step, run only on the elements a
+caller keeps: ``buchberger`` on all of them, ``intersect`` on those
+free of t, and ``radical_member``, which only asks whether the basis
+is (1), on none.  The reduced basis is canonical: monic generators sorted by
 leading monomial, independent of input order, so two runs over
 shuffled generators must agree.  A basis needs only irreducible
 leading terms (Becker & Weispfenning, GTM 141), so S-pair remainders
@@ -36,17 +39,14 @@ The adjoined system is packed directly and answered by that stop; an
 ideal keeps its part of that system, packed and reduced, for every
 test after the first, and a polynomial keeps its packing in its own
 ring's layout, so nothing is packed twice.
-Intersections eliminate t from t*a + (1-t)*b, packed directly too.
-When every generator of both ideals is homogeneous, as the primes of
-an arrangement's radical are, the order compares the degree in x
-first and the power of t next, which eliminates t on that system and
-meets its S-pairs in degree order, so far fewer of them reduce to zero
-than with t in front; other input keeps t in front.  Padding a
-grevlex-sorted exponent tuple with a 0 or a 1 for the extra variable
-keeps its terms sorted in every layout, and so does writing (1-t)*g as
-its t-terms followed by g's own terms, for homogeneous g under the
-degree-first order and for any g with t in front, so neither system
-is sorted afresh.
+Intersections eliminate t from t*a + (1-t)*b, packed directly too,
+with t in front.  Their S-pairs come out by degree in x, which on
+homogeneous input, such as the primes of an arrangement's radical,
+meets them in degree order, so far fewer of them reduce to zero than
+with the lcm alone as the key.  Padding a grevlex-sorted exponent tuple
+with a 0 or a 1 for the extra variable keeps its terms sorted in every
+layout, and so does writing (1-t)*g as its t-terms followed by g's own
+terms with t in front, so neither system is sorted afresh.
 """
 
 from __future__ import annotations
@@ -58,7 +58,7 @@ from operator import mul
 from time import monotonic
 
 from .errors import UsageError
-from .orders import degree_elimination_layout, degree_error, elimination_layout, grevlex_layout
+from .orders import FIELD_MASK, degree_error, elimination_layout, grevlex_layout
 from .polynomials import Polynomial, Ring
 
 # The core works on packed terms: lists of (packed monomial, int
@@ -316,7 +316,8 @@ def _groebner(packed_gens, p, layout, deadline=None, start=()):
     generators are then fully reduced after them; S-pair remainders are
     only top-reduced, since a basis needs only irreducible leading
     terms.  Each pair's lcm is summed from the leading exponents kept
-    beside the records, with one guard test for the degree limit.
+    beside the records, with one guard test for the degree limit, and
+    the pair queue is keyed on the lcm's selection degree, then the lcm.
 
     Returns ``_UNIT`` as soon as a reduced generator or an S-pair
     remainder is a nonzero constant: the ideal is then the whole ring,
@@ -325,7 +326,7 @@ def _groebner(packed_gens, p, layout, deadline=None, start=()):
     past deadline, a ``time.monotonic()`` value, the next popped S-pair
     raises ``TimeoutError``.
     """
-    guard = layout.guard
+    guard, select = layout.guard, layout.select
     units, unpack = layout.units, layout.unpack
 
     basis = _add_inputs(list(start), packed_gens, p, layout)
@@ -337,21 +338,22 @@ def _groebner(packed_gens, p, layout, deadline=None, start=()):
         basis.append(_record(terms, p))
         lm_exps.append(unpack(terms[0][0]))
 
-    def pair_lcm(i, j):
-        # the degree of an lcm stays below twice the limit, so no field
+    def pair(i, j):
+        # the heap entry: the lcm's selection degree, the lcm, i and j.
+        # The degree of an lcm stays below twice the limit, so no field
         # carries and a guard bit is set exactly when it reaches the limit
         a, b = lm_exps[i], lm_exps[j]
         l = sum(map(mul, map(max, a, b), units))
         if l & guard:
             raise degree_error(sum(map(max, a, b)))
-        return l
+        return (l >> select) & FIELD_MASK, l, i, j
 
     pending = set()
     heap = []
     for j in range(len(basis)):
         for i in range(j):
             pending.add((i, j))
-            heappush(heap, (pair_lcm(i, j), i, j))
+            heappush(heap, pair(i, j))
 
     def chain_skippable(i, j, l):
         for k, (lmk, _) in enumerate(basis):
@@ -365,10 +367,8 @@ def _groebner(packed_gens, p, layout, deadline=None, start=()):
         return False
 
     while heap:
-        l, i, j = heappop(heap)
+        _, l, i, j = heappop(heap)
         check_deadline(deadline)
-        if (i, j) not in pending:
-            continue
         pending.discard((i, j))
         if l == basis[i][0] + basis[j][0]:
             continue
@@ -383,7 +383,7 @@ def _groebner(packed_gens, p, layout, deadline=None, start=()):
         t = len(basis) - 1
         for i2 in range(t):
             pending.add((i2, t))
-            heappush(heap, (pair_lcm(i2, t), i2, t))
+            heappush(heap, pair(i2, t))
     return basis
 
 
@@ -442,42 +442,28 @@ class Ideal:
 def intersect(a: Ideal, b: Ideal) -> Ideal:
     """Intersection via t*a + (1-t)*b and elimination of t.
 
-    The basis elements whose leading monomial avoids t generate the
-    intersection.  Only t-free divisors can touch their terms, so only
-    those elements are minimalized and interreduced.  They are returned
-    monic and sorted under grevlex, which every layout here is on
-    t-free monomials, so their terms need no re-sort.
+    The system is packed in ``elimination_layout``, with t in front,
+    so the basis elements whose leading monomial avoids t generate the
+    intersection (Cox, Little & O'Shea, Ideals, Varieties, and
+    Algorithms, ch. 3 and ch. 4 section 3).  Only t-free divisors can
+    touch their terms, so only those elements are minimalized and
+    interreduced.  They are returned monic and sorted under grevlex,
+    which the layout is on t-free monomials, so their terms need no
+    re-sort.  t*g is g's terms with t padded on, and (1-t)*g is the
+    negated t-terms followed by g's own terms, both already sorted.
 
-    When every generator of both ideals is homogeneous, as under
-    ``Arrangement.combinatorial_radical``, the system is packed in
-    ``degree_elimination_layout``: the degree in x first, with t of
-    weight 0, then the power of t, then grevlex on x.  Every generator
-    of t*a + (1-t)*b is then homogeneous in x, and S-polynomials and
-    reductions keep that, so every basis element is too.  Within one
-    x-degree a term with t outranks every term without it, so an
-    element whose leading monomial avoids t avoids t altogether.  The
-    t-free elements form a Groebner basis of the intersection: the
-    leading monomial of any f in it is that of its top-degree part,
-    which lies in it too and is divisible by the leading monomial of
-    some basis element, which then avoids t.  So the result is the
-    reduced grevlex basis of the intersection, the same as with t in
-    front, but the run meets its S-pairs in degree order and far fewer
-    of them reduce to zero (Cox, Little & O'Shea, Ideals, Varieties,
-    and Algorithms, ch. 4 section 3, for the intersection; Becker &
-    Weispfenning, GTM 141, for homogeneous bases).
-
-    Other input is packed in ``elimination_layout``, with t in front,
-    which eliminates t from any system.  Either way t*g is g's terms
-    with t padded on, and (1-t)*g is the negated t-terms followed by
-    g's own terms, both already sorted.
+    The run takes its S-pairs by degree in x first.  When every
+    generator is homogeneous, as under
+    ``Arrangement.combinatorial_radical``, so is every basis element,
+    and that meets the pairs in degree order, so far fewer of them
+    reduce to zero than with the lcm alone as the key.
     """
     if a.ring != b.ring:
         raise UsageError("ideals live in different rings")
     ring = a.ring
     nvars = ring.nvars
     p = ring.field.characteristic
-    homogeneous = all(len({sum(e) for e, _ in g.terms}) <= 1 for g in a.gens + b.gens)
-    layout = (degree_elimination_layout if homogeneous else elimination_layout)(nvars)
+    layout = elimination_layout(nvars)
     gens = []
     for g in a.gens:
         if not g.is_zero():

@@ -1,15 +1,14 @@
 """The monomial orders and the packed-integer encoding of monomials.
 
 Polynomials carry monomials as tuples of non-negative exponents, and
-every ring orders them by grevlex.  The Groebner core needs orders that
-eliminate an extra last variable t.  So there are three layouts, each
-built once per arity: ``grevlex_layout(n)``; ``elimination_layout(n)``,
-with t in front of everything; and ``degree_elimination_layout(n)``,
-which compares the degree in the other variables first and t next.
-``intersect`` eliminates t under the degree-first one when both ideals
-are given by homogeneous generators, where it is still an elimination
-order and its Groebner runs are cheaper, since the S-pairs come in
-degree order; other input keeps t in front.
+every ring orders them by grevlex.  The Groebner core also needs an
+order that eliminates an extra last variable t.  So there are two
+layouts, each built once per arity: ``grevlex_layout(n)`` and
+``elimination_layout(n)``, with t in front of everything.  Each layout
+also names one field as its selection degree, which the core's S-pair
+queue compares before the packed lcm: the total degree under grevlex,
+and the degree in the variables other than t under the elimination
+order, so that pairs come out degree-first under both.
 
 A layout packs a monomial into one int, its sort key, after Monagan &
 Pearce (CASC 2007).  The int is a row of 16-bit fields, each a
@@ -67,9 +66,9 @@ def _prefix_rows(indices, nvars):
 class Layout:
     """The packing of n-variable monomials under one order."""
 
-    __slots__ = ("units", "guard", "shifts")
+    __slots__ = ("units", "guard", "shifts", "select")
 
-    def __init__(self, nvars, key_rows):
+    def __init__(self, nvars, key_rows, select=0):
         rows = list(key_rows)
         rows += [tuple(1 if j == i else 0 for j in range(nvars)) for i in range(nvars)]
         if (1,) * nvars not in rows:
@@ -82,6 +81,9 @@ class Layout:
         self.guard = sum(1 << (s + FIELD_BITS - 1) for s in field_shifts)
         start = len(key_rows)
         self.shifts = tuple(field_shifts[start : start + nvars])
+        # the field of key row number select, which the S-pair queue
+        # compares before the packed lcm
+        self.select = field_shifts[select]
 
     def pack(self, exps):
         degree = sum(exps)
@@ -109,24 +111,8 @@ def elimination_layout(nvars) -> Layout:
     Any monomial involving t is larger than any monomial that avoids
     it, so dropping basis elements whose leading term uses t computes
     the elimination ideal.  On t-free monomials this is the grevlex
-    order of ``grevlex_layout(nvars)``.
+    order of ``grevlex_layout(nvars)``.  The selection degree is the
+    degree in the other variables, the key row after t's.
     """
     n = nvars + 1
-    return Layout(n, _prefix_rows((nvars,), n) + _prefix_rows(tuple(range(nvars)), n))
-
-
-@cache
-def degree_elimination_layout(nvars) -> Layout:
-    """nvars variables and an extra last one, t, of weight 0: the
-    degree in the others first, then the power of t, then grevlex on
-    the others.
-
-    This is not an elimination order in general, but it is one on
-    polynomials homogeneous in the other variables: all their terms
-    share one such degree, so a term with t outranks every term without
-    it, as under ``elimination_layout``.  On t-free monomials it is the
-    grevlex order of ``grevlex_layout(nvars)``.
-    """
-    n = nvars + 1
-    total, *prefixes = _prefix_rows(tuple(range(nvars)), n)
-    return Layout(n, [total, *_prefix_rows((nvars,), n), *prefixes])
+    return Layout(n, _prefix_rows((nvars,), n) + _prefix_rows(tuple(range(nvars)), n), 1)

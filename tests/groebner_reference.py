@@ -7,11 +7,13 @@ the tests require the packed core to return the same polynomials, term
 for term.
 
 Each entry point takes the name of its order: "grevlex", the order of
-every ring, "elimination", with the last variable t in front, or
-"degree-elimination", with the degree in the other variables first and
-t next.  Under the last two the polynomials it returns hold their terms
-sorted by that order, not by their ring's grevlex, so a caller moves
-them back into a ring before comparing them with anything else.
+every ring, or "elimination", with the last variable t in front.  Under
+the second the polynomials it returns hold their terms sorted by that
+order, not by their ring's grevlex, so a caller moves them back into a
+ring before comparing them with anything else.  Its pair queue takes
+the lcm of least degree first, the degree in all but t under
+"elimination", as the packed core does; the reduced basis does not
+depend on the order the pairs come in, but the run's length does.
 """
 
 from __future__ import annotations
@@ -45,9 +47,6 @@ def tuple_key(order, exps):
         return (sum(exps), *(-x for x in reversed(exps)))
     if order == "elimination":
         return (exps[-1], *tuple_key("grevlex", exps[:-1]))
-    if order == "degree-elimination":
-        degree, *rest = tuple_key("grevlex", exps[:-1])
-        return (degree, exps[-1], *rest)
     raise ValueError(f"no tuple key for {order!r}")
 
 
@@ -137,6 +136,11 @@ def buchberger(gens, order="grevlex"):
     def key(e):
         return tuple_key(order, e)
 
+    def pair_key(l):
+        # degree-first selection: the degree in all but t under
+        # "elimination", the total degree under grevlex
+        return (sum(l[:-1]) if order == "elimination" else sum(l), key(l))
+
     basis = []
     for g in polys:
         r = monic(reduce(g, basis, order) if basis else g)
@@ -149,7 +153,7 @@ def buchberger(gens, order="grevlex"):
         for i in range(j):
             l = mono_lcm(basis[i].lm(), basis[j].lm())
             pending.add((i, j))
-            heappush(heap, (key(l), i, j))
+            heappush(heap, (pair_key(l), i, j))
 
     def chain_skippable(i, j, l):
         for k in range(len(basis)):
@@ -182,7 +186,7 @@ def buchberger(gens, order="grevlex"):
         for i2 in range(t):
             l2 = mono_lcm(basis[i2].lm(), r.lm())
             pending.add((i2, t))
-            heappush(heap, (key(l2), i2, t))
+            heappush(heap, (pair_key(l2), i2, t))
 
     lms = [g.lm() for g in basis]
     keep = []

@@ -311,6 +311,28 @@ def test_sv_partition_command(capsys):
     assert all("sums" not in p for p in parts)
 
 
+@pytest.mark.parametrize(
+    "args", [["--j", "1", COORD_PLUS_SUM], ["--all-j", HARTSHORNE], ["--all-j", FRACTIONAL]]
+)
+def test_sv_partition_check_only_leaves_out_only_the_sums(capsys, args):
+    """--check-only drops each entry's level sums and nothing else: the
+    verdict, witness, levels, level count and exit code are those of
+    the run without it."""
+    code = run(["sv-partition", *args])
+    full = read_report(capsys)["results"]
+    assert run(["sv-partition", "--check-only", *args]) == code
+    checked = read_report(capsys)["results"]
+    if "--all-j" in args:
+        assert full.keys() == checked.keys() == {"partitions"}
+        full, checked = full["partitions"], checked["partitions"]
+    else:
+        full, checked = [full], [checked]
+    assert len(checked) == len(full)
+    for entry, short in zip(full, checked):
+        assert "sums" in entry and "sums" not in short
+        assert short == {key: value for key, value in entry.items() if key != "sums"}
+
+
 def test_field_override(capsys):
     assert run(["--field", "GF(101)", "min-distance", HARTSHORNE]) == 0
     assert read_report(capsys)["field"] == "GF(101)"

@@ -34,7 +34,6 @@ from starconfig.groebner import (
 from starconfig.errors import UsageError
 from starconfig.orders import (
     DEGREE_LIMIT,
-    degree_elimination_layout,
     elimination_layout,
     grevlex_layout,
     mono_divides,
@@ -342,8 +341,8 @@ def test_intersection_matches_reference(data):
 @settings(max_examples=40, deadline=None)
 @given(data=st.data())
 def test_homogeneous_intersection_matches_reference(data):
-    """Random homogeneous ideals, which intersect eliminates under the
-    degree-first order, against the old construction with t in front."""
+    """Random homogeneous ideals, whose S-pairs intersect meets in
+    degree order, against the old construction."""
     field = data.draw(st.sampled_from([GF(32003), GF(7), QQ]))
     ring = Ring(field, 3, names=("x", "y", "z"))
     a = Ideal(ring, _random_homogeneous_polys(data.draw, ring, data.draw(st.integers(0, 2))))
@@ -351,29 +350,38 @@ def test_homogeneous_intersection_matches_reference(data):
     _same_intersection(a, b)
 
 
-def test_intersect_packs_homogeneous_input_degree_first(R, monkeypatch):
-    """Homogeneous generators, a constant among them, are eliminated
-    under the degree-first layout; one inhomogeneous generator in
-    either ideal keeps t in front."""
+def test_intersect_takes_s_pairs_degree_first(R, monkeypatch):
+    """Every input, a constant among the generators or not, is
+    eliminated with t in front; on homogeneous input the S-pairs come
+    out by degree in x, which keying the pair queue on the lcm alone
+    would not do for any of these."""
     x, y, z = R.gens()
-    layouts = []
-    core = groebner._groebner
+    spoly = groebner._spoly
+    seen = []
 
-    def spy(gens, p, layout, deadline=None):
-        layouts.append(layout)
-        return core(gens, p, layout, deadline)
+    def spy(l, a, b, layout):
+        seen.append((layout, sum(layout.unpack(l)[:3])))
+        return spoly(l, a, b, layout)
 
-    monkeypatch.setattr(groebner, "_groebner", spy)
-    degree_first, t_first = degree_elimination_layout(3), elimination_layout(3)
-    for a, b, layout in (
-        ((x * y, z ** 2), (x + y,), degree_first),
-        ((R.one,), (x, y ** 2 - x * z), degree_first),
-        ((x * y, z + 1), (x + y,), t_first),
-        ((x * y,), (x + y, z ** 2 - x), t_first),
-    ):
-        layouts.clear()
+    monkeypatch.setattr(groebner, "_spoly", spy)
+    homogeneous = (
+        ((x * y, z ** 2), (x + y,)),
+        ((x ** 2 - y * z, y ** 2), (x * z, y ** 3 + z ** 3)),
+        ((x, y), (z,)),
+        ((x * y * z, x ** 3 + y ** 3), (x ** 2 + y * z, z ** 3)),
+    )
+    other = (
+        ((R.one,), (x, y ** 2 - x * z)),
+        ((x * y, z + 1), (x + y,)),
+        ((x * y,), (x + y, z ** 2 - x)),
+    )
+    for a, b in homogeneous + other:
+        seen.clear()
         _same_intersection(Ideal(R, a), Ideal(R, b))
-        assert layouts == [layout]
+        assert {layout for layout, _ in seen} <= {elimination_layout(3)}
+        if (a, b) in homogeneous:
+            degrees = [degree for _, degree in seen]
+            assert degrees == sorted(degrees)
 
 
 def test_radical_membership_basics(R):
@@ -520,27 +528,21 @@ def test_padding_keeps_terms_sorted(data):
     """intersect and radical_member pack their systems without sorting:
     a polynomial's grevlex terms padded with 0 or with 1 for the extra
     variable stay descending in every layout.  (1-t)*g written as the
-    t-terms followed by g's own stays descending with t in front for
-    any g, and under the degree-first order for homogeneous g, here
-    the terms of f of its top degree."""
+    t-terms followed by g's own stays descending with t in front."""
     field = data.draw(st.sampled_from([GF(101), QQ]))
     n = data.draw(st.integers(1, 6))
     ring = Ring(field, n)
     exps = st.tuples(*[st.integers(0, 3)] * n)
     f = ring.from_dict(data.draw(st.dictionaries(exps, _coeffs(field), min_size=1, max_size=8)))
-    top = f.total_degree()
-    g = ring.from_dict({e: c for e, c in f.terms if sum(e) == top})
     grevlex, elimination = grevlex_layout(n + 1), elimination_layout(n)
-    degree_first = degree_elimination_layout(n)
-    for layout in (grevlex, elimination, degree_first):
-        for h in (f, g):
-            low, high = _pack(h, layout, (0,))[0], _pack(h, layout, (1,))[0]
-            systems = [low, high]
-            if layout is elimination or (layout is degree_first and h is g):
-                systems.append(high + low)
-            for terms in systems:
-                keys = [m for m, _ in terms]
-                assert keys == sorted(keys, reverse=True)
+    for layout in (grevlex, elimination):
+        low, high = _pack(f, layout, (0,))[0], _pack(f, layout, (1,))[0]
+        systems = [low, high]
+        if layout is elimination:
+            systems.append(high + low)
+        for terms in systems:
+            keys = [m for m, _ in terms]
+            assert keys == sorted(keys, reverse=True)
 
 
 @settings(max_examples=40, deadline=None)

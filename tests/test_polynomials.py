@@ -9,7 +9,7 @@ from starconfig.errors import UsageError
 from starconfig.fields import GF, QQ
 from starconfig.orders import (
     DEGREE_LIMIT,
-    degree_elimination_layout,
+    FIELD_MASK,
     elimination_layout,
     grevlex_layout,
     mono_divides,
@@ -33,7 +33,6 @@ def _layouts(n):
     return (
         ("grevlex", grevlex_layout(n), n),
         ("elimination", elimination_layout(n), n + 1),
-        ("degree-elimination", degree_elimination_layout(n), n + 1),
     )
 
 
@@ -54,18 +53,6 @@ def test_block_order_eliminates_front_block():
     assert cmp_monomials(elimination, (2, 1, 0), (1, 2, 0)) == 1
 
 
-def test_degree_first_order_puts_t_second():
-    # the degree in the other variables decides first, whatever the
-    # power of t; within one degree a term with t outranks every term
-    # without it, and on t-free monomials the order is grevlex's
-    degree_first = degree_elimination_layout(2)
-    assert cmp_monomials(degree_first, (0, 0, 1), (4, 5, 0)) == -1
-    assert cmp_monomials(degree_first, (1, 0, 9), (2, 0, 0)) == -1
-    assert cmp_monomials(degree_first, (0, 2, 1), (2, 0, 0)) == 1
-    assert cmp_monomials(degree_first, (0, 2, 2), (1, 1, 1)) == 1
-    assert cmp_monomials(degree_first, (2, 1, 0), (1, 2, 0)) == 1
-
-
 def test_cmp_rejects_arity_mismatch():
     for _, layout, _ in _layouts(3):
         with pytest.raises(UsageError):
@@ -82,7 +69,10 @@ def test_mono_helpers():
 @given(data=st.data())
 def test_packed_keys_match_tuple_keys(data):
     """The packed int of each layout sorts like its tuple key, adds under
-    products, and its guard test is componentwise <=."""
+    products, and its guard test is componentwise <=.  Its selection
+    field holds the degree in the first n variables: the total degree
+    under grevlex, the degree in all but t under the elimination
+    order."""
     n = data.draw(st.integers(1, 6))
     for order, layout, width in _layouts(n):
         key = layout.pack
@@ -96,6 +86,8 @@ def test_packed_keys_match_tuple_keys(data):
                 packed_divides = not (key(b) - key(a)) & layout.guard
                 assert packed_divides == all(x <= y for x, y in zip(a, b))
         assert [layout.unpack(key(e)) for e in monos] == monos
+        degrees = [(key(e) >> layout.select) & FIELD_MASK for e in monos]
+        assert degrees == [sum(e[:n]) for e in monos]
 
 
 def test_degree_past_packed_limit_raises():
