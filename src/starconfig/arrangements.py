@@ -12,26 +12,29 @@ factoring anything.
 from __future__ import annotations
 
 import random
+from fractions import Fraction
 from itertools import combinations
-from math import comb
+from math import comb, gcd, lcm
 
 from .errors import DegenerateInputError, GenerationError, UsageError
 from .fields import DEFAULT_PRIME, GF, Field, PrimeField, RationalField
 from .groebner import Ideal, intersect
 from .polynomials import Polynomial, ProductOfForms, Ring
 
-# Most subsets of forms that the flat enumeration may visit, at a few
-# thousand per second.  Every shape in the tests and the benchmark needs
-# under 10,000 subsets; 16 forms of rank 10 need 50,642.
+# Most subsets of forms that the flat enumeration may visit, at about
+# 15,000 a second over GF(32003) and 7,000 over QQ (the 2,509 subsets of
+# 12 forms of rank 7 in 0.11-0.20 s and 0.25-0.49 s).  Every shape in
+# the tests and the benchmark needs under 10,000 subsets; 16 forms of
+# rank 10 need 50,642.
 MAX_FLAT_SUBSETS = 100_000
 
 # Most minors that the genericity test may expand; past it that test
 # leaves the verdict to the flats.  Generic input needs C(n, rank) - 1
 # minors and no subsets: 3,002 for 14 forms of rank 8, and 167,959 for 20
 # forms of rank 11, whose flats would need 616,665 subsets.  Minors run at
-# about 170,000 a second over GF(32003) (48,619 for 18 forms of rank 9 in
-# 0.3 s) and 30,000 a second over QQ with one-digit input (those 167,959
-# in 5.2 s and 35 MiB), so the limit stays within about 15 s over QQ.
+# about 500,000 a second over GF(32003) (48,619 for 18 forms of rank 9 in
+# 0.07-0.1 s) and 400,000 a second over QQ with one-digit input (those
+# 167,959 in 0.3-0.5 s and 10 MiB), so the limit stays within about 1.5 s.
 MAX_MINORS = 500_000
 
 # Most terms that one expanded product of forms may have, bounded before
@@ -40,10 +43,41 @@ MAX_MINORS = 500_000
 # product in the benchmark bounds 495.
 MAX_PRODUCT_TERMS = 250_000
 
+_ZERO = Fraction(0)
+
+
+def _integer_rows(field: Field, rows):
+    """The modulus of the rows' arithmetic and the rows as lists of
+    ints: p and the residues over GF(p); over QQ, 0 and each row times
+    the lcm of its denominators.  A nonzero scale per row keeps every
+    row space and every vanishing minor."""
+    p = field.characteristic
+    if p:
+        return p, [[v % p for v in row] for row in rows]
+    scaled = []
+    for row in rows:
+        ratios = [v.as_integer_ratio() for v in row]
+        scale = lcm(*(d for _, d in ratios))
+        scaled.append([n * (scale // d) for n, d in ratios])
+    return 0, scaled
+
 
 def rref(field: Field, rows):
-    """Reduced row echelon form; returns (nonzero rows, pivot columns)."""
-    work = [list(r) for r in rows]
+    """Reduced row echelon form; returns (nonzero rows, pivot columns).
+
+    The elimination runs on ints in both fields.  Over GF(p) each pivot
+    row is made monic with one inverse; it is zero before its pivot
+    column, so the rows it clears change only from there on.  Over QQ
+    it is fraction-free: a row is cleared by cross-multiplying with the
+    pivot row, each by the other's pivot-column entry over their gcd,
+    and then divided by its content, so the entries stay as small as
+    the row space allows (Bareiss, Math. Comp. 22, 1968).  Fractions
+    appear once, at the end, when each pivot row is divided by its
+    pivot.  Reduced echelon form is unique, so the result does not
+    depend on the scaling, and its entries are field elements:
+    residues or Fractions.
+    """
+    p, work = _integer_rows(field, rows)
     m = len(work)
     ncols = len(work[0]) if work else 0
     pivots = []
@@ -51,18 +85,37 @@ def rref(field: Field, rows):
     for c in range(ncols):
         if r == m:
             break
-        pr = next((i for i in range(r, m) if work[i][c] != field.zero), None)
-        if pr is None:
+        for pr in range(r, m):
+            if work[pr][c]:
+                break
+        else:
             continue
         work[r], work[pr] = work[pr], work[r]
-        inv = field.inv(work[r][c])
-        work[r] = [field.mul(inv, v) for v in work[r]]
-        for i in range(m):
-            if i != r and work[i][c] != field.zero:
+        top = work[r]
+        if p:
+            inv = pow(top[c], -1, p)
+            tail = top[c:] = [v * inv % p for v in top[c:]]
+            for i in range(m):
                 f = work[i][c]
-                work[i] = [field.sub(a, field.mul(f, b)) for a, b in zip(work[i], work[r])]
+                if f and i != r:
+                    row = work[i]
+                    row[c:] = [(a - f * b) % p for a, b in zip(row[c:], tail)]
+        else:
+            content = gcd(*top)
+            if content != 1:
+                work[r] = top = [v // content for v in top]
+            for i in range(m):
+                f = work[i][c]
+                if f and i != r:
+                    g = gcd(top[c], f)
+                    x, y = top[c] // g, f // g
+                    row = [x * a - y * b for a, b in zip(work[i], top)]
+                    content = gcd(*row)
+                    work[i] = [v // content for v in row] if content > 1 else row
         pivots.append(c)
         r += 1
+    if not p:
+        work = [[Fraction(v, row[c]) if v else _ZERO for v in row] for row, c in zip(work, pivots)]
     return tuple(tuple(row) for row in work[:r]), tuple(pivots)
 
 
@@ -74,22 +127,34 @@ def _all_minors_nonzero(field: Field, block) -> bool:
     """Whether every square submatrix of block is nonsingular.  Each
     s x s minor is a Laplace expansion along its first row over the
     (s-1) x (s-1) minors of its other rows, kept from the round before,
-    so nested minors share their work and nothing is divided, in either
-    field; the first zero minor ends the search."""
+    so nested minors share their work and nothing is divided; the first
+    zero minor ends the search.  The minors are taken on ints: residues
+    reduced once per minor over GF(p), and over QQ the rows scaled to
+    integers, which multiplies each minor by the nonzero scales of its
+    rows and so leaves every zero a zero and every nonzero minor
+    nonzero."""
+    p, block = _integer_rows(field, block)
     ncols = len(block[0]) if block else 0
-    below = {((), ()): field.one}
+    below = {(): {(): 1}}  # rows -> cols -> minor, one size down
     for s in range(1, min(len(block), ncols) + 1):
+        # each column set's Laplace terms, (column, the other columns),
+        # split by sign and shared by every set of rows
+        expansions = []
+        for cols in combinations(range(ncols), s):
+            terms = [(c, cols[:t] + cols[t + 1:]) for t, c in enumerate(cols)]
+            expansions.append((cols, terms[::2], terms[1::2]))
         minors = {}
         for rows in combinations(range(len(block)), s):
-            first, rest = block[rows[0]], rows[1:]
-            for cols in combinations(range(ncols), s):
-                det = field.zero
-                for t, c in enumerate(cols):
-                    term = field.mul(first[c], below[rest, cols[:t] + cols[t + 1:]])
-                    det = field.sub(det, term) if t % 2 else field.add(det, term)
-                if det == field.zero:
+            first, rest = block[rows[0]], below[rows[1:]]
+            dets = minors[rows] = {}
+            for cols, plus, minus in expansions:
+                det = sum([first[c] * rest[sub] for c, sub in plus])
+                det -= sum([first[c] * rest[sub] for c, sub in minus])
+                if p:
+                    det %= p
+                if not det:
                     return False
-                minors[rows, cols] = det
+                dets[cols] = det
         below = minors
     return True
 
@@ -154,6 +219,7 @@ class Arrangement:
             seen[row] = label
         self.ring = Ring(field, width, names=names)
         self._rank = None
+        self._adapted = None
         self._generic = None
         self._flat_cache = None
 
@@ -194,12 +260,20 @@ class Arrangement:
         number of variables leaves the forms in a polynomial subring,
         so radical membership, heights and the supports of flats, and
         with them every statement made in labels, are the same in both
-        coordinates.
+        coordinates.  Built once and cached, with the rank it reads off
+        the pivots; an adapted arrangement is its own: its basis forms
+        are unit rows already, in label order, so the rref would return
+        its own rows.
         """
-        rows, _ = rref(self.field, list(zip(*reversed(self.forms))))
-        return Arrangement(
-            self.field, [[row[self.n - label] for row in reversed(rows)] for label in self.labels]
-        )
+        if self._adapted is None:
+            rows, pivots = rref(self.field, list(zip(*reversed(self.forms))))
+            adapted = Arrangement(
+                self.field,
+                [[row[self.n - label] for row in reversed(rows)] for label in self.labels],
+            )
+            self._rank = adapted._rank = len(pivots)
+            self._adapted = adapted._adapted = adapted
+        return self._adapted
 
     def _in_general_position(self) -> bool:
         """Whether the minors show every rank forms independent; cached.

@@ -6,6 +6,7 @@ construction, yet has completely known primes and heights; those known
 values anchor this file.
 """
 
+from fractions import Fraction
 from itertools import combinations
 from math import comb
 
@@ -16,6 +17,7 @@ from starconfig import arrangements
 from starconfig.arrangements import (
     Arrangement,
     LinearPrime,
+    _all_minors_nonzero,
     matrix_rank,
     random_generic_arrangement,
     rref,
@@ -34,6 +36,7 @@ from flat_reference import (
 )
 from ideal_helpers import ideal_eq, radical_eq
 from intersection_reference import fold_radical
+from linear_reference import determinant, rref_reference, zero_minors
 
 
 HARTSHORNE_ROWS = [
@@ -63,6 +66,122 @@ def test_rref_and_rank():
     assert matrix_rank(GF(5), [(1, 2), (0, 1)]) == 2
     # (3, 1) = 4*(2, 4) mod 5, so the rows are proportional
     assert matrix_rank(GF(5), [(2, 4), (3, 1)]) == 1
+
+
+LINEAR_FIELDS = [GF(2), GF(3), GF(7), GF(32003), QQ]
+
+
+def field_entries(field):
+    """Entries of field: residues over GF(p), and over QQ small ints and
+    small fractions, mixed in one row."""
+    if field == QQ:
+        return st.one_of(
+            st.integers(-6, 6),
+            st.builds(Fraction, st.integers(-6, 6), st.integers(1, 5)),
+        )
+    p = field.characteristic
+    return st.one_of(st.integers(0, min(p - 1, 3)), st.integers(0, p - 1))
+
+
+@st.composite
+def matrices(draw):
+    """A field and up to 7 rows of up to 5 entries.  Each row is fresh,
+    zero, a repeat of an earlier row, or a multiple of one plus a
+    multiple of another, so dependent rows come up in every field, and
+    there can be more rows than columns."""
+    field = draw(st.sampled_from(LINEAR_FIELDS))
+    ncols = draw(st.integers(0, 5))
+    entries = field_entries(field)
+    rows = []
+    for _ in range(draw(st.integers(0, 7))):
+        kind = draw(st.sampled_from(["fresh", "zero", "repeat", "combination"][: 4 if rows else 2]))
+        if kind == "fresh":
+            row = tuple(draw(entries) for _ in range(ncols))
+        elif kind == "zero":
+            row = (field.zero,) * ncols
+        elif kind == "repeat":
+            row = draw(st.sampled_from(rows))
+        else:
+            a, b = draw(st.sampled_from(rows)), draw(st.sampled_from(rows))
+            x, y = (field.from_int(draw(st.integers(-3, 3))) for _ in range(2))
+            row = tuple(field.add(field.mul(x, u), field.mul(y, v)) for u, v in zip(a, b))
+        rows.append(row)
+    return field, rows
+
+
+def types_of(rows):
+    return [[type(v) for v in row] for row in rows]
+
+
+@settings(max_examples=300, deadline=None)
+@given(matrices())
+@example(
+    (QQ, [(Fraction(1, 2), 1, Fraction(-3, 4)), (2, 4, -3), (0, 0, 0), (1, Fraction(1, 3), 5)])
+)
+@example((GF(2), [(1, 1, 0), (1, 1, 0), (0, 1, 1), (1, 0, 1)]))
+@example((GF(7), [(3,), (5,), (0,)]))
+@example((QQ, [(), ()]))
+@example((QQ, []))
+def test_rref_matches_field_reference(case):
+    """The integer kernel returns the reference's rows, pivots and
+    element types: residues over GF(p), Fractions over QQ."""
+    field, rows = case
+    got, want = rref(field, rows), rref_reference(field, rows)
+    assert got == want
+    assert types_of(got[0]) == types_of(want[0])
+
+
+@st.composite
+def blocks(draw):
+    """A field and a block of up to 4 x 4 entries, often with one
+    entry set to make one chosen minor vanish."""
+    field = draw(st.sampled_from(LINEAR_FIELDS))
+    nrows, ncols = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    block = [[draw(field_entries(field)) for _ in range(ncols)] for _ in range(nrows)]
+    if draw(st.booleans()):
+        s = draw(st.integers(1, min(nrows, ncols)))
+        rows = draw(st.sampled_from(list(combinations(range(nrows), s))))
+        cols = draw(st.sampled_from(list(combinations(range(ncols), s))))
+        i, c = rows[-1], cols[-1]
+
+        def minor_with(x):
+            block[i][c] = x
+            return determinant(field, [[block[r][q] for q in cols] for r in rows])
+
+        at0, at1 = minor_with(field.zero), minor_with(field.one)
+        slope = field.sub(at1, at0)
+        # the minor is affine in entry (i, c): a nonzero slope has one root
+        block[i][c] = field.neg(field.div(at0, slope)) if slope != field.zero else field.zero
+    return field, [tuple(row) for row in block]
+
+
+@settings(max_examples=300, deadline=None)
+@given(blocks())
+def test_minors_match_one_determinant_per_minor(case):
+    """The shared Laplace expansion on ints finds a zero minor exactly
+    when some minor's own determinant is zero."""
+    field, block = case
+    zeros = zero_minors(field, block)
+    event(f"{min(len(zeros), 2)} zero minors")
+    assert _all_minors_nonzero(field, block) == (not zeros)
+
+
+@pytest.mark.parametrize(
+    "field, block, zero",
+    [
+        (QQ, [(1, 2, 3), (1, 4, 6)], ((0, 1), (1, 2))),
+        (QQ, [(Fraction(1, 2), 1, Fraction(3, 2)), (1, 4, 6)], ((0, 1), (1, 2))),
+        (GF(7), [(1, 2, 3), (1, 4, 6)], ((0, 1), (1, 2))),
+        (GF(32003), [(1, 2), (3, 6)], ((0, 1), (0, 1))),
+        (QQ, [(1, 2, 3), (4, 5, 6), (7, 8, 9)], ((0, 1, 2), (0, 1, 2))),
+        (GF(32003), [(1, 2, 3), (4, 5, 6), (7, 8, 9)], ((0, 1, 2), (0, 1, 2))),
+    ],
+)
+def test_the_last_minor_alone_vanishes(field, block, zero):
+    """Blocks whose one zero minor is the last the expansion reaches,
+    the last 2 x 2 or the 3 x 3."""
+    assert zero_minors(field, block) == [zero]
+    assert not _all_minors_nonzero(field, block)
 
 
 def test_proportional_forms_rejected():
@@ -520,8 +639,12 @@ def test_adapted_drops_the_variables_past_the_rank():
 def test_adapted_is_a_change_of_coordinates(arr):
     """The greedy basis forms map to the unit rows in label order, every
     form's new row times the basis is proportional to the old row, and
-    so the flats, heights and witnesses, all stated in labels, agree."""
+    so the flats, heights and witnesses, all stated in labels, agree.
+    The adapted arrangement is built once, and it is its own: a fresh
+    copy of its forms adapts to the same forms."""
     ad = arr.adapted()
+    assert arr.adapted() is ad and ad.adapted() is ad
+    assert Arrangement(arr.field, ad.forms).adapted().forms == ad.forms
     basis = greedy_basis_from_the_back(arr)
     r = arr.rank()
     assert ad.nvars == r == len(basis)

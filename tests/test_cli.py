@@ -196,6 +196,24 @@ def test_verify_reports_do_not_depend_on_coordinates(capsys, monkeypatch):
     assert adapted[:2] == (2, None) and "forms [1, 2, 3, 4] are dependent" in adapted[2]
 
 
+@pytest.mark.parametrize("path", [FRACTIONAL, COORD_PLUS_SUM_IN_FOUR])
+def test_verify_adapts_its_coordinates_once(capsys, monkeypatch, path):
+    """verify --j 1 takes one rref of the forms written as columns, the
+    adapted coordinates, which its genericity test reuses."""
+    n = len(json.loads(Path(path).read_text())["forms"])
+    rref = arrangements.rref
+    widths = []
+
+    def spy(field, matrix):
+        widths.append(len(matrix[0]))
+        return rref(field, matrix)
+
+    monkeypatch.setattr(arrangements, "rref", spy)
+    assert run(["verify", "--j", "1", path]) == 0
+    assert read_report(capsys)["results"]["holds"] is True
+    assert widths.count(n) == 1
+
+
 def test_verify_with_rank_below_the_variable_count(capsys, monkeypatch):
     argv = ["verify", "--all-j", COORD_PLUS_SUM_IN_FOUR]
     adapted, plain = run_both_coordinates(argv, capsys, monkeypatch)
