@@ -14,12 +14,12 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 from itertools import combinations
-from math import comb, gcd, lcm
+from math import comb, gcd, lcm, prod
 
 from .errors import DegenerateInputError, GenerationError, UsageError
 from .fields import DEFAULT_PRIME, GF, Field, PrimeField, RationalField
 from .groebner import Ideal, intersect
-from .polynomials import Polynomial, ProductOfForms, Ring
+from .polynomials import Polynomial, ProductOfForms, Ring, packed_product
 
 # Most subsets of forms that the flat enumeration may visit, at about
 # 15,000 a second over GF(32003) and 7,000 over QQ (the 2,509 subsets of
@@ -45,39 +45,57 @@ MAX_PRODUCT_TERMS = 250_000
 
 _ZERO = Fraction(0)
 
+# the minors verdict of an arrangement that has not asked for it yet
+_UNDECIDED = object()
+
 
 def _integer_rows(field: Field, rows):
-    """The modulus of the rows' arithmetic and the rows as lists of
-    ints: p and the residues over GF(p); over QQ, 0 and each row times
-    the lcm of its denominators.  A nonzero scale per row keeps every
-    row space and every vanishing minor."""
+    """The modulus of the rows' arithmetic, the rows as lists of ints
+    and the scale of each: p, the residues and scales 1 over GF(p);
+    over QQ, 0 and each row times its scale, the lcm of its
+    denominators.  A nonzero scale per row keeps every row space and
+    every vanishing minor."""
     p = field.characteristic
     if p:
-        return p, [[v % p for v in row] for row in rows]
-    scaled = []
+        return p, [[v % p for v in row] for row in rows], [1] * len(rows)
+    scaled, scales = [], []
     for row in rows:
         ratios = [v.as_integer_ratio() for v in row]
         scale = lcm(*(d for _, d in ratios))
         scaled.append([n * (scale // d) for n, d in ratios])
-    return 0, scaled
+        scales.append(scale)
+    return 0, scaled, scales
 
 
 def rref(field: Field, rows):
     """Reduced row echelon form; returns (nonzero rows, pivot columns).
 
-    The elimination runs on ints in both fields.  Over GF(p) each pivot
-    row is made monic with one inverse; it is zero before its pivot
-    column, so the rows it clears change only from there on.  Over QQ
-    it is fraction-free: a row is cleared by cross-multiplying with the
-    pivot row, each by the other's pivot-column entry over their gcd,
-    and then divided by its content, so the entries stay as small as
-    the row space allows (Bareiss, Math. Comp. 22, 1968).  Fractions
-    appear once, at the end, when each pivot row is divided by its
-    pivot.  Reduced echelon form is unique, so the result does not
-    depend on the scaling, and its entries are field elements:
-    residues or Fractions.
+    The elimination runs on ints in both fields, by ``_echelon``, and
+    Fractions appear once, at the end, when each pivot row over QQ is
+    divided by its pivot.  Reduced echelon form is unique, so the
+    result does not depend on the scaling, and its entries are field
+    elements: residues or Fractions.
     """
-    p, work = _integer_rows(field, rows)
+    p, work, _ = _integer_rows(field, rows)
+    rows, pivots = _echelon(p, work)
+    return _field_rows(p, rows, pivots), pivots
+
+
+def _echelon(p, work):
+    """The reduced echelon form of int rows, which it consumes, as
+    (nonzero rows, pivot columns), both tuples: monic residue rows over
+    GF(p), and over QQ (p = 0) each row of the reduced echelon form
+    scaled to a primitive integer row with a positive pivot.  Either is
+    unique to the row space.
+
+    Over GF(p) each pivot row is made monic with one inverse; it is
+    zero before its pivot column, so the rows it clears change only
+    from there on.  Over QQ it is fraction-free: a row is cleared by
+    cross-multiplying with the pivot row, each by the other's
+    pivot-column entry over their gcd, and then divided by its content,
+    so the entries stay as small as the row space allows (Bareiss, Math.
+    Comp. 22, 1968).
+    """
     m = len(work)
     ncols = len(work[0]) if work else 0
     pivots = []
@@ -114,9 +132,21 @@ def rref(field: Field, rows):
                     work[i] = [v // content for v in row] if content > 1 else row
         pivots.append(c)
         r += 1
-    if not p:
-        work = [[Fraction(v, row[c]) if v else _ZERO for v in row] for row, c in zip(work, pivots)]
-    return tuple(tuple(row) for row in work[:r]), tuple(pivots)
+    if p:
+        return tuple(map(tuple, work[:r])), tuple(pivots)
+    return tuple(
+        tuple(row) if row[c] > 0 else tuple([-v for v in row]) for row, c in zip(work, pivots)
+    ), tuple(pivots)
+
+
+def _field_rows(p, rows, pivots):
+    """Echelon rows from ``_echelon`` as field elements: the residues
+    over GF(p), and over QQ each row divided by its pivot."""
+    if p:
+        return rows
+    return tuple(
+        tuple([Fraction(v, row[c]) if v else _ZERO for v in row]) for row, c in zip(rows, pivots)
+    )
 
 
 def matrix_rank(field: Field, rows) -> int:
@@ -133,7 +163,7 @@ def _all_minors_nonzero(field: Field, block) -> bool:
     integers, which multiplies each minor by the nonzero scales of its
     rows and so leaves every zero a zero and every nonzero minor
     nonzero."""
-    p, block = _integer_rows(field, block)
+    p, block, _ = _integer_rows(field, block)
     ncols = len(block[0]) if block else 0
     below = {(): {(): 1}}  # rows -> cols -> minor, one size down
     for s in range(1, min(len(block), ncols) + 1):
@@ -163,22 +193,51 @@ class LinearPrime:
     """A prime ideal generated by linear forms, stored as an echelon basis.
 
     The echelon rows are a reduced Groebner basis of the ideal, so the
-    height is just the number of rows.
+    height is just the number of rows.  They are kept as ``_echelon``
+    gives them, on ints, and turned into field elements on first read
+    of ``rows``.
     """
 
-    __slots__ = ("field", "rows", "support")
+    __slots__ = ("field", "support", "_echelon", "_rows")
 
     def __init__(self, field: Field, rows, support=()):
+        p, work, _ = _integer_rows(field, rows)
+        self._init(field, _echelon(p, work), support)
+
+    @classmethod
+    def of_echelon(cls, field: Field, echelon, support=()):
+        """The prime whose integer echelon rows and pivots, as
+        ``_echelon`` returns them, are echelon."""
+        prime = cls.__new__(cls)
+        prime._init(field, echelon, support)
+        return prime
+
+    def _init(self, field, echelon, support):
         self.field = field
-        self.rows = rref(field, rows)[0]
         self.support = tuple(support)
+        self._echelon = echelon
+        self._rows = None
+
+    @property
+    def rows(self):
+        """The reduced echelon rows, as field elements."""
+        if self._rows is None:
+            self._rows = _field_rows(self.field.characteristic, *self._echelon)
+        return self._rows
 
     @property
     def height(self) -> int:
-        return len(self.rows)
+        return len(self._echelon[1])
 
     def gens_in(self, ring: Ring):
-        return tuple(ring.linear(row) for row in self.rows)
+        """The reduced echelon rows as linear forms of the ring, born
+        packed from the integer rows: each row over its pivot, which is
+        1 over GF(p) and positive over QQ."""
+        units = ring.layout.units
+        return tuple(
+            Polynomial(ring, None, ([(u, v) for u, v in zip(units, row) if v], row[c]))
+            for row, c in zip(*self._echelon)
+        )
 
     def ideal_in(self, ring: Ring) -> Ideal:
         return Ideal(ring, self.gens_in(ring))
@@ -220,8 +279,9 @@ class Arrangement:
         self.ring = Ring(field, width, names=names)
         self._rank = None
         self._adapted = None
-        self._generic = None
+        self._generic = _UNDECIDED
         self._flat_cache = None
+        self._integer_forms = None
 
     @property
     def n(self) -> int:
@@ -275,7 +335,7 @@ class Arrangement:
             self._adapted = adapted._adapted = adapted
         return self._adapted
 
-    def _in_general_position(self) -> bool:
+    def _in_general_position(self):
         """Whether the minors show every rank forms independent; cached.
 
         In adapted coordinates the last rank forms are the unit rows
@@ -288,15 +348,17 @@ class Arrangement:
         The Theory of Error-Correcting Codes, ch. 11, Thm 8).  That is
         C(n, rank) - 1 minors.  When the last rank forms are dependent,
         a basis form is among the first rows, and the zeros of its unit
-        row are vanishing minors.  False when a minor vanishes or there
-        are more than MAX_MINORS of them; the queries then ask the
-        flats.
+        row are vanishing minors.  So the answer is True when every
+        minor is nonzero and False when one vanishes, both exact; it is
+        None when there are more than MAX_MINORS of them.  Past False
+        and None the queries ask the flats.
         """
-        if self._generic is None:
+        if self._generic is _UNDECIDED:
             r = self.rank()
-            self._generic = comb(self.n, r) - 1 <= MAX_MINORS and _all_minors_nonzero(
-                self.field, self.adapted().forms[: self.n - r]
-            )
+            if comb(self.n, r) - 1 > MAX_MINORS:
+                self._generic = None
+            else:
+                self._generic = _all_minors_nonzero(self.field, self.adapted().forms[: self.n - r])
         return self._generic
 
     def _flats(self):
@@ -304,8 +366,9 @@ class Arrangement:
         labels of the forms in its span, for what the minors and j = 0
         leave open: input that the minors do not show generic.  A
         proper flat of height h is spanned by h of its forms, so one
-        rref per subset of at most rank-1 labels, deduplicated by
-        echelon rows, finds them all; the span of all forms comes last.  A flat's support is the
+        echelon form per subset of at most rank-1 labels, taken on the
+        forms' integer rows and deduplicated by them, finds them all;
+        the span of all forms comes last.  A flat's support is the
         union of the subsets whose echelon rows are its own, and that is
         exact: every form of a subset lies in its span, and a form i of
         a flat F of height h < rank extends to a basis of F of h forms,
@@ -320,15 +383,19 @@ class Arrangement:
                     f"the flats of {self.n} forms of rank {self.rank()} need {count} "
                     f"subsets of forms, past the limit of {MAX_FLAT_SUBSETS}"
                 )
-            spans = {}  # echelon rows -> (the first prime with them, union of subsets)
+            # integer echelon rows -> (their pivots, union of subsets):
+            # ints hash fast, and a flat's Fractions wait for its rows
+            spans = {}
             for size in range(1, self.rank()):
                 for subset in combinations(self.labels, size):
-                    p = LinearPrime(self.field, [self.forms[i - 1] for i in subset])
-                    spans.setdefault(p.rows, (p, set()))[1].update(subset)
-            for p, support in spans.values():
-                p.support = tuple(sorted(support))
+                    rows, pivots = self._echelon_of(subset)
+                    spans.setdefault(rows, (pivots, set()))[1].update(subset)
+            flats = [
+                LinearPrime.of_echelon(self.field, (rows, pivots), sorted(support))
+                for rows, (pivots, support) in spans.items()
+            ]
             top = LinearPrime(self.field, self.forms, self.labels)
-            self._flat_cache = (*(p for p, _ in spans.values()), top)
+            self._flat_cache = (*flats, top)
         return self._flat_cache
 
     def s_generic_witness(self, s: int):
@@ -351,23 +418,62 @@ class Arrangement:
         return min(witnesses, default=None)
 
     def is_s_generic(self, s: int) -> bool:
+        """Whether any s forms are independent.  At the rank a vanishing
+        minor answers False with no flats, since it shows some rank
+        forms dependent; otherwise this asks ``s_generic_witness``."""
+        if s == self.rank() and self._in_general_position() is False:
+            return False
         return self.s_generic_witness(s) is None
 
-    def product(self, labels) -> Polynomial:
-        """The expanded product of the forms with these labels; a
-        repeated label gives a power of its form.  A form with one
-        nonzero coefficient only shifts exponents, so m other factors
-        in k variables give at most C(m + k - 1, k - 1) terms; past
-        MAX_PRODUCT_TERMS that bound is refused before expanding."""
-        rows = [self.form(i) for i in labels]
-        m = sum(len(row) - row.count(self.field.zero) > 1 for row in rows)
+    def _integer(self):
+        """``_integer_rows`` of the forms, built once: the modulus, the
+        rows as lists of ints and their scales."""
+        if self._integer_forms is None:
+            self._integer_forms = _integer_rows(self.field, self.forms)
+        return self._integer_forms
+
+    def _echelon_of(self, labels):
+        """``_echelon`` of the forms with these labels, on their integer
+        rows."""
+        q, forms, _ = self._integer()
+        return _echelon(q, [list(forms[i - 1]) for i in labels])
+
+    def _refuse_large_product(self, labels, rows):
+        """A form with one nonzero coefficient only shifts exponents,
+        so m other factors in k variables give at most
+        C(m + k - 1, k - 1) terms; past MAX_PRODUCT_TERMS that bound
+        is refused before expanding.  rows are the factors' rows, of
+        field elements or of ints."""
+        m = sum(len(row) - row.count(0) > 1 for row in rows)
         bound = comb(m + self.nvars - 1, self.nvars - 1)
         if bound > MAX_PRODUCT_TERMS:
             raise UsageError(
                 f"the product of forms {list(labels)} may have {bound} terms, "
                 f"past the limit of {MAX_PRODUCT_TERMS}"
             )
+
+    def product(self, labels) -> Polynomial:
+        """The expanded product of the forms with these labels; a
+        repeated label gives a power of its form.  Its terms are
+        multiplied out as tuples by ``ProductOfForms``; past
+        MAX_PRODUCT_TERMS the bound on them is refused before
+        expanding."""
+        rows = [self.form(i) for i in labels]
+        self._refuse_large_product(labels, rows)
         return ProductOfForms(self.field, rows).expand(self.ring)
+
+    def packed_product(self, labels) -> Polynomial:
+        """The same polynomial as ``product(labels)``, born packed: the
+        forms' integer rows, kept from the first call, are multiplied
+        by the packed kernel ``polynomials.packed_product``, divided
+        over QQ by the product of their scales.  Refused past
+        MAX_PRODUCT_TERMS as ``product`` is."""
+        for i in labels:
+            self.form(i)  # refuses a label outside 1..n
+        _, forms, scales = self._integer()
+        rows = [forms[i - 1] for i in labels]
+        self._refuse_large_product(labels, rows)
+        return packed_product(self.ring, rows, prod([scales[i - 1] for i in labels]))
 
     def _check_a(self, a: int):
         if not 1 <= a <= self.n:
@@ -401,7 +507,7 @@ class Arrangement:
         self._check_j(j)
         if j == 0 or (j + 1 < self.rank() and self._in_general_position()):
             return tuple(
-                LinearPrime(self.field, [self.form(i) for i in subset], subset)
+                LinearPrime.of_echelon(self.field, self._echelon_of(subset), subset)
                 for subset in combinations(self.labels, j + 1)
             )
         if self._in_general_position():

@@ -13,7 +13,6 @@ before the report is written gets exit 2 too.
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
 import os
 import sys
@@ -21,6 +20,16 @@ import time
 from dataclasses import asdict
 from fractions import Fraction
 from functools import cache
+
+# the input digest from CPython's built-in SHA-256, which, unlike
+# hashlib's, loads no OpenSSL: about 3.5 MiB less resident memory
+try:
+    from _sha2 import sha256  # Python 3.12 and later
+except ImportError:
+    try:
+        from _sha256 import sha256  # Python 3.10 and 3.11
+    except ImportError:
+        from hashlib import sha256
 
 from .arrangements import Arrangement, random_generic_arrangement
 from .errors import GenericityError, ParseError, StarConfigError, UsageError
@@ -244,7 +253,7 @@ def run(argv=None) -> int:
             return 0
 
         text = _read_input(args.input)
-        digest = hashlib.sha256(text.encode("utf-8")).hexdigest()
+        digest = sha256(text.encode("utf-8")).hexdigest()
         arr = parse_arrangement(text, override)
 
         exit_code = 0

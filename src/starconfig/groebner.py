@@ -19,10 +19,13 @@ The core runs on packed-integer monomials (see ``orders``) and on
 Python ``int`` coefficients in both fields.  Over GF(p) they are
 residues and basis elements are monic; over QQ basis elements are
 primitive integer polynomials with a positive leading coefficient.
-Fractions exist only at the boundary: packing an input clears its
-denominators, and unpacking the reduced basis divides each element by
-its leading coefficient.  A monomial of total degree 2**15 or more
-does not fit and raises ``UsageError``.
+The core reads each polynomial's packing in its own ring's layout
+(see ``polynomials``), which a polynomial keeps once made, or was born
+with, and clears its denominators into one positive int.  Every
+polynomial the core returns in that layout, a remainder or a basis
+element, is born packed over such an int, so Fractions appear only if
+its terms are read.  A monomial of total degree 2**15 or more does not
+fit and raises ``UsageError``.
 
 One division loop serves both fields.  It updates coefficients with
 plain ``-`` and ``*`` and normalizes each term once, when it is popped
@@ -35,18 +38,21 @@ constant turns up, since the reduced basis is then (1,).
 
 Radical membership goes through the one-extra-variable trick:
 f lies in rad(I) iff 1 lies in I + <1 - y*f>, which is exact both ways.
-The adjoined system is packed directly and answered by that stop; an
-ideal keeps its part of that system, packed and reduced, for every
-test after the first, and a polynomial keeps its packing in its own
-ring's layout, so nothing is packed twice.
-Intersections eliminate t from t*a + (1-t)*b, packed directly too,
-with t in front.  Their S-pairs come out by degree in x, which on
+The adjoined system is answered by that stop, and it is built from
+the polynomials' own packings with no unpacking: a y-free monomial's
+packing in one more variable is its own shifted up one field
+(``orders.grevlex_widen``).  An ideal keeps its part of that system,
+widened and reduced, for every test after the first, so nothing is
+packed twice.
+Intersections eliminate t from t*a + (1-t)*b, packed directly from
+the terms, with t in front.  Their S-pairs come out by degree in x, which on
 homogeneous input, such as the primes of an arrangement's radical,
 meets them in degree order, so far fewer of them reduce to zero than
 with the lcm alone as the key.  Padding a grevlex-sorted exponent tuple
 with a 0 or a 1 for the extra variable keeps its terms sorted in every
-layout, and so does writing (1-t)*g as its t-terms followed by g's own
-terms with t in front, so neither system is sorted afresh.
+layout, as widening keeps them under grevlex, and so does writing
+(1-t)*g as its t-terms followed by g's own terms with t in front, so
+neither system is sorted afresh.
 """
 
 from __future__ import annotations
@@ -58,7 +64,7 @@ from operator import mul
 from time import monotonic
 
 from .errors import UsageError
-from .orders import FIELD_MASK, degree_error, elimination_layout, grevlex_layout
+from .orders import FIELD_MASK, degree_error, elimination_layout, grevlex_layout, grevlex_widen
 from .polynomials import Polynomial, Ring
 
 # The core works on packed terms: lists of (packed monomial, int
@@ -74,30 +80,17 @@ def _pack(f: Polynomial, layout, pad=()):
     f's grevlex order, with int coefficients; and the positive int they
     were scaled by: 1 over GF(p), the lcm of the denominators over QQ.
 
-    Packed in its own ring's layout with no pad, f keeps the result, so
-    a polynomial that is reduced or divided by again and again is
-    packed once; callers must not mutate the returned list."""
-    own = not pad and layout is f.ring.layout
-    if own and f._packed is not None:
-        return f._packed
+    In its own ring's layout with no pad that is ``f.packed()``, which
+    f keeps, or was born with over some positive int, so a polynomial
+    that is reduced or divided by again and again is packed once;
+    callers must not mutate the returned list."""
+    if not pad and layout is f.ring.layout:
+        return f.packed()
     pack = layout.pack
     if f.ring.field.characteristic:
-        packed = [(pack(e + pad), c) for e, c in f.terms], 1
-    else:
-        den = lcm(*[c.denominator for _, c in f.terms])
-        packed = [(pack(e + pad), c.numerator * (den // c.denominator)) for e, c in f.terms], den
-    if own:
-        f._packed = packed
-    return packed
-
-
-def _unpack(ring: Ring, layout, terms, scale) -> Polynomial:
-    """The polynomial of packed int terms divided by scale, which is
-    always 1 over GF(p)."""
-    unpack = layout.unpack
-    if ring.field.characteristic:
-        return Polynomial(ring, tuple([(unpack(m), c) for m, c in terms]))
-    return Polynomial(ring, tuple([(unpack(m), Fraction(c, scale)) for m, c in terms]))
+        return [(pack(e + pad), c) for e, c in f.terms], 1
+    den = lcm(*[c.denominator for _, c in f.terms])
+    return [(pack(e + pad), c.numerator * (den // c.denominator)) for e, c in f.terms], den
 
 
 def _normalize(terms, p):
@@ -243,7 +236,7 @@ def reduce(f: Polynomial, basis) -> Polynomial:
         divisors.append(_record(_pack(g, layout)[0], p))
     work, den = _pack(f, layout)
     terms, scale = _reduce(dict(work), divisors, p, layout)
-    return _unpack(ring, layout, terms, den * scale)
+    return Polynomial(ring, None, (terms, den * scale))
 
 
 def s_polynomial(f: Polynomial, g: Polynomial) -> Polynomial:
@@ -259,7 +252,7 @@ def s_polynomial(f: Polynomial, g: Polynomial) -> Polynomial:
     a, b = _record(_pack(f, layout)[0], p), _record(_pack(g, layout)[0], p)
     terms, _ = _reduce(_spoly(l, a, b, layout), (), p, layout)
     # _spoly's result is lcm(lc_a, lc_b) times the monic S-polynomial
-    return _unpack(ring, layout, terms, lcm(a[1][0], b[1][0]))
+    return Polynomial(ring, None, (terms, lcm(a[1][0], b[1][0])))
 
 
 def buchberger(gens):
@@ -278,7 +271,7 @@ def buchberger(gens):
     layout = ring.layout
     p = ring.field.characteristic
     basis = _interreduce(_groebner([_pack(g, layout)[0] for g in polys], p, layout), p, layout)
-    return tuple(_unpack(ring, layout, terms, terms[0][1]) for terms in basis)
+    return tuple(Polynomial(ring, None, (terms, terms[0][1])) for terms in basis)
 
 
 def check_deadline(deadline):
@@ -411,8 +404,8 @@ def _interreduce(basis, p, layout):
 class Ideal:
     """An ideal given by generators, with two values cached: its reduced
     Groebner basis, and the input that ``radical_member`` starts every
-    Rabinowitsch run on it from, its generators packed with y = 0 and
-    each reduced by those before it."""
+    Rabinowitsch run on it from, its generators' packings widened to
+    one more variable, y, absent, and each reduced by those before it."""
 
     def __init__(self, ring: Ring, gens):
         gens = tuple(gens)
@@ -492,30 +485,37 @@ def radical_member(f: Polynomial, ideal: Ideal, deadline=None) -> bool:
 
     Exact both ways: f is in rad(I) iff the ideal I + <1 - y*f> in one
     more variable y, last under grevlex, is the whole ring.  That system
-    is packed here in ``grevlex_layout`` with y padded on, which keeps
-    every generator's terms sorted.  The ideal's generators, with y = 0,
-    are packed and reduced by each other once, by its first call, and
-    kept on the ideal; every run starts from those records and packs
-    and reduces only y*f - 1, so it meets the same S-pairs in the same
-    order as a run on all the generators.  The answer is whether the
-    Groebner run stopped at a constant, so its basis is never
-    interreduced.  At or past deadline, a ``time.monotonic()`` value,
-    the Groebner run raises ``TimeoutError`` when it pops an S-pair.
+    lives in ``grevlex_layout`` of one more variable, where a y-free
+    monomial is its own packing shifted up one field (``grevlex_widen``),
+    so it is built from the polynomials' own packings, one shift per
+    monomial, with every generator's terms still sorted.  The ideal's
+    generators, with y = 0, are widened and reduced by each other once,
+    by its first call, and kept on the ideal; every run starts from
+    those records and builds and reduces only y*f - 1, so it meets the
+    same S-pairs in the same order as a run on all the generators.  The
+    answer is whether the Groebner run stopped at a constant, so its
+    basis is never interreduced.  At or past deadline, a
+    ``time.monotonic()`` value, the Groebner run raises
+    ``TimeoutError`` when it pops an S-pair.
     """
     if f.ring != ideal.ring:
         raise UsageError("element lives in a different ring")
     if f.is_zero():
         return True
+    nvars = f.ring.nvars
     p = f.ring.field.characteristic
-    layout = grevlex_layout(f.ring.nvars + 1)
+    layout = grevlex_layout(nvars + 1)
+    widen = grevlex_widen(nvars)
     start = ideal._rabinowitsch
     if start is None:
-        gens = [_pack(g, layout, (0,))[0] for g in ideal.gens]
+        gens = [[(widen(m), c) for m, c in g.packed()[0]] for g in ideal.gens]
         start = ideal._rabinowitsch = _add_inputs([], gens, p, layout)
     if start is _UNIT:
         return True
     # y*f - 1 spans the same ideal; its constant, -1 scaled by den, is
     # the residue p - 1 over GF(p) and -den over QQ, and comes last
-    rabinowitsch, den = _pack(f, layout, (1,))
+    terms, den = f.packed()
+    y = layout.units[nvars]
+    rabinowitsch = [(widen(m) + y, c) for m, c in terms]
     rabinowitsch.append((0, p - den))
     return _groebner([rabinowitsch], p, layout, deadline, start) is _UNIT

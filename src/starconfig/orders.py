@@ -104,6 +104,26 @@ def grevlex_layout(nvars) -> Layout:
 
 
 @cache
+def grevlex_widen(nvars):
+    """The map that takes the packing of a monomial e under
+    ``grevlex_layout(nvars)`` to that of e times y^0 under
+    ``grevlex_layout(nvars + 1)``, whose last variable is y, with no
+    unpacking.  The wide key rows are the total degree and then the
+    narrow ones, since the sum over the first nvars variables is the
+    total degree when y is absent, and the plain exponents end with
+    y's, 0.  So the wide int is the narrow one shifted up one field,
+    for the 0 of y, with the narrow top field, the total degree, copied
+    into the new top field."""
+    top = FIELD_BITS * (2 * nvars - 1)
+    high = top + 2 * FIELD_BITS
+
+    def widen(m):
+        return m << FIELD_BITS | (m >> top) << high
+
+    return widen
+
+
+@cache
 def elimination_layout(nvars) -> Layout:
     """nvars variables and an extra last one, t, in front: the power of
     t first, ties broken by grevlex on the others.

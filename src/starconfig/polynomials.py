@@ -2,18 +2,33 @@
 
 A Ring fixes the coefficient field, the number of variables and
 display names; every ring orders its monomials by grevlex.  Polynomials
-are immutable: a tuple of (exponent tuple, coefficient) pairs sorted
-descending under grevlex, with no zero coefficients.  A linear form is
-a row of coefficients, and ``Ring.linear`` is the one place where a row
-becomes a Polynomial.  ProductOfForms is the one routine that expands a
-product of rows; the product itself is named by its labels, not stored.
+are immutable and have two faces.  Their terms are a tuple of
+(exponent tuple, coefficient) pairs sorted descending under grevlex,
+with no zero coefficients, which printing, comparison and the
+arithmetic operators read.  Their packing is the same terms as packed
+ints of the ring's grevlex layout (see ``orders``), descending, with
+int coefficients over one positive common denominator: residues and 1
+over GF(p), integers over QQ.  The Groebner core reads the packing.  A
+polynomial built from terms is packed on first use, and one born
+packed, as ``packed_product``, ``Ring.sum`` and the Groebner core make
+them, builds its terms on first read; each face is built at most once.
+
+A linear form is a row of coefficients, and ``Ring.linear`` is the
+place where a row of field elements becomes a Polynomial.  Products of
+rows are expanded two ways: ``ProductOfForms`` multiplies polynomials
+in tuple terms, and ``packed_product`` multiplies integer rows straight
+into packed terms.  A product itself is named by its labels, not
+stored.
 """
 
 from __future__ import annotations
 
+from fractions import Fraction
+from math import gcd, lcm
+
 from .errors import UsageError
 from .fields import Field
-from .orders import grevlex_layout, mono_mul
+from .orders import DEGREE_LIMIT, degree_error, grevlex_layout, mono_mul
 
 
 def default_names(nvars: int):
@@ -47,7 +62,7 @@ class Ring:
         self._units = tuple(tuple(int(j == i) for j in range(nvars)) for i in range(nvars))
 
     def __eq__(self, other):
-        return (
+        return other is self or (
             isinstance(other, Ring)
             and self.field == other.field
             and self.nvars == other.nvars
@@ -95,6 +110,24 @@ class Ring:
     def gens(self):
         return tuple(self.gen(i) for i in range(self.nvars))
 
+    def sum(self, polys) -> "Polynomial":
+        """The sum of polynomials of this ring, added in one dict of
+        packed terms over one common denominator, the lcm of theirs;
+        born packed."""
+        packings = []
+        for f in polys:
+            if f.ring != self:
+                raise UsageError("polynomials live in different rings")
+            packings.append(f.packed())
+        den = lcm(*[d for _, d in packings])
+        acc: dict = {}
+        get = acc.get
+        for terms, d in packings:
+            scale = den // d
+            for m, c in terms:
+                acc[m] = get(m, 0) + c * scale
+        return _born(self, acc, den)
+
     def linear(self, coeffs) -> "Polynomial":
         """The form sum(coeffs[i] * x_i).  Grevlex puts x_1 > ... > x_n
         on degree-1 monomials, so index order is already term order."""
@@ -105,24 +138,120 @@ class Ring:
         return Polynomial(self, tuple((u, c) for u, c in zip(self._units, coeffs) if c != zero))
 
 
-class Polynomial:
-    """Immutable polynomial: terms sorted descending under grevlex.
+def _born(ring: Ring, acc: dict, den: int) -> "Polynomial":
+    """The polynomial of {packed monomial: int coefficient} divided by
+    den, born packed: coefficients reduced mod p over GF(p), where den
+    is 1, and over QQ divided with den by their common factor with it,
+    so that the packing is the one its terms would give."""
+    p = ring.field.characteristic
+    if p:
+        terms = [(m, c % p) for m, c in sorted(acc.items(), reverse=True) if c % p]
+    else:
+        terms = [(m, c) for m, c in sorted(acc.items(), reverse=True) if c]
+        g = gcd(den, *[c for _, c in terms])
+        if g != 1:
+            den //= g
+            terms = [(m, c // g) for m, c in terms]
+    return Polynomial(ring, None, (terms, den))
 
-    _packed holds the packed terms that the Groebner core made of it in
-    its ring's layout, kept so that it is packed once; None until then.
+
+def packed_product(ring: Ring, rows, den: int = 1) -> "Polynomial":
+    """The product of the linear forms with these int coefficient rows,
+    divided by den, born packed in the ring's layout: over GF(p) the
+    rows are residues and den is 1, over QQ they are integer rows and
+    den a positive int, such as the product of the scales that made
+    them integers.
+
+    A row with a single nonzero coefficient c at x_i, as every basis
+    form is in adapted coordinates, is no multiplication: it adds x_i's
+    unit to the packed monomial and multiplies the scalar by c.  Those
+    rows make the one-term product that the expansion starts from, and
+    each other row is multiplied into one dict of packed terms; a
+    product of monomials is the sum of their packed ints.  Coefficients
+    are reduced mod p once per row over GF(p).  A product of degree
+    DEGREE_LIMIT or more does not fit and raises ``UsageError``.
+    """
+    p = ring.field.characteristic
+    if len(rows) >= DEGREE_LIMIT:
+        raise degree_error(len(rows))
+    units = ring.layout.units
+    shift, scalar = 0, 1
+    dense = []
+    for row in rows:
+        factor = [(u, c) for u, c in zip(units, row) if c]
+        if len(factor) == 1:
+            (u, c), = factor
+            shift += u
+            scalar *= c
+        else:
+            dense.append(factor)
+    acc = {shift: scalar}
+    for factor in dense:
+        out: dict = {}
+        get = out.get
+        for m, c in acc.items():
+            for u, v in factor:
+                mu = m + u
+                out[mu] = get(mu, 0) + c * v
+        acc = {m: c % p for m, c in out.items()} if p else out
+    return _born(ring, acc, den)
+
+
+class Polynomial:
+    """Immutable polynomial, read as terms sorted descending under
+    grevlex or as its packing in its ring's layout.
+
+    _terms and _packed hold the two faces, each None until it is built
+    from the other; at least one of them is set.  _packed is a pair:
+    the packed terms, descending, with nonzero int coefficients, and
+    the positive int they are divided by.  Callers must not mutate it.
     """
 
-    __slots__ = ("ring", "terms", "_packed")
+    __slots__ = ("ring", "_terms", "_packed")
 
-    def __init__(self, ring: Ring, terms):
+    def __init__(self, ring: Ring, terms, packed=None):
         self.ring = ring
-        self.terms = terms
-        self._packed = None
+        self._terms = terms
+        self._packed = packed
+
+    @property
+    def terms(self):
+        """(exponent tuple, coefficient) pairs, descending; for a
+        polynomial born packed, unpacked on first read."""
+        terms = self._terms
+        if terms is None:
+            packed, den = self._packed
+            unpack = self.ring.layout.unpack
+            if self.ring.field.characteristic:
+                terms = tuple([(unpack(m), c) for m, c in packed])
+            else:
+                terms = tuple([(unpack(m), Fraction(c, den)) for m, c in packed])
+            self._terms = terms
+        return terms
+
+    def packed(self):
+        """The pair (packed terms, den) in the ring's layout: the terms
+        descending, with int coefficients that are den times the
+        polynomial's, and den positive: 1 over GF(p), the lcm of the
+        denominators over QQ when packed from terms.  Built once."""
+        if self._packed is None:
+            pack = self.ring.layout.pack
+            if self.ring.field.characteristic:
+                self._packed = [(pack(e), c) for e, c in self._terms], 1
+            else:
+                den = lcm(*[c.denominator for _, c in self._terms])
+                self._packed = (
+                    [(pack(e), c.numerator * (den // c.denominator)) for e, c in self._terms],
+                    den,
+                )
+        return self._packed
 
     # -- inspection ----------------------------------------------------
 
     def is_zero(self) -> bool:
-        return not self.terms
+        if self._terms is None:
+            return not self._packed[0]
+        return not self._terms
 
     def lt(self):
         """Leading (exponents, coefficient) pair."""

@@ -164,12 +164,17 @@ def verify_certificate(
     Rabinowitsch; and each level sum reduced against every minimal
     prime, which is exact.  The first algebraic check builds the level
     sums and the certificate ideal, and each product, an entry outside
-    the ground set under some corruptions included, is expanded once.
-    Each of them also enters the Groebner core once: the certificate
-    ideal keeps its generators packed and reduced for every
-    Rabinowitsch run after the first, and the level sums and each
-    minimal prime's generators keep their packed terms across the
-    (sum, prime) reductions; all of it is dropped with the call.
+    the ground set under some corruptions included, is expanded once,
+    with one deadline check.  Every polynomial checked is born packed,
+    in the form the Groebner core reads, with no tuple terms and no
+    Fraction: ``Arrangement.packed_product`` expands each product from
+    the forms' integer rows, ``sv_sums`` adds each level in one packed
+    dict, and each minimal prime's generators come from its integer
+    echelon rows.  Each of them also enters the Groebner core once:
+    the certificate ideal keeps its generators widened and reduced for
+    every Rabinowitsch run after the first, and the level sums and each
+    minimal prime's generators keep their packing across the (sum,
+    prime) reductions; all of it is dropped with the call.
     When the labels pass but an algebraic check fails, a cross-check
     reports the disagreement.  A budget turns remaining work into an
     inconclusive verdict, the label check, the expansions and a
@@ -209,7 +214,7 @@ def verify_certificate(
     @cache
     def product(labels):
         check_deadline(deadline)
-        return arr.product(labels)
+        return arr.packed_product(labels)
 
     @cache
     def certificate():
@@ -358,14 +363,14 @@ def sv_sums(partition: SVPartition, product=None):
     variety as the whole ground set, bounding the arithmetic rank by
     the number of levels.  product expands one label tuple, by default
     ``Arrangement.product``; ``verify_certificate`` passes one that
-    keeps each expansion for its Rabinowitsch tests and raises
-    TimeoutError once its budget is spent.
+    expands with the packed kernel, keeps each expansion for its
+    Rabinowitsch tests and raises TimeoutError once its budget is
+    spent.  Each level is added by ``Ring.sum``, in one dict of packed
+    terms over one common denominator, and its sum is born packed.
     """
     arr = partition.arrangement
     product = product or arr.product
-    return tuple(
-        sum((product(p) for p in level), arr.ring.zero) for level in partition.levels
-    )
+    return tuple(arr.ring.sum(product(p) for p in level) for level in partition.levels)
 
 
 def sv_ara_partition(arrangement: Arrangement, j: int) -> SVPartition:

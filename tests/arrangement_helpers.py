@@ -13,10 +13,11 @@ def delete(arr, label):
 
 
 def count_products(monkeypatch, wait_on=None):
-    """The label tuples of every Arrangement.product call from now on;
-    call number wait_on first sleeps for a second."""
+    """The label tuples of every Arrangement.packed_product call from
+    now on, the packed kernel that verification expands each product
+    with; call number wait_on first sleeps for a second."""
     calls = []
-    product = Arrangement.product
+    product = Arrangement.packed_product
 
     def counted(self, labels):
         calls.append(labels)
@@ -24,7 +25,7 @@ def count_products(monkeypatch, wait_on=None):
             time.sleep(1.0)
         return product(self, labels)
 
-    monkeypatch.setattr(Arrangement, "product", counted)
+    monkeypatch.setattr(Arrangement, "packed_product", counted)
     return calls
 
 

@@ -25,6 +25,7 @@ from starconfig.arrangements import (
 from starconfig.errors import DegenerateInputError, GenerationError, UsageError
 from starconfig.fields import GF, QQ
 from starconfig.groebner import Ideal
+from starconfig.polynomials import Ring
 
 from arrangement_helpers import delete
 from flat_reference import (
@@ -124,11 +125,21 @@ def types_of(rows):
 @example((QQ, []))
 def test_rref_matches_field_reference(case):
     """The integer kernel returns the reference's rows, pivots and
-    element types: residues over GF(p), Fractions over QQ."""
+    element types: residues over GF(p), Fractions over QQ.  A
+    LinearPrime of the rows keeps them, and its generators, born packed
+    from its integer rows, are the reference's rows as linear forms,
+    with the packing those forms take."""
     field, rows = case
     got, want = rref(field, rows), rref_reference(field, rows)
     assert got == want
     assert types_of(got[0]) == types_of(want[0])
+    prime = LinearPrime(field, rows)
+    assert prime.rows == want[0] and prime.height == len(want[1])
+    if rows and rows[0]:
+        ring = Ring(field, len(rows[0]))
+        forms = [ring.linear(row) for row in want[0]]
+        assert [g.packed() for g in prime.gens_in(ring)] == [f.packed() for f in forms]
+        assert prime.gens_in(ring) == tuple(forms)
 
 
 @st.composite
@@ -426,6 +437,25 @@ def test_random_generic_arrangement_over_qq():
     assert a.field == QQ
 
 
+def test_random_draws_again_when_a_minor_vanishes(monkeypatch):
+    """Over GF(11) some draws of 7 forms in 4 variables have a vanishing
+    minor; with the flats limited to 5 subsets, far below the 63 they
+    would need, such a draw is rejected by the minors alone and the
+    sampler draws again, instead of raising the flats' refusal."""
+    monkeypatch.setattr(arrangements, "MAX_FLAT_SUBSETS", 5)
+    rows = [(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (1, 1, 0, 0), (0, 0, 0, 1)]
+    dependent = Arrangement(GF(11), rows)
+    assert dependent._in_general_position() is False
+    assert not dependent.is_s_generic(4)
+    with pytest.raises(UsageError, match="need 25 subsets"):
+        dependent.s_generic_witness(4)
+    try:
+        arr = random_generic_arrangement(4, 7, GF(11), seed=0)
+    except GenerationError:
+        return
+    assert arr._in_general_position() is True
+
+
 def test_random_generation_guards():
     with pytest.raises(UsageError):
         random_generic_arrangement(4, 3)
@@ -560,15 +590,18 @@ def test_one_rref_per_subset_of_flats(monkeypatch):
     """Every combinatorial query past j = 0 on a (4,9) arrangement with
     form 9 = form 1 + form 2 shares one enumeration: one rref per subset
     of at most 3 forms, one for the rank, one for the adapted
-    coordinates whose minors fail, and one for the span of all forms."""
+    coordinates whose minors fail, and one for the span of all forms.
+    Each is one echelon form, which every rref takes too."""
     rows = with_sum_form(random_generic_arrangement(4, 9, GF(32003), seed=0).forms, GF(32003))
     calls = []
 
-    def counted(field, matrix):
-        calls.append(matrix)
-        return rref(field, matrix)
+    echelon = arrangements._echelon
 
-    monkeypatch.setattr(arrangements, "rref", counted)
+    def counted(p, matrix):
+        calls.append(matrix)
+        return echelon(p, matrix)
+
+    monkeypatch.setattr(arrangements, "_echelon", counted)
     arr = Arrangement(GF(32003), rows)
     for s in range(1, arr.n + 2):
         arr.s_generic_witness(s)

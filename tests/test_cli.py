@@ -1,5 +1,6 @@
 """Arrangement files, report envelopes, and exit codes."""
 
+import hashlib
 import json
 import subprocess
 import sys
@@ -285,6 +286,36 @@ def test_stdin_is_read_as_utf8(child_env):
     good = child(Path(HARTSHORNE).read_bytes())
     assert good.returncode == 0
     assert json.loads(good.stdout)["results"]["min_distance"] == 2
+
+
+DIGESTS = """
+import contextlib, io, json, sys
+import starconfig.cli
+print(json.dumps("_hashlib" in sys.modules))
+for path in sys.argv[1:]:
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        starconfig.cli.run(["min-distance", path])
+    print(json.dumps(json.loads(out.getvalue())["input_sha256"]))
+"""
+
+
+def test_input_digest_loads_no_openssl(child_env):
+    """In a fresh interpreter, importing the command line loads no
+    OpenSSL module, and each fixture's input_sha256 is hashlib's
+    SHA-256 of its text."""
+    fixtures = sorted(FIXTURES.glob("*.json"))
+    proc = subprocess.run(
+        [sys.executable, "-c", DIGESTS, *map(str, fixtures)],
+        capture_output=True,
+        text=True,
+        env=child_env,
+    )
+    assert proc.returncode == 0, proc.stderr
+    loaded, *digests = map(json.loads, proc.stdout.splitlines())
+    assert loaded is False
+    assert digests == [hashlib.sha256(f.read_text().encode("utf-8")).hexdigest() for f in fixtures]
+    assert len(digests) == 4
 
 
 def test_repeated_variable_names_exit_two(tmp_path, capsys):

@@ -1,10 +1,13 @@
 """Polynomial arithmetic, the monomial orders, forms and their products."""
 
 import re
+from fractions import Fraction
+from math import lcm, prod
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from starconfig.arrangements import _integer_rows, random_generic_arrangement
 from starconfig.errors import UsageError
 from starconfig.fields import GF, QQ
 from starconfig.orders import (
@@ -12,10 +15,11 @@ from starconfig.orders import (
     FIELD_MASK,
     elimination_layout,
     grevlex_layout,
+    grevlex_widen,
     mono_divides,
     mono_mul,
 )
-from starconfig.polynomials import ProductOfForms, Ring
+from starconfig.polynomials import Polynomial, ProductOfForms, Ring, packed_product
 
 from groebner_reference import tuple_key
 
@@ -249,3 +253,119 @@ def test_ring_axioms_hold(data):
     assert (f * g).is_zero() or (f * g).lm() == tuple(
         a + b for a, b in zip(f.lm(), g.lm())
     )
+
+
+def _field_rows(data, field, n, max_rows=6):
+    """Rows of field elements: dense forms (with fractions over QQ), unit
+    rows, single entries other than 1, and a repeat of the first."""
+    if field == QQ:
+        entries = st.fractions(min_value=-4, max_value=4, max_denominator=6)
+    else:
+        entries = st.integers(-4, 4).map(field.from_int)
+    dense = st.lists(entries, min_size=n, max_size=n)
+    single = st.tuples(st.integers(0, n - 1), entries.filter(lambda c: c != 0)).map(
+        lambda ic: [ic[1] if i == ic[0] else field.zero for i in range(n)]
+    )
+    unit = st.integers(0, n - 1).map(lambda i: [field.from_int(int(j == i)) for j in range(n)])
+    rows = data.draw(st.lists(st.one_of(dense, single, unit), max_size=max_rows))
+    if rows and data.draw(st.booleans()):
+        rows += [rows[0]] * data.draw(st.integers(1, 2))
+    return [tuple(row) for row in data.draw(st.permutations(rows))]
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_packed_kernel_matches_expand(data):
+    """The packed kernel, on the rows scaled to ints and divided by the
+    product of the scales, is the polynomial that ProductOfForms.expand
+    gives, and it is born with the packing that the expansion packs
+    to.  Rows mix dense forms, fractions over QQ, unit rows, single
+    entries other than 1 and repeats."""
+    field = data.draw(st.sampled_from([GF(7), GF(32003), QQ]))
+    n = data.draw(st.integers(1, 4))
+    ring = Ring(field, n)
+    rows = _field_rows(data, field, n)
+    _, ints, scales = _integer_rows(field, rows)
+    born = packed_product(ring, ints, prod(scales))
+    assert born._terms is None
+    expanded = ProductOfForms(field, rows).expand(ring)
+    assert born.packed() == expanded.packed()
+    assert born.terms == expanded.terms
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    field=st.sampled_from([GF(7), GF(32003), QQ]),
+    k=st.integers(2, 4),
+    extra=st.integers(0, 2),
+    seed=st.integers(0, 10 ** 6),
+    data=st.data(),
+)
+def test_packed_products_match_products_in_both_coordinates(field, k, extra, seed, data):
+    """Arrangement.packed_product equals Arrangement.product on label
+    tuples with repeats, in the input coordinates and in the adapted
+    ones, where the basis forms are unit rows."""
+    arr = random_generic_arrangement(k, k + extra, field, seed=seed)
+    labels = st.lists(st.integers(1, arr.n), max_size=k + 2)
+    for coords in (arr, arr.adapted()):
+        chosen = tuple(data.draw(labels))
+        assert coords.packed_product(chosen) == coords.product(chosen)
+
+
+def _twins(data, field):
+    """A polynomial built from tuple terms and a maker of fresh twins
+    born packed from an independent packing of those terms."""
+    ring = Ring(field, 3)
+    rows = _field_rows(data, field, 3, max_rows=3)
+    f = ProductOfForms(field, rows).expand(ring) + data.draw(st.integers(-2, 2))
+    den = lcm(*[Fraction(c).denominator for _, c in f.terms])
+    packed = [(ring.layout.pack(e), int(c * den)) for e, c in f.terms]
+    return ring, f, lambda: Polynomial(ring, None, (list(packed), den))
+
+
+@settings(max_examples=80, deadline=None)
+@given(field=st.sampled_from([GF(7), GF(32003), QQ]), data=st.data())
+def test_born_packed_polynomial_agrees_with_its_tuple_twin(field, data):
+    """A polynomial born packed and its tuple-built twin agree on ==,
+    hash, repr and is_zero, and as either operand of + and * with tuple
+    polynomials; each check starts from a fresh twin whose terms are
+    not built yet."""
+    ring, f, twin = _twins(data, field)
+    g = ProductOfForms(field, _field_rows(data, field, 3, max_rows=2)).expand(ring) + 1
+    assert twin().is_zero() == f.is_zero()
+    assert twin() == f and f == twin()
+    assert hash(twin()) == hash(f)
+    assert repr(twin()) == repr(f)
+    assert twin() + g == f + g and g + twin() == g + f
+    assert twin() * g == f * g and g * twin() == g * f
+    assert twin() - g == f - g and twin() * 2 == f * 2
+
+
+def test_born_packed_zero_and_sums():
+    """The zero polynomial born packed is zero without unpacking, and
+    Ring.sum adds over one common denominator, cancelling to zero."""
+    ring = Ring(QQ, 2)
+    x, y = ring.gens()
+    zero = Polynomial(ring, None, ([], 1))
+    assert zero.is_zero() and zero._terms is None and zero == ring.zero
+    half = ring.constant(Fraction(1, 2)) * x
+    total = ring.sum([half, ring.constant(Fraction(1, 3)) * y, half])
+    assert total._terms is None and total == x + ring.constant(Fraction(1, 3)) * y
+    assert total.packed() == ([(ring.layout.pack((1, 0)), 3), (ring.layout.pack((0, 1)), 1)], 3)
+    assert ring.sum([x, -x]).is_zero() and ring.sum([]).is_zero()
+    with pytest.raises(UsageError):
+        ring.sum([x, Ring(QQ, 3).gen(0)])
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_widen_is_the_packing_with_y_absent(data):
+    """grevlex_widen(n) takes a monomial's packing in n variables to
+    grevlex_layout(n + 1).pack(e + (0,)), and adding y's unit to that
+    is the packing of e + (1,)."""
+    n = data.draw(st.integers(1, 6))
+    e = data.draw(st.tuples(*[st.integers(0, 300)] * n))
+    wide = grevlex_layout(n + 1)
+    widened = grevlex_widen(n)(grevlex_layout(n).pack(e))
+    assert widened == wide.pack(e + (0,))
+    assert widened + wide.units[n] == wide.pack(e + (1,))
