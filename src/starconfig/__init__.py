@@ -17,7 +17,7 @@ from .errors import (
     UsageError,
 )
 from .fields import DEFAULT_PRIME, GF, Field, PrimeField, QQ, RationalField
-from .groebner import Ideal, buchberger, intersect, radical_member
+from .groebner import Ideal, intersect, radical_member
 from .polynomials import Polynomial, Ring
 from .stci import (
     CORRUPTION_MODES,
@@ -56,7 +56,6 @@ __all__ = [
     "SVPartition",
     "UsageError",
     "VerificationReport",
-    "buchberger",
     "corrupt_certificate",
     "intersect",
     "radical_member",

@@ -149,10 +149,6 @@ def _field_rows(p, rows, pivots):
     )
 
 
-def matrix_rank(field: Field, rows) -> int:
-    return len(rref(field, rows)[1])
-
-
 def _all_minors_nonzero(field: Field, block) -> bool:
     """Whether every square submatrix of block is nonsingular.  Each
     s x s minor is a Laplace expansion along its first row over the
@@ -277,7 +273,7 @@ class Arrangement:
                 raise DegenerateInputError(f"forms {seen[row]} and {label} are proportional")
             seen[row] = label
         self.ring = Ring(field, width, names=names)
-        self._rank = None
+        self._top = None
         self._adapted = None
         self._generic = _UNDECIDED
         self._flat_cache = None
@@ -298,9 +294,15 @@ class Arrangement:
         return self.forms[label - 1]
 
     def rank(self) -> int:
-        if self._rank is None:
-            self._rank = matrix_rank(self.field, self.forms)
-        return self._rank
+        return self._top_flat().height
+
+    def _top_flat(self) -> LinearPrime:
+        """The span of all forms, the top flat, whose height is the rank;
+        one elimination, built once."""
+        if self._top is None:
+            echelon = self._echelon_of(self.labels)
+            self._top = LinearPrime.of_echelon(self.field, echelon, self.labels)
+        return self._top
 
     def adapted(self) -> "Arrangement":
         """The same forms, labels and field, in coordinates where a
@@ -320,18 +322,16 @@ class Arrangement:
         number of variables leaves the forms in a polynomial subring,
         so radical membership, heights and the supports of flats, and
         with them every statement made in labels, are the same in both
-        coordinates.  Built once and cached, with the rank it reads off
-        the pivots; an adapted arrangement is its own: its basis forms
-        are unit rows already, in label order, so the rref would return
-        its own rows.
+        coordinates.  Built once and cached; an adapted arrangement is
+        its own: its basis forms are unit rows already, in label order,
+        so the rref would return its own rows.
         """
         if self._adapted is None:
-            rows, pivots = rref(self.field, list(zip(*reversed(self.forms))))
+            rows, _ = rref(self.field, list(zip(*reversed(self.forms))))
             adapted = Arrangement(
                 self.field,
                 [[row[self.n - label] for row in reversed(rows)] for label in self.labels],
             )
-            self._rank = adapted._rank = len(pivots)
             self._adapted = adapted._adapted = adapted
         return self._adapted
 
@@ -394,8 +394,7 @@ class Arrangement:
                 LinearPrime.of_echelon(self.field, (rows, pivots), sorted(support))
                 for rows, (pivots, support) in spans.items()
             ]
-            top = LinearPrime(self.field, self.forms, self.labels)
-            self._flat_cache = (*flats, top)
+            self._flat_cache = (*flats, self._top_flat())
         return self._flat_cache
 
     def s_generic_witness(self, s: int):
@@ -511,7 +510,7 @@ class Arrangement:
                 for subset in combinations(self.labels, j + 1)
             )
         if self._in_general_position():
-            return (LinearPrime(self.field, self.forms, self.labels),)
+            return (self._top_flat(),)
         flats = [p for p in self._flats() if len(p.support) > j]
         masks = [sum(1 << i for i in p.support) for p in flats]
         minimal = [

@@ -196,6 +196,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = command("verify", "verify the explicit generators")
     j_or_all_j(p)
+    # kept only because the benchmark's verify workloads pass --mode both
     p.add_argument("--mode", choices=("both",), default="both")
     p.add_argument(
         "--corrupt",

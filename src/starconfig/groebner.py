@@ -44,27 +44,27 @@ packing in one more variable is its own shifted up one field
 (``orders.grevlex_widen``).  An ideal keeps its part of that system,
 widened and reduced, for every test after the first, so nothing is
 packed twice.
-Intersections eliminate t from t*a + (1-t)*b, packed directly from
-the terms, with t in front.  Their S-pairs come out by degree in x, which on
-homogeneous input, such as the primes of an arrangement's radical,
-meets them in degree order, so far fewer of them reduce to zero than
-with the lcm alone as the key.  Padding a grevlex-sorted exponent tuple
-with a 0 or a 1 for the extra variable keeps its terms sorted in every
-layout, as widening keeps them under grevlex, and so does writing
-(1-t)*g as its t-terms followed by g's own terms with t in front, so
-neither system is sorted afresh.
+Intersections eliminate t from t*a + (1-t)*b, with t in front, built
+the same way: a t-free packing is shifted up two fields
+(``orders.elimination_lift``) and back down for the result.  Their
+S-pairs come out by degree in x, which on homogeneous input, such as
+the primes of an arrangement's radical, meets them in degree order, so
+far fewer of them reduce to zero than with the lcm alone as the key.
+Both shifts are increasing, so they keep sorted terms sorted, and so
+does writing (1-t)*g as its t-terms followed by g's own terms with t in
+front, so neither system is sorted afresh.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from math import gcd, lcm
 from operator import mul
 from time import monotonic
 
 from .errors import UsageError
-from .orders import FIELD_MASK, degree_error, elimination_layout, grevlex_layout, grevlex_widen
+from .orders import FIELD_BITS, FIELD_MASK, degree_error, elimination_layout, elimination_lift
+from .orders import grevlex_layout, grevlex_widen
 from .polynomials import Polynomial, Ring
 
 # The core works on packed terms: lists of (packed monomial, int
@@ -73,24 +73,6 @@ from .polynomials import Polynomial, Ring
 # monomial, (leading coefficient, tail)).  The unit ideal's basis is
 # ``_UNIT``, the constant 1, whose packed monomial is 0 in every layout.
 _UNIT = ((0, (1, ())),)
-
-
-def _pack(f: Polynomial, layout, pad=()):
-    """f's terms with each exponent tuple extended by pad and packed, in
-    f's grevlex order, with int coefficients; and the positive int they
-    were scaled by: 1 over GF(p), the lcm of the denominators over QQ.
-
-    In its own ring's layout with no pad that is ``f.packed()``, which
-    f keeps, or was born with over some positive int, so a polynomial
-    that is reduced or divided by again and again is packed once;
-    callers must not mutate the returned list."""
-    if not pad and layout is f.ring.layout:
-        return f.packed()
-    pack = layout.pack
-    if f.ring.field.characteristic:
-        return [(pack(e + pad), c) for e, c in f.terms], 1
-    den = lcm(*[c.denominator for _, c in f.terms])
-    return [(pack(e + pad), c.numerator * (den // c.denominator)) for e, c in f.terms], den
 
 
 def _normalize(terms, p):
@@ -233,8 +215,8 @@ def reduce(f: Polynomial, basis) -> Polynomial:
             continue
         if g.ring != ring:
             raise UsageError("divisor lives in a different ring")
-        divisors.append(_record(_pack(g, layout)[0], p))
-    work, den = _pack(f, layout)
+        divisors.append(_record(g.packed()[0], p))
+    work, den = f.packed()
     terms, scale = _reduce(dict(work), divisors, p, layout)
     return Polynomial(ring, None, (terms, den * scale))
 
@@ -248,8 +230,8 @@ def s_polynomial(f: Polynomial, g: Polynomial) -> Polynomial:
     ring = f.ring
     p = ring.field.characteristic
     layout = ring.layout
-    l = layout.pack(tuple(map(max, f.lm(), g.lm())))
-    a, b = _record(_pack(f, layout)[0], p), _record(_pack(g, layout)[0], p)
+    a, b = _record(f.packed()[0], p), _record(g.packed()[0], p)
+    l = layout.pack(tuple(map(max, layout.unpack(a[0]), layout.unpack(b[0]))))
     terms, _ = _reduce(_spoly(l, a, b, layout), (), p, layout)
     # _spoly's result is lcm(lc_a, lc_b) times the monic S-polynomial
     return Polynomial(ring, None, (terms, lcm(a[1][0], b[1][0])))
@@ -270,7 +252,7 @@ def buchberger(gens):
             raise UsageError("generators live in different rings")
     layout = ring.layout
     p = ring.field.characteristic
-    basis = _interreduce(_groebner([_pack(g, layout)[0] for g in polys], p, layout), p, layout)
+    basis = _interreduce(_groebner([g.packed()[0] for g in polys], p, layout), p, layout)
     return tuple(Polynomial(ring, None, (terms, terms[0][1])) for terms in basis)
 
 
@@ -435,15 +417,16 @@ class Ideal:
 def intersect(a: Ideal, b: Ideal) -> Ideal:
     """Intersection via t*a + (1-t)*b and elimination of t.
 
-    The system is packed in ``elimination_layout``, with t in front,
-    so the basis elements whose leading monomial avoids t generate the
+    The system lives in ``elimination_layout``, with t in front, so the
+    basis elements whose leading monomial avoids t generate the
     intersection (Cox, Little & O'Shea, Ideals, Varieties, and
     Algorithms, ch. 3 and ch. 4 section 3).  Only t-free divisors can
     touch their terms, so only those elements are minimalized and
-    interreduced.  They are returned monic and sorted under grevlex,
-    which the layout is on t-free monomials, so their terms need no
-    re-sort.  t*g is g's terms with t padded on, and (1-t)*g is the
-    negated t-terms followed by g's own terms, both already sorted.
+    interreduced.  The generators' packings are lifted there by
+    ``elimination_lift``, and t*g adds t's unit, so t*g and (1-t)*g,
+    the negated t-terms followed by g's own, come sorted.  The kept
+    elements go back down two fields, and are born packed over their
+    leading coefficients, as ``buchberger`` returns its basis.
 
     The run takes its S-pairs by degree in x first.  When every
     generator is homogeneous, as under
@@ -457,27 +440,26 @@ def intersect(a: Ideal, b: Ideal) -> Ideal:
     nvars = ring.nvars
     p = ring.field.characteristic
     layout = elimination_layout(nvars)
-    gens = []
-    for g in a.gens:
-        if not g.is_zero():
-            gens.append(_pack(g, layout, (1,))[0])
+    lift, t = elimination_lift(nvars), layout.units[nvars]
+
+    def lifted(g):
+        # g, and t*g, whose leading term has the largest degree
+        low = [(lift(m), c) for m, c in g.packed()[0]]
+        high = [(m + t, c) for m, c in low]
+        if high[0][0] & layout.guard:
+            raise degree_error(high[0][0] & FIELD_MASK)
+        return low, high
+
+    gens = [lifted(g)[1] for g in a.gens if not g.is_zero()]
     for g in b.gens:
         if not g.is_zero():
             # (1-t)*g: each term c*m of g gives -c*t*m and c*m
-            low, _ = _pack(g, layout, (0,))
-            high, _ = _pack(g, layout, (1,))
+            low, high = lifted(g)
             gens.append([(m, (p - c) if p else -c) for m, c in high] + low)
     unpack = layout.unpack
     free = [record for record in _groebner(gens, p, layout) if not unpack(record[0])[nvars]]
-    kept = []
-    for terms in _interreduce(free, p, layout):
-        scale = terms[0][1]
-        if p:
-            out = [(unpack(m)[:nvars], c) for m, c in terms]
-        else:
-            out = [(unpack(m)[:nvars], Fraction(c, scale)) for m, c in terms]
-        kept.append(Polynomial(ring, tuple(out)))
-    return Ideal(ring, tuple(kept))
+    kept = [[(m >> 2 * FIELD_BITS, c) for m, c in terms] for terms in _interreduce(free, p, layout)]
+    return Ideal(ring, tuple(Polynomial(ring, None, (terms, terms[0][1])) for terms in kept))
 
 
 def radical_member(f: Polynomial, ideal: Ideal, deadline=None) -> bool:

@@ -4,7 +4,9 @@ Polynomials carry monomials as tuples of non-negative exponents, and
 every ring orders them by grevlex.  The Groebner core also needs an
 order that eliminates an extra last variable t.  So there are two
 layouts, each built once per arity: ``grevlex_layout(n)`` and
-``elimination_layout(n)``, with t in front of everything.  Each layout
+``elimination_layout(n)``, with t in front of everything, and two
+shift maps carry a ring's packings into them with the new variable
+absent: ``grevlex_widen`` and ``elimination_lift``.  Each layout
 also names one field as its selection degree, which the core's S-pair
 queue compares before the packed lcm: the total degree under grevlex,
 and the degree in the variables other than t under the elimination
@@ -121,6 +123,22 @@ def grevlex_widen(nvars):
         return m << FIELD_BITS | (m >> top) << high
 
     return widen
+
+
+@cache
+def elimination_lift(nvars):
+    """The map from the packing of e under ``grevlex_layout(nvars)`` to
+    that of e times t^0 under ``elimination_layout(nvars)``.  Below t's
+    key row, 0, come the narrow fields, then t's exponent, 0, and the
+    total degree, the narrow top field.  So the narrow int is shifted up
+    two fields with its top field copied into the bottom one, and
+    ``m >> 2 * FIELD_BITS`` takes a t-free packing back."""
+    top = FIELD_BITS * (2 * nvars - 1)
+
+    def lift(m):
+        return m << 2 * FIELD_BITS | m >> top
+
+    return lift
 
 
 @cache

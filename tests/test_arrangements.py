@@ -9,6 +9,7 @@ values anchor this file.
 from fractions import Fraction
 from itertools import combinations
 from math import comb
+from pathlib import Path
 
 import pytest
 from hypothesis import assume, event, example, given, settings, strategies as st
@@ -18,10 +19,10 @@ from starconfig.arrangements import (
     Arrangement,
     LinearPrime,
     _all_minors_nonzero,
-    matrix_rank,
     random_generic_arrangement,
     rref,
 )
+from starconfig.cli import parse_arrangement
 from starconfig.errors import DegenerateInputError, GenerationError, UsageError
 from starconfig.fields import GF, QQ
 from starconfig.groebner import Ideal
@@ -38,6 +39,8 @@ from flat_reference import (
 from ideal_helpers import ideal_eq, radical_eq
 from intersection_reference import fold_radical
 from linear_reference import determinant, rref_reference, zero_minors
+
+FIXTURES = Path(__file__).parent / "fixtures"
 
 
 HARTSHORNE_ROWS = [
@@ -64,9 +67,12 @@ def test_rref_and_rank():
     rows, pivots = rref(QQ, [(0, 2, 4), (1, 1, 1), (1, 3, 5)])
     assert pivots == (0, 1)
     assert len(rows) == 2
-    assert matrix_rank(GF(5), [(1, 2), (0, 1)]) == 2
+    full = [(1, 2), (0, 1)]
+    assert len(rref(GF(5), full)[1]) == len(rref_reference(GF(5), full)[1]) == 2
+    assert Arrangement(GF(5), full).rank() == 2
     # (3, 1) = 4*(2, 4) mod 5, so the rows are proportional
-    assert matrix_rank(GF(5), [(2, 4), (3, 1)]) == 1
+    proportional = [(2, 4), (3, 1)]
+    assert len(rref(GF(5), proportional)[1]) == len(rref_reference(GF(5), proportional)[1]) == 1
 
 
 LINEAR_FIELDS = [GF(2), GF(3), GF(7), GF(32003), QQ]
@@ -282,7 +288,8 @@ def test_minimal_primes_contain_all_products(hartshorne):
             assert len(p.support) >= j + 1
             for labels in combinations(hartshorne.labels, a):
                 assert any(
-                    matrix_rank(QQ, p.rows + (hartshorne.form(i),)) == p.height for i in labels
+                    len(rref_reference(QQ, p.rows + (hartshorne.form(i),))[1]) == p.height
+                    for i in labels
                 )
 
 
@@ -294,7 +301,7 @@ def test_minimal_primes_are_minimal(hartshorne):
         for p in primes:
             for q in primes:
                 if p is not q:
-                    assert matrix_rank(QQ, p.rows + q.rows) > p.height
+                    assert len(rref_reference(QQ, p.rows + q.rows)[1]) > p.height
 
 
 def test_combinatorial_radical_hartshorne_j2(hartshorne):
@@ -324,15 +331,46 @@ def test_radical_tree_matches_fold_on_generic(k, n, field):
         assert arr.combinatorial_radical(j).gens == fold_radical(arr, j).gens
 
 
-def test_radical_tree_matches_fold_on_fixtures(hartshorne, coord_plus_sum):
-    """Both fixtures, and the Hartshorne one without its last form,
-    whose minimal primes at j = 2 have heights 2 and 3, so the tree's
-    sorted order mixes heights."""
+@pytest.fixture
+def fractional():
+    """The QQ fixture file whose forms have fractional coefficients."""
+    return parse_arrangement((FIXTURES / "fractional_five_forms.json").read_text("utf-8"))
+
+
+def test_radical_tree_matches_fold_on_fixtures(hartshorne, coord_plus_sum, fractional):
+    """Both fixtures, the Hartshorne one without its last form, whose
+    minimal primes at j = 2 have heights 2 and 3, so the tree's sorted
+    order mixes heights, and the fractional fixture, whose denominators
+    run through the shift into the elimination layout and back."""
     mixed = delete(hartshorne, 6)
     assert [p.height for p in mixed.minimal_linear_primes(2)] == [2, 3, 3, 3]
-    for arr in (hartshorne, coord_plus_sum, mixed):
+    for arr in (hartshorne, coord_plus_sum, mixed, fractional):
         for j in range(arr.n):
             assert arr.combinatorial_radical(j).gens == fold_radical(arr, j).gens
+
+
+def test_radical_over_qq_builds_terms_only_to_print(fractional, monkeypatch):
+    """The intersections read the primes' born-packed generators as
+    packings and return born-packed generators: over QQ no exponent
+    tuple or Fraction of either is built until a generator is printed
+    or compared."""
+    made = []
+    gens_in = LinearPrime.gens_in
+
+    def recording(prime, ring):
+        gens = gens_in(prime, ring)
+        made.extend(gens)
+        return gens
+
+    monkeypatch.setattr(LinearPrime, "gens_in", recording)
+    for j in (0, 1):
+        made.clear()
+        rad = fractional.combinatorial_radical(j)
+        assert len(fractional.minimal_linear_primes(j)) > 1
+        assert made and all(g._terms is None for g in made + list(rad.gens))
+        printed = [str(g) for g in rad.gens]
+        assert all(g._terms is not None for g in rad.gens)
+        assert printed == [str(g) for g in fold_radical(fractional, j).gens]
 
 
 def test_radical_of_a_single_minimal_prime(coord_plus_sum):
@@ -403,7 +441,9 @@ def test_forms_are_normalized_rows(data):
     else:
         # the first j with an earlier proportional row, and the first such row
         pairs = [(i, j) for j in range(len(elems)) for i in range(j)]
-        clash = next((p for p in pairs if matrix_rank(field, [elems[i] for i in p]) < 2), None)
+        clash = next(
+            (p for p in pairs if len(rref_reference(field, [elems[i] for i in p])[1]) < 2), None
+        )
         if clash is not None:
             refusal = f"forms {clash[0] + 1} and {clash[1] + 1} are proportional"
     if refusal is not None:
@@ -589,8 +629,8 @@ def with_sum_form(rows, field):
 def test_one_rref_per_subset_of_flats(monkeypatch):
     """Every combinatorial query past j = 0 on a (4,9) arrangement with
     form 9 = form 1 + form 2 shares one enumeration: one rref per subset
-    of at most 3 forms, one for the rank, one for the adapted
-    coordinates whose minors fail, and one for the span of all forms.
+    of at most 3 forms, one for the adapted coordinates whose minors
+    fail, and one for the span of all forms, whose height is the rank.
     Each is one echelon form, which every rref takes too."""
     rows = with_sum_form(random_generic_arrangement(4, 9, GF(32003), seed=0).forms, GF(32003))
     calls = []
@@ -610,7 +650,7 @@ def test_one_rref_per_subset_of_flats(monkeypatch):
         arr.height_afold(j)
     arr.min_distance()
     assert arr.s_generic_witness(4) is not None
-    assert 0 < len(calls) <= comb(9, 1) + comb(9, 2) + comb(9, 3) + 3
+    assert 0 < len(calls) <= comb(9, 1) + comb(9, 2) + comb(9, 3) + 2
 
 
 def test_flat_enumeration_refuses_past_its_limit(monkeypatch):
@@ -630,7 +670,8 @@ def greedy_basis_from_the_back(arr):
     """Labels of the forms that raise the rank, scanning n down to 1."""
     chosen = []
     for label in reversed(arr.labels):
-        if matrix_rank(arr.field, [arr.form(i) for i in chosen + [label]]) > len(chosen):
+        rows = [arr.form(i) for i in chosen + [label]]
+        if len(rref_reference(arr.field, rows)[1]) > len(chosen):
             chosen.append(label)
     return sorted(chosen)
 
@@ -686,7 +727,7 @@ def test_adapted_is_a_change_of_coordinates(arr):
         back = [arr.field.zero] * arr.nvars
         for c, b in zip(new, basis):
             back = [arr.field.add(v, arr.field.mul(c, w)) for v, w in zip(back, arr.form(b))]
-        assert matrix_rank(arr.field, [old, back]) == 1
+        assert len(rref_reference(arr.field, [old, back])[1]) == 1
     for s in range(1, arr.n + 2):
         assert ad.s_generic_witness(s) == arr.s_generic_witness(s)
     for j in range(arr.n):

@@ -22,7 +22,6 @@ from starconfig.groebner import (
     _groebner,
     _interreduce,
     _normalize,
-    _pack,
     _reduce,
     buchberger,
     intersect,
@@ -34,7 +33,9 @@ from starconfig.errors import UsageError
 from starconfig.orders import (
     DEGREE_LIMIT,
     elimination_layout,
+    elimination_lift,
     grevlex_layout,
+    grevlex_widen,
     mono_divides,
 )
 from starconfig.polynomials import Polynomial, Ring
@@ -144,10 +145,10 @@ def test_top_reduction_stops_at_an_irreducible_leading_term(field):
     basis = buchberger((3 * x * y - z + 1, 2 * y ** 2 - x * z))
     divisors = []
     for g in basis:
-        terms = _normalize(_pack(g, layout)[0], p)
+        terms = _normalize(g.packed()[0], p)
         divisors.append((terms[0][0], (terms[0][1], terms[1:])))
     f = (x + y + z + 1) ** 3 + x * y ** 2 * z
-    packed, den = _pack(f, layout)
+    packed, den = f.packed()
     assert den == 1
 
     top, scale = _reduce(dict(packed), divisors, p, layout, False)
@@ -174,7 +175,7 @@ def test_int_core_basis_contract():
         p = ring.field.characteristic
         layout = ring.layout
         for gens in (ideal.gens, [-g for g in ideal.gens]):
-            core = _interreduce(_groebner([_pack(g, layout)[0] for g in gens], p, layout), p, layout)
+            core = _interreduce(_groebner([g.packed()[0] for g in gens], p, layout), p, layout)
             for terms in core:
                 coeffs = [c for _, c in terms]
                 assert all(type(c) is int for c in coeffs)
@@ -524,23 +525,28 @@ def _random_homogeneous_polys(draw, ring, count):
 @settings(max_examples=60, deadline=None)
 @given(data=st.data())
 def test_padding_keeps_terms_sorted(data):
-    """intersect and radical_member pack their systems without sorting:
+    """intersect and radical_member build their systems without sorting:
     a polynomial's grevlex terms padded with 0 or with 1 for the extra
-    variable stay descending in every layout.  (1-t)*g written as the
-    t-terms followed by g's own stays descending with t in front."""
+    variable stay descending in every layout, and the shift maps that
+    build those systems from its own packing, ``grevlex_widen`` and
+    ``elimination_lift``, give the packings padded with 0.  (1-t)*g
+    written as the t-terms followed by g's own stays descending with t
+    in front."""
     field = data.draw(st.sampled_from([GF(101), QQ]))
     n = data.draw(st.integers(1, 6))
     ring = Ring(field, n)
     exps = st.tuples(*[st.integers(0, 3)] * n)
     f = ring.from_dict(data.draw(st.dictionaries(exps, _coeffs(field), min_size=1, max_size=8)))
+    own = [m for m, _ in f.packed()[0]]
     grevlex, elimination = grevlex_layout(n + 1), elimination_layout(n)
-    for layout in (grevlex, elimination):
-        low, high = _pack(f, layout, (0,))[0], _pack(f, layout, (1,))[0]
+    for layout, shift in ((grevlex, grevlex_widen(n)), (elimination, elimination_lift(n))):
+        low = [layout.pack(e + (0,)) for e, _ in f.terms]
+        high = [layout.pack(e + (1,)) for e, _ in f.terms]
+        assert [shift(m) for m in own] == low
         systems = [low, high]
         if layout is elimination:
             systems.append(high + low)
-        for terms in systems:
-            keys = [m for m, _ in terms]
+        for keys in systems:
             assert keys == sorted(keys, reverse=True)
 
 
@@ -677,18 +683,22 @@ def test_warm_radical_input_still_meets_its_deadline(R):
 
 def test_polynomial_keeps_only_its_own_packing(R):
     """A polynomial keeps its packing in its own ring's layout, which
-    every later reduction reuses; a padded packing in another layout,
-    as radical_member makes, is neither kept nor served in its place."""
+    every later reduction reuses; the packings in one more variable
+    that radical_member and intersect shift it into are neither kept
+    nor served in its place."""
     x, y, z = R.gens()
     f = x * y + R.constant(Fraction(2, 3)) * z
     wide = grevlex_layout(R.nvars + 1)
-    padded = _pack(f, wide, (1,))
+    padded = [(wide.pack(e + (1,)), c) for e, c in f.terms]
     assert f._packed is None
-    own = _pack(f, R.layout)
-    assert _pack(f, R.layout) is own and f._packed is own
+    own = f.packed()
+    assert f.packed() is own and f._packed is own
     assert own == ([(R.layout.pack((1, 1, 0)), 3), (R.layout.pack((0, 0, 1)), 2)], 3)
-    assert _pack(f, wide, (1,)) == padded != own
+    assert own[0] != padded
     assert radical_member(f, Ideal(R, (x, z))) and not radical_member(f, Ideal(R, (x,)))
+    assert f._packed is own
+    assert intersect(Ideal(R, (f,)), Ideal(R, (x,))).gens == (x * f,)
+    assert f._packed is own
     assert reduce(f, [x]) == R.constant(Fraction(2, 3)) * z and f._packed is own
 
 
@@ -700,6 +710,18 @@ def test_pair_lcm_past_degree_limit_raises():
     for gens in ((x ** 20000 + y, y ** 20000 + x), (y ** 20000 + x, x ** 20000 + y)):
         with pytest.raises(UsageError, match=f"degree 40000 .*limit {DEGREE_LIMIT}"):
             buchberger(gens)
+
+
+def test_intersection_past_degree_limit_raises():
+    """t*g for a generator g of degree DEGREE_LIMIT - 1 does not fit in
+    the elimination layout, on either side of the intersection, and is
+    refused at its own degree before the Groebner run."""
+    ring = Ring(GF(32003), 2, names=("x", "y"))
+    x, y = ring.gens()
+    big = Ideal(ring, (x ** (DEGREE_LIMIT - 1) + y,))
+    for a, b in ((big, Ideal(ring, (y,))), (Ideal(ring, (y,)), big)):
+        with pytest.raises(UsageError, match=f"degree {DEGREE_LIMIT} .*limit {DEGREE_LIMIT}"):
+            intersect(a, b)
 
 
 def test_radical_member_reference_sees_both_answers():

@@ -12,8 +12,10 @@ from starconfig.errors import UsageError
 from starconfig.fields import GF, QQ
 from starconfig.orders import (
     DEGREE_LIMIT,
+    FIELD_BITS,
     FIELD_MASK,
     elimination_layout,
+    elimination_lift,
     grevlex_layout,
     grevlex_widen,
     mono_divides,
@@ -360,12 +362,21 @@ def test_born_packed_zero_and_sums():
 @settings(max_examples=60, deadline=None)
 @given(data=st.data())
 def test_widen_is_the_packing_with_y_absent(data):
-    """grevlex_widen(n) takes a monomial's packing in n variables to
-    grevlex_layout(n + 1).pack(e + (0,)), and adding y's unit to that
-    is the packing of e + (1,)."""
+    """Each shift map takes a monomial's packing in n variables to its
+    packing with the extra variable absent: grevlex_widen(n) to
+    grevlex_layout(n + 1).pack(e + (0,)), y last, and
+    elimination_lift(n) to elimination_layout(n).pack(e + (0,)), t in
+    front.  Adding the extra variable's unit to that is the packing of
+    e + (1,), and the shift down two fields takes a t-free packing
+    under the elimination layout back to the narrow one."""
     n = data.draw(st.integers(1, 6))
     e = data.draw(st.tuples(*[st.integers(0, 300)] * n))
-    wide = grevlex_layout(n + 1)
-    widened = grevlex_widen(n)(grevlex_layout(n).pack(e))
-    assert widened == wide.pack(e + (0,))
-    assert widened + wide.units[n] == wide.pack(e + (1,))
+    narrow = grevlex_layout(n).pack(e)
+    for shift, wide in (
+        (grevlex_widen(n), grevlex_layout(n + 1)),
+        (elimination_lift(n), elimination_layout(n)),
+    ):
+        widened = shift(narrow)
+        assert widened == wide.pack(e + (0,))
+        assert widened + wide.units[n] == wide.pack(e + (1,))
+    assert elimination_layout(n).pack(e + (0,)) >> 2 * FIELD_BITS == narrow
