@@ -227,13 +227,9 @@ class LinearPrime:
 
     def gens_in(self, ring: Ring):
         """The reduced echelon rows as linear forms of the ring, born
-        packed from the integer rows: each row over its pivot, which is
-        1 over GF(p) and positive over QQ."""
-        units = ring.layout.units
-        return tuple(
-            Polynomial(ring, None, ([(u, v) for u, v in zip(units, row) if v], row[c]))
-            for row, c in zip(*self._echelon)
-        )
+        packed from the integer rows by ``packed_product``: each row
+        over its pivot, which is 1 over GF(p) and positive over QQ."""
+        return tuple(packed_product(ring, [row], row[c]) for row, c in zip(*self._echelon))
 
     def ideal_in(self, ring: Ring) -> Ideal:
         return Ideal(ring, self.gens_in(ring))
@@ -541,8 +537,8 @@ class Arrangement:
         left fold would take, but none of them pits one ever-growing
         ideal against a single prime.  Linear primes, and every
         intersection of them, have homogeneous generators, so each
-        elimination meets its S-pairs in degree order, where far fewer
-        of them reduce to zero than with the lcm alone as the key.
+        elimination needs no homogenizing variable and meets its
+        S-pairs in degree order.
         The result is the reduced grevlex basis of the intersection,
         which does not depend on how the intersections are grouped.
         """

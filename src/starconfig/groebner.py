@@ -1,10 +1,10 @@
 """Groebner bases and exact ideal arithmetic.
 
-Buchberger with degree-first pair selection (Giovini et al., ISSAC
-1991), the coprimality criterion, and the chain criterion.  The pair
-queue hands out the pair whose lcm has the least selection degree, a
-field that each layout fixes (see ``orders``), and among those the
-least lcm; under grevlex that is the normal strategy.  Minimalization
+Buchberger with the normal strategy (Giovini et al., ISSAC 1991), the
+coprimality criterion, and the chain criterion.  Every system lives in
+a grevlex layout (see ``orders``), whose packed lcm starts with its
+degree, so the pair queue hands out the least lcm, degree first, and
+no division step raises the degree.  Minimalization
 and interreduction are a separate step, run only on the elements a
 caller keeps: ``buchberger`` on all of them, ``intersect`` on those
 free of t, and ``radical_member``, which only asks whether the basis
@@ -25,7 +25,9 @@ with, and clears its denominators into one positive int.  Every
 polynomial the core returns in that layout, a remainder or a basis
 element, is born packed over such an int, so Fractions appear only if
 its terms are read.  A monomial of total degree 2**15 or more does not
-fit and raises ``UsageError``.
+fit and raises ``UsageError``: the check is made where a packing is
+made, by a layout's ``pack``, a product of forms, a pair's lcm and the
+product with an adjoined variable, and nowhere in the loops.
 
 One division loop serves both fields.  It updates coefficients with
 plain ``-`` and ``*`` and normalizes each term once, when it is popped
@@ -44,15 +46,15 @@ packing in one more variable is its own shifted up one field
 (``orders.grevlex_widen``).  An ideal keeps its part of that system,
 widened and reduced, for every test after the first, so nothing is
 packed twice.
-Intersections eliminate t from t*a + (1-t)*b, with t in front, built
-the same way: a t-free packing is shifted up two fields
-(``orders.elimination_lift``) and back down for the result.  Their
-S-pairs come out by degree in x, which on homogeneous input, such as
-the primes of an arrangement's radical, meets them in degree order, so
-far fewer of them reduce to zero than with the lcm alone as the key.
-Both shifts are increasing, so they keep sorted terms sorted, and so
-does writing (1-t)*g as its t-terms followed by g's own terms with t in
-front, so neither system is sorted afresh.
+Intersections eliminate t from t*a + (1-t)*b, built the same way on
+the generators homogenized by h: widened twice, with h and then t
+last, a system homogeneous in (x, h) has its leading terms take the
+most t, so grevlex eliminates t.  Each t-free element comes back down
+by one field shift, which sets h = 1, and is interreduced only then.
+On homogeneous input, such as the primes of an arrangement's radical,
+h never appears.  The shifts and the homogenization keep sorted terms
+sorted, and so does writing (1-t)*g' as its t-terms followed by g', so
+neither system is sorted afresh.
 """
 
 from __future__ import annotations
@@ -63,8 +65,7 @@ from operator import mul
 from time import monotonic
 
 from .errors import UsageError
-from .orders import FIELD_BITS, FIELD_MASK, degree_error, elimination_layout, elimination_lift
-from .orders import grevlex_layout, grevlex_widen
+from .orders import FIELD_BITS, FIELD_MASK, degree_error, grevlex_layout, grevlex_widen
 from .polynomials import Polynomial, Ring
 
 # The core works on packed terms: lists of (packed monomial, int
@@ -112,11 +113,12 @@ def _reduce(work, divisors, p, layout, full=True):
 
     Each new term is smaller than the term it replaces, so the heap
     hands out the remainder's terms already descending, and every
-    monomial in work has exactly one heap entry.  Coefficients in work
-    may be unnormalized: they are updated with plain ``-`` and ``*``
-    and brought to canonical form only when their term is popped
-    (``% p`` over GF(p), nothing over QQ), after which a zero term is
-    dropped.  Over GF(p) every divisor is monic.  Over QQ a divisor
+    monomial in work has exactly one heap entry.  Under grevlex it has
+    no larger degree either, so no new term passes the degree limit.
+    Coefficients in work may be unnormalized: they are updated with
+    plain ``-`` and ``*`` and brought to canonical form only when their
+    term is popped (``% p`` over GF(p), nothing over QQ), after which a
+    zero term is dropped.  Over GF(p) every divisor is monic.  Over QQ a divisor
     with leading coefficient lc is applied to a popped term with
     coefficient c fraction-free: with d = gcd(lc, c), the pending work
     and the finished remainder are multiplied by lc/d and c becomes
@@ -154,8 +156,6 @@ def _reduce(work, divisors, p, layout, full=True):
                 mt = q + mg
                 cur = get(mt)
                 if cur is None:
-                    if mt & guard:
-                        raise degree_error(sum(layout.unpack(mt)))
                     work[mt] = -c * cg
                     heappush(heap, -mt)
                 else:
@@ -173,15 +173,15 @@ def _reduce(work, divisors, p, layout, full=True):
     return out, scale
 
 
-def _spoly(l, a, b, layout):
+def _spoly(l, a, b):
     """S-polynomial of basis records a and b with lcm l, up to a
     nonzero scalar, as a dict whose coefficients ``_reduce`` normalizes.
 
     With g = gcd(lc_a, lc_b), the tails are multiplied by lc_b/g and
     lc_a/g, so the shifted leading terms cancel in integers; both
-    factors are 1 over GF(p).
+    factors are 1 over GF(p).  No term has a larger degree than l,
+    which the caller has checked against the degree limit.
     """
-    guard = layout.guard
     (ma, (ca, tail_a)), (mb, (cb, tail_b)) = a, b
     g = gcd(ca, cb)
     ua, ub = cb // g, ca // g
@@ -191,9 +191,6 @@ def _spoly(l, a, b, layout):
     for m, c in tail_b:
         mt = qb + m
         work[mt] = get(mt, 0) - c * ub
-    for mt in work:
-        if mt & guard:
-            raise degree_error(sum(layout.unpack(mt)))
     return work
 
 
@@ -232,7 +229,7 @@ def s_polynomial(f: Polynomial, g: Polynomial) -> Polynomial:
     layout = ring.layout
     a, b = _record(f.packed()[0], p), _record(g.packed()[0], p)
     l = layout.pack(tuple(map(max, layout.unpack(a[0]), layout.unpack(b[0]))))
-    terms, _ = _reduce(_spoly(l, a, b, layout), (), p, layout)
+    terms, _ = _reduce(_spoly(l, a, b), (), p, layout)
     # _spoly's result is lcm(lc_a, lc_b) times the monic S-polynomial
     return Polynomial(ring, None, (terms, lcm(a[1][0], b[1][0])))
 
@@ -292,7 +289,7 @@ def _groebner(packed_gens, p, layout, deadline=None, start=()):
     only top-reduced, since a basis needs only irreducible leading
     terms.  Each pair's lcm is summed from the leading exponents kept
     beside the records, with one guard test for the degree limit, and
-    the pair queue is keyed on the lcm's selection degree, then the lcm.
+    the pair queue is keyed on the lcm, degree first.
 
     Returns ``_UNIT`` as soon as a reduced generator or an S-pair
     remainder is a nonzero constant: the ideal is then the whole ring,
@@ -301,8 +298,7 @@ def _groebner(packed_gens, p, layout, deadline=None, start=()):
     past deadline, a ``time.monotonic()`` value, the next popped S-pair
     raises ``TimeoutError``.
     """
-    guard, select = layout.guard, layout.select
-    units, unpack = layout.units, layout.unpack
+    guard, units, unpack = layout.guard, layout.units, layout.unpack
 
     basis = _add_inputs(list(start), packed_gens, p, layout)
     if basis is _UNIT:
@@ -314,14 +310,14 @@ def _groebner(packed_gens, p, layout, deadline=None, start=()):
         lm_exps.append(unpack(terms[0][0]))
 
     def pair(i, j):
-        # the heap entry: the lcm's selection degree, the lcm, i and j.
+        # the heap entry: the lcm, whose top field is its degree, i and j.
         # The degree of an lcm stays below twice the limit, so no field
         # carries and a guard bit is set exactly when it reaches the limit
         a, b = lm_exps[i], lm_exps[j]
         l = sum(map(mul, map(max, a, b), units))
         if l & guard:
             raise degree_error(sum(map(max, a, b)))
-        return (l >> select) & FIELD_MASK, l, i, j
+        return l, i, j
 
     pending = set()
     heap = []
@@ -342,14 +338,14 @@ def _groebner(packed_gens, p, layout, deadline=None, start=()):
         return False
 
     while heap:
-        _, l, i, j = heappop(heap)
+        l, i, j = heappop(heap)
         check_deadline(deadline)
         pending.discard((i, j))
         if l == basis[i][0] + basis[j][0]:
             continue
         if chain_skippable(i, j, l):
             continue
-        r = _reduce(_spoly(l, basis[i], basis[j], layout), basis, p, layout, False)[0]
+        r = _reduce(_spoly(l, basis[i], basis[j]), basis, p, layout, False)[0]
         if not r:
             continue
         if r[0][0] == 0:
@@ -414,51 +410,79 @@ class Ideal:
         return f"Ideal({len(self.gens)} gens in {self.ring!r})"
 
 
+def _adjoin(terms, layout):
+    """Packed terms times the layout's last variable, which they lack,
+    as intersect builds t*g and radical_member y*f.  The leading term
+    has the largest degree, so the product is refused at the degree
+    limit as soon as its leading monomial reaches it."""
+    unit = layout.units[-1]
+    high = [(m + unit, c) for m, c in terms]
+    if high[0][0] & layout.guard:
+        raise degree_error(sum(layout.unpack(high[0][0])))
+    return high
+
+
 def intersect(a: Ideal, b: Ideal) -> Ideal:
-    """Intersection via t*a + (1-t)*b and elimination of t.
+    """Intersection via t*a + (1-t)*b and elimination of t, run on the
+    homogenized generators.
 
-    The system lives in ``elimination_layout``, with t in front, so the
-    basis elements whose leading monomial avoids t generate the
-    intersection (Cox, Little & O'Shea, Ideals, Varieties, and
-    Algorithms, ch. 3 and ch. 4 section 3).  Only t-free divisors can
-    touch their terms, so only those elements are minimalized and
-    interreduced.  The generators' packings are lifted there by
-    ``elimination_lift``, and t*g adds t's unit, so t*g and (1-t)*g,
-    the negated t-terms followed by g's own, come sorted.  The kept
-    elements go back down two fields, and are born packed over their
-    leading coefficients, as ``buchberger`` returns its basis.
+    Each generator g of degree d becomes g' = h^d g(x/h), each term
+    times h to d minus its degree, and the system lives in
+    ``grevlex_layout(nvars + 2)``, with h and then t last.  Every basis
+    element is then homogeneous in (x, h), with t of weight 0, so among
+    its terms grevlex compares the power of t first: an element whose
+    leading monomial avoids t avoids t, and those elements generate
+    I' and J' intersected.  Setting h = 1 takes that ideal to the
+    intersection, and takes a homogeneous grevlex basis with h last to
+    a grevlex basis (Cox, Little & O'Shea, Ideals, Varieties, and
+    Algorithms, ch. 3, ch. 4 section 3 and ch. 8 section 4).  Since one
+    leading monomial can then divide another, the kept elements are
+    minimalized and interreduced only after that, in the ring's own
+    layout, and are born packed over their leading coefficients, as
+    ``buchberger`` returns its basis.
 
-    The run takes its S-pairs by degree in x first.  When every
-    generator is homogeneous, as under
-    ``Arrangement.combinatorial_radical``, so is every basis element,
-    and that meets the pairs in degree order, so far fewer of them
-    reduce to zero than with the lcm alone as the key.
+    The packings are built with no unpacking: ``grevlex_widen`` twice
+    puts h and t after a ring's variables, absent, where g' adds
+    multiples of h's unit, and t*g' adds t's.  Setting h = 1 in a t-free
+    packing drops its bottom two fields, h's and t's exponents, and its
+    top two, the degrees over (x, h, t) and (x, h).  Every term of t*g'
+    has a larger degree than any of g', so (1-t)*g', its t-terms
+    followed by g' itself, comes sorted.  On homogeneous input, such as
+    the primes of ``Arrangement.combinatorial_radical``, h never
+    appears, and the pairs come out in degree order.
     """
     if a.ring != b.ring:
         raise UsageError("ideals live in different rings")
     ring = a.ring
     nvars = ring.nvars
     p = ring.field.characteristic
-    layout = elimination_layout(nvars)
-    lift, t = elimination_lift(nvars), layout.units[nvars]
+    layout = grevlex_layout(nvars + 2)
+    widen_h, widen_t = grevlex_widen(nvars), grevlex_widen(nvars + 1)
+    h = layout.units[nvars]
+    top = FIELD_BITS * (2 * nvars - 1)
 
-    def lifted(g):
-        # g, and t*g, whose leading term has the largest degree
-        low = [(lift(m), c) for m, c in g.packed()[0]]
-        high = [(m + t, c) for m, c in low]
-        if high[0][0] & layout.guard:
-            raise degree_error(high[0][0] & FIELD_MASK)
-        return low, high
+    def homogenized(g):
+        terms = g.packed()[0]
+        d = terms[0][0] >> top
+        return [(widen_t(widen_h(m)) + (d - (m >> top)) * h, c) for m, c in terms]
 
-    gens = [lifted(g)[1] for g in a.gens if not g.is_zero()]
+    gens = [_adjoin(homogenized(g), layout) for g in a.gens if not g.is_zero()]
     for g in b.gens:
         if not g.is_zero():
-            # (1-t)*g: each term c*m of g gives -c*t*m and c*m
-            low, high = lifted(g)
-            gens.append([(m, (p - c) if p else -c) for m, c in high] + low)
-    unpack = layout.unpack
-    free = [record for record in _groebner(gens, p, layout) if not unpack(record[0])[nvars]]
-    kept = [[(m >> 2 * FIELD_BITS, c) for m, c in terms] for terms in _interreduce(free, p, layout)]
+            # (1-t)*g': each term c*m of g' gives -c*t*m and c*m
+            low = homogenized(g)
+            gens.append([(m, (p - c) if p else -c) for m, c in _adjoin(low, layout)] + low)
+    mask = (1 << 2 * nvars * FIELD_BITS) - 1
+
+    def dehomogenized(m):
+        return (m >> 2 * FIELD_BITS) & mask
+
+    free = [
+        (dehomogenized(lm), (lc, [(dehomogenized(m), c) for m, c in tail]))
+        for lm, (lc, tail) in _groebner(gens, p, layout)
+        if not lm & FIELD_MASK
+    ]
+    kept = _interreduce(free, p, ring.layout)
     return Ideal(ring, tuple(Polynomial(ring, None, (terms, terms[0][1])) for terms in kept))
 
 
@@ -488,16 +512,15 @@ def radical_member(f: Polynomial, ideal: Ideal, deadline=None) -> bool:
     p = f.ring.field.characteristic
     layout = grevlex_layout(nvars + 1)
     widen = grevlex_widen(nvars)
+    # y*f - 1 spans the same ideal; its constant, -1 scaled by den, is
+    # the residue p - 1 over GF(p) and -den over QQ, and comes last
+    terms, den = f.packed()
+    rabinowitsch = _adjoin([(widen(m), c) for m, c in terms], layout)
+    rabinowitsch.append((0, p - den))
     start = ideal._rabinowitsch
     if start is None:
         gens = [[(widen(m), c) for m, c in g.packed()[0]] for g in ideal.gens]
         start = ideal._rabinowitsch = _add_inputs([], gens, p, layout)
     if start is _UNIT:
         return True
-    # y*f - 1 spans the same ideal; its constant, -1 scaled by den, is
-    # the residue p - 1 over GF(p) and -den over QQ, and comes last
-    terms, den = f.packed()
-    y = layout.units[nvars]
-    rabinowitsch = [(widen(m) + y, c) for m, c in terms]
-    rabinowitsch.append((0, p - den))
     return _groebner([rabinowitsch], p, layout, deadline, start) is _UNIT

@@ -1,27 +1,24 @@
-"""The monomial orders and the packed-integer encoding of monomials.
+"""The monomial order and the packed-integer encoding of monomials.
 
 Polynomials carry monomials as tuples of non-negative exponents, and
-every ring orders them by grevlex.  The Groebner core also needs an
-order that eliminates an extra last variable t.  So there are two
-layouts, each built once per arity: ``grevlex_layout(n)`` and
-``elimination_layout(n)``, with t in front of everything, and two
-shift maps carry a ring's packings into them with the new variable
-absent: ``grevlex_widen`` and ``elimination_lift``.  Each layout
-also names one field as its selection degree, which the core's S-pair
-queue compares before the packed lcm: the total degree under grevlex,
-and the degree in the variables other than t under the elimination
-order, so that pairs come out degree-first under both.
+every ring orders them by grevlex.  So does the Groebner core, in one
+layout per arity, ``grevlex_layout(n)``; the systems it builds in more
+variables, y for radical membership, h and t for intersections, put
+the new variables last.  ``grevlex_widen`` carries a ring's packings
+into one more variable, absent, with no unpacking, and a field shift
+brings a t-free intersection element back down (see ``groebner``).
 
 A layout packs a monomial into one int, its sort key, after Monagan &
 Pearce (CASC 2007).  The int is a row of 16-bit fields, each a
-0/1-weighted sum of the exponents: the order's key rows first (most
-significant), then the plain exponents, then the total degree when no
-row above already holds it.  So:
+0/1-weighted sum of the exponents: grevlex's key rows first (most
+significant), the total degree and then the sums over the first m
+variables for m = n - 1 down to 1, then the plain exponents.  So:
 
 - comparing packed ints realizes the order;
 - the product of two monomials is the sum of their ints;
 - a divides b iff ``(b - a) & guard == 0``, where ``guard`` holds the
-  top bit of every field.
+  top bit of every field;
+- the top field is the total degree.
 
 The top bit of a field must stay clear, so a monomial of total degree
 ``DEGREE_LIMIT`` (2**15) or more is refused with a ``UsageError``.
@@ -56,36 +53,22 @@ def degree_error(degree):
     )
 
 
-def _prefix_rows(indices, nvars):
-    """Grevlex key rows over the given variables: their total, then the
-    sums over the first m of them for m = len - 1 down to 1."""
-    return [
-        tuple(1 if i in indices[:m] else 0 for i in range(nvars))
-        for m in range(len(indices), 0, -1)
-    ]
-
-
 class Layout:
-    """The packing of n-variable monomials under one order."""
+    """The grevlex packing of nvars-variable monomials."""
 
-    __slots__ = ("units", "guard", "shifts", "select")
+    __slots__ = ("units", "guard", "shifts")
 
-    def __init__(self, nvars, key_rows, select=0):
-        rows = list(key_rows)
-        rows += [tuple(1 if j == i else 0 for j in range(nvars)) for i in range(nvars)]
-        if (1,) * nvars not in rows:
-            rows.append((1,) * nvars)
-        top = len(rows) - 1
-        field_shifts = [FIELD_BITS * (top - r) for r in range(len(rows))]
+    def __init__(self, nvars):
+        # from the top, field r for r < nvars is the sum over the first
+        # nvars - r variables, so field 0 is the total degree; below them
+        # come the exponents, in variable order
+        top = 2 * nvars - 1
+        self.shifts = tuple(FIELD_BITS * (nvars - 1 - i) for i in range(nvars))
         self.units = tuple(
-            sum(1 << s for s, row in zip(field_shifts, rows) if row[i]) for i in range(nvars)
+            sum(1 << FIELD_BITS * (top - r) for r in range(nvars - i)) + (1 << s)
+            for i, s in enumerate(self.shifts)
         )
-        self.guard = sum(1 << (s + FIELD_BITS - 1) for s in field_shifts)
-        start = len(key_rows)
-        self.shifts = tuple(field_shifts[start : start + nvars])
-        # the field of key row number select, which the S-pair queue
-        # compares before the packed lcm
-        self.select = field_shifts[select]
+        self.guard = sum(1 << FIELD_BITS * f + FIELD_BITS - 1 for f in range(top + 1))
 
     def pack(self, exps):
         degree = sum(exps)
@@ -102,7 +85,7 @@ def grevlex_layout(nvars) -> Layout:
     """Graded reverse lexicographic order on nvars variables, the order
     of every ring: degree first, then the last nonzero entry of the
     exponent difference with reversed sign."""
-    return Layout(nvars, _prefix_rows(tuple(range(nvars)), nvars))
+    return Layout(nvars)
 
 
 @cache
@@ -123,34 +106,3 @@ def grevlex_widen(nvars):
         return m << FIELD_BITS | (m >> top) << high
 
     return widen
-
-
-@cache
-def elimination_lift(nvars):
-    """The map from the packing of e under ``grevlex_layout(nvars)`` to
-    that of e times t^0 under ``elimination_layout(nvars)``.  Below t's
-    key row, 0, come the narrow fields, then t's exponent, 0, and the
-    total degree, the narrow top field.  So the narrow int is shifted up
-    two fields with its top field copied into the bottom one, and
-    ``m >> 2 * FIELD_BITS`` takes a t-free packing back."""
-    top = FIELD_BITS * (2 * nvars - 1)
-
-    def lift(m):
-        return m << 2 * FIELD_BITS | m >> top
-
-    return lift
-
-
-@cache
-def elimination_layout(nvars) -> Layout:
-    """nvars variables and an extra last one, t, in front: the power of
-    t first, ties broken by grevlex on the others.
-
-    Any monomial involving t is larger than any monomial that avoids
-    it, so dropping basis elements whose leading term uses t computes
-    the elimination ideal.  On t-free monomials this is the grevlex
-    order of ``grevlex_layout(nvars)``.  The selection degree is the
-    degree in the other variables, the key row after t's.
-    """
-    n = nvars + 1
-    return Layout(n, _prefix_rows((nvars,), n) + _prefix_rows(tuple(range(nvars)), n), 1)

@@ -341,7 +341,7 @@ def test_radical_tree_matches_fold_on_fixtures(hartshorne, coord_plus_sum, fract
     """Both fixtures, the Hartshorne one without its last form, whose
     minimal primes at j = 2 have heights 2 and 3, so the tree's sorted
     order mixes heights, and the fractional fixture, whose denominators
-    run through the shift into the elimination layout and back."""
+    run through the shifts into two more variables and back."""
     mixed = delete(hartshorne, 6)
     assert [p.height for p in mixed.minimal_linear_primes(2)] == [2, 3, 3, 3]
     for arr in (hartshorne, coord_plus_sum, mixed, fractional):

@@ -12,7 +12,7 @@ from math import gcd
 
 import pytest
 import sympy
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 from sympy.polys.domains import GF as SGF, QQ as SQQ
 
 from starconfig import groebner
@@ -32,10 +32,7 @@ from starconfig.groebner import (
 from starconfig.errors import UsageError
 from starconfig.orders import (
     DEGREE_LIMIT,
-    elimination_layout,
-    elimination_lift,
     grevlex_layout,
-    grevlex_widen,
     mono_divides,
 )
 from starconfig.polynomials import Polynomial, Ring
@@ -352,18 +349,25 @@ def test_homogeneous_intersection_matches_reference(data):
 
 def test_intersect_takes_s_pairs_degree_first(R, monkeypatch):
     """Every input, a constant among the generators or not, is
-    eliminated with t in front; on homogeneous input the S-pairs come
-    out by degree in x, which keying the pair queue on the lcm alone
-    would not do for any of these."""
+    homogenized and eliminated with h and then t last under
+    ``grevlex_layout(n + 2)``, the only layout its Groebner run sees.
+    On homogeneous input the S-pairs come out by degree in (x, h), the
+    grading in which every basis element is homogeneous."""
     x, y, z = R.gens()
-    spoly = groebner._spoly
-    seen = []
+    wide = grevlex_layout(R.nvars + 2)
+    groebner_run, spoly = groebner._groebner, groebner._spoly
+    layouts, seen = [], []
 
-    def spy(l, a, b, layout):
-        seen.append((layout, sum(layout.unpack(l)[:3])))
-        return spoly(l, a, b, layout)
+    def spy_groebner(gens, p, layout, *args):
+        layouts.append(layout)
+        return groebner_run(gens, p, layout, *args)
 
-    monkeypatch.setattr(groebner, "_spoly", spy)
+    def spy_spoly(l, a, b):
+        seen.append(sum(wide.unpack(l)[:-1]))
+        return spoly(l, a, b)
+
+    monkeypatch.setattr(groebner, "_groebner", spy_groebner)
+    monkeypatch.setattr(groebner, "_spoly", spy_spoly)
     homogeneous = (
         ((x * y, z ** 2), (x + y,)),
         ((x ** 2 - y * z, y ** 2), (x * z, y ** 3 + z ** 3)),
@@ -376,12 +380,23 @@ def test_intersect_takes_s_pairs_degree_first(R, monkeypatch):
         ((x * y,), (x + y, z ** 2 - x)),
     )
     for a, b in homogeneous + other:
+        layouts.clear()
         seen.clear()
         _same_intersection(Ideal(R, a), Ideal(R, b))
-        assert {layout for layout, _ in seen} <= {elimination_layout(3)}
+        assert layouts == [wide]
         if (a, b) in homogeneous:
-            degrees = [degree for _, degree in seen]
-            assert degrees == sorted(degrees)
+            assert seen and seen == sorted(seen)
+
+
+def test_intersection_dehomogenizes_before_interreducing():
+    """(z, z + 1) is the unit ideal, but its homogenization (z, z + h)
+    is not: the intersection with (1) eliminates to (z, h), and only
+    setting h = 1 before interreducing finds the constant, so the
+    canonical basis is (1,)."""
+    R = Ring(QQ, 3, names=("x", "y", "z"))
+    _, _, z = R.gens()
+    for a, b in ((Ideal(R, (z, z + 1)), Ideal(R, (R.one,))), (Ideal(R, (R.one,)), Ideal(R, (z + 1, z)))):
+        assert _same_intersection(a, b).gens == (R.one,)
 
 
 def test_radical_membership_basics(R):
@@ -522,32 +537,48 @@ def _random_homogeneous_polys(draw, ring, count):
     return out
 
 
+class _Captured(Exception):
+    """Stops a Groebner run once its input is seen."""
+
+
 @settings(max_examples=60, deadline=None)
 @given(data=st.data())
 def test_padding_keeps_terms_sorted(data):
-    """intersect and radical_member build their systems without sorting:
-    a polynomial's grevlex terms padded with 0 or with 1 for the extra
-    variable stay descending in every layout, and the shift maps that
-    build those systems from its own packing, ``grevlex_widen`` and
-    ``elimination_lift``, give the packings padded with 0.  (1-t)*g
-    written as the t-terms followed by g's own stays descending with t
-    in front."""
+    """intersect and radical_member build their systems from a
+    polynomial's own packing, with no sorting, and the monomials they
+    hand the Groebner run are its terms padded for the extra variables,
+    descending.  radical_member's y*f pads each term with y^1, last in
+    one more variable.  intersect's g' pads each term e of g with h to
+    deg g - |e| and t^0, t*g' pads it with t^1, h and t last in two
+    more, and (1-t)*g' is the t-terms followed by g' itself."""
     field = data.draw(st.sampled_from([GF(101), QQ]))
     n = data.draw(st.integers(1, 6))
     ring = Ring(field, n)
     exps = st.tuples(*[st.integers(0, 3)] * n)
     f = ring.from_dict(data.draw(st.dictionaries(exps, _coeffs(field), min_size=1, max_size=8)))
-    own = [m for m, _ in f.packed()[0]]
-    grevlex, elimination = grevlex_layout(n + 1), elimination_layout(n)
-    for layout, shift in ((grevlex, grevlex_widen(n)), (elimination, elimination_lift(n))):
-        low = [layout.pack(e + (0,)) for e, _ in f.terms]
-        high = [layout.pack(e + (1,)) for e, _ in f.terms]
-        assert [shift(m) for m in own] == low
-        systems = [low, high]
-        if layout is elimination:
-            systems.append(high + low)
-        for keys in systems:
-            assert keys == sorted(keys, reverse=True)
+    assume(not f.is_zero())
+    d = f.total_degree()
+    captured = []
+
+    def spy(gens, *args):
+        captured.append([[m for m, _ in g] for g in gens])
+        raise _Captured
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(groebner, "_groebner", spy)
+        with pytest.raises(_Captured):
+            radical_member(f, Ideal(ring, ()))
+        with pytest.raises(_Captured):
+            intersect(Ideal(ring, (f,)), Ideal(ring, (f,)))
+    (rabinowitsch,), (high, both) = captured
+    wide = grevlex_layout(n + 1)
+    assert rabinowitsch == [wide.pack(e + (1,)) for e, _ in f.terms] + [0]
+    wider = grevlex_layout(n + 2)
+    low = [wider.pack(e + (d - sum(e), 0)) for e, _ in f.terms]
+    assert high == [wider.pack(e + (d - sum(e), 1)) for e, _ in f.terms]
+    assert both == high + low
+    for keys in (rabinowitsch, both):
+        assert keys == sorted(keys, reverse=True)
 
 
 @settings(max_examples=40, deadline=None)
@@ -683,9 +714,9 @@ def test_warm_radical_input_still_meets_its_deadline(R):
 
 def test_polynomial_keeps_only_its_own_packing(R):
     """A polynomial keeps its packing in its own ring's layout, which
-    every later reduction reuses; the packings in one more variable
-    that radical_member and intersect shift it into are neither kept
-    nor served in its place."""
+    every later reduction reuses; the wider packings that
+    radical_member and intersect shift it into are neither kept nor
+    served in its place."""
     x, y, z = R.gens()
     f = x * y + R.constant(Fraction(2, 3)) * z
     wide = grevlex_layout(R.nvars + 1)
@@ -713,9 +744,9 @@ def test_pair_lcm_past_degree_limit_raises():
 
 
 def test_intersection_past_degree_limit_raises():
-    """t*g for a generator g of degree DEGREE_LIMIT - 1 does not fit in
-    the elimination layout, on either side of the intersection, and is
-    refused at its own degree before the Groebner run."""
+    """t*g' for a generator g of degree DEGREE_LIMIT - 1, homogenized,
+    does not fit, on either side of the intersection, and is refused at
+    its own degree before the Groebner run."""
     ring = Ring(GF(32003), 2, names=("x", "y"))
     x, y = ring.gens()
     big = Ideal(ring, (x ** (DEGREE_LIMIT - 1) + y,))
@@ -734,14 +765,14 @@ def test_radical_member_reference_sees_both_answers():
         assert radical_member(f, ideal) is member
 
 
-def test_elimination_reduction_past_degree_limit_raises():
-    """Division under the elimination order can raise the degree above
-    every input's, which grevlex division never does: t^200 by
-    t - y^200, with t in front, would end at y^40000, and the packed
-    core refuses it."""
-    layout = elimination_layout(1)
-    t, y200 = layout.pack((0, 1)), layout.pack((200, 0))
-    for p in (0, 32003):
-        divisor = [(t, (1, [(y200, p - 1)]))]  # t - y^200
-        with pytest.raises(UsageError, match=f"limit {DEGREE_LIMIT}"):
-            _reduce({layout.pack((0, 200)): 1}, divisor, p, layout)
+def test_radical_member_past_degree_limit_raises():
+    """y*f for f of degree DEGREE_LIMIT - 1 does not fit, and is refused
+    at its own degree before the Groebner run, whether or not the
+    ideal's generators would reduce it to a constant."""
+    for field in (GF(32003), QQ):
+        ring = Ring(field, 2, names=("x", "y"))
+        x, y = ring.gens()
+        f = x ** (DEGREE_LIMIT - 1) + y
+        for ideal in (Ideal(ring, (x, y)), Ideal(ring, (y,))):
+            with pytest.raises(UsageError, match=f"degree {DEGREE_LIMIT} .*limit {DEGREE_LIMIT}"):
+                radical_member(f, ideal)

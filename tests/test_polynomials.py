@@ -13,9 +13,6 @@ from starconfig.fields import GF, QQ
 from starconfig.orders import (
     DEGREE_LIMIT,
     FIELD_BITS,
-    FIELD_MASK,
-    elimination_layout,
-    elimination_lift,
     grevlex_layout,
     grevlex_widen,
     mono_divides,
@@ -34,14 +31,6 @@ def cmp_monomials(layout, a, b):
     return (ka > kb) - (ka < kb)
 
 
-def _layouts(n):
-    """Each order's name for ``tuple_key``, its layout, and its arity."""
-    return (
-        ("grevlex", grevlex_layout(n), n),
-        ("elimination", elimination_layout(n), n + 1),
-    )
-
-
 def test_grevlex_orders_by_degree_then_reverse():
     # x1^2*x2 beats x1*x2^2: same degree, smaller last exponent wins
     grevlex = grevlex_layout(3)
@@ -50,19 +39,21 @@ def test_grevlex_orders_by_degree_then_reverse():
     assert cmp_monomials(grevlex_layout(2), (1, 1), (1, 1)) == 0
 
 
-def test_block_order_eliminates_front_block():
-    # any monomial touching the front variable t outranks any that
-    # avoids it, and on t-free monomials the order is grevlex's
-    elimination = elimination_layout(2)
-    assert cmp_monomials(elimination, (0, 0, 1), (4, 5, 0)) == 1
-    assert cmp_monomials(elimination, (0, 3, 1), (9, 0, 1)) == -1
-    assert cmp_monomials(elimination, (2, 1, 0), (1, 2, 0)) == 1
+def test_grevlex_with_t_last_ranks_t_first_at_equal_degree_in_the_others():
+    # at one degree in the other variables, more of the last variable t
+    # is larger, whatever the rest: the order under which intersect
+    # eliminates t from systems homogeneous in the others
+    grevlex = grevlex_layout(3)
+    assert cmp_monomials(grevlex, (0, 1, 1), (1, 0, 0)) == 1
+    assert cmp_monomials(grevlex, (0, 3, 1), (3, 0, 2)) == -1
+    assert cmp_monomials(grevlex, (2, 1, 0), (1, 2, 0)) == 1
+    # it is no elimination order: a t-free monomial of larger degree wins
+    assert cmp_monomials(grevlex, (0, 0, 1), (2, 0, 0)) == -1
 
 
 def test_cmp_rejects_arity_mismatch():
-    for _, layout, _ in _layouts(3):
-        with pytest.raises(UsageError):
-            cmp_monomials(layout, (1, 0), (1, 0, 0))
+    with pytest.raises(UsageError):
+        cmp_monomials(grevlex_layout(3), (1, 0), (1, 0, 0))
 
 
 def test_mono_helpers():
@@ -74,26 +65,24 @@ def test_mono_helpers():
 @settings(max_examples=60, deadline=None)
 @given(data=st.data())
 def test_packed_keys_match_tuple_keys(data):
-    """The packed int of each layout sorts like its tuple key, adds under
-    products, and its guard test is componentwise <=.  Its selection
-    field holds the degree in the first n variables: the total degree
-    under grevlex, the degree in all but t under the elimination
-    order."""
+    """The packed int sorts like the grevlex tuple key, adds under
+    products, and its guard test is componentwise <=.  Its top field
+    holds the total degree, so the lcm alone keys the S-pair queue
+    degree-first."""
     n = data.draw(st.integers(1, 6))
-    for order, layout, width in _layouts(n):
-        key = layout.pack
-        exps = st.tuples(*[st.integers(0, 40)] * width)
-        monos = data.draw(st.lists(exps, min_size=2, max_size=12, unique=True))
-        assert sorted(monos, key=key) == sorted(monos, key=lambda e: tuple_key(order, e))
-        for a in monos[:4]:
-            for b in monos:
-                assert key(mono_mul(a, b)) == key(a) + key(b)
-                assert not (key(mono_mul(a, b)) - key(a)) & layout.guard
-                packed_divides = not (key(b) - key(a)) & layout.guard
-                assert packed_divides == all(x <= y for x, y in zip(a, b))
-        assert [layout.unpack(key(e)) for e in monos] == monos
-        degrees = [(key(e) >> layout.select) & FIELD_MASK for e in monos]
-        assert degrees == [sum(e[:n]) for e in monos]
+    layout = grevlex_layout(n)
+    key = layout.pack
+    exps = st.tuples(*[st.integers(0, 40)] * n)
+    monos = data.draw(st.lists(exps, min_size=2, max_size=12, unique=True))
+    assert sorted(monos, key=key) == sorted(monos, key=lambda e: tuple_key("grevlex", e))
+    for a in monos[:4]:
+        for b in monos:
+            assert key(mono_mul(a, b)) == key(a) + key(b)
+            assert not (key(mono_mul(a, b)) - key(a)) & layout.guard
+            packed_divides = not (key(b) - key(a)) & layout.guard
+            assert packed_divides == all(x <= y for x, y in zip(a, b))
+    assert [layout.unpack(key(e)) for e in monos] == monos
+    assert [key(e) >> FIELD_BITS * (2 * n - 1) for e in monos] == [sum(e) for e in monos]
 
 
 def test_degree_past_packed_limit_raises():
@@ -362,21 +351,23 @@ def test_born_packed_zero_and_sums():
 @settings(max_examples=60, deadline=None)
 @given(data=st.data())
 def test_widen_is_the_packing_with_y_absent(data):
-    """Each shift map takes a monomial's packing in n variables to its
-    packing with the extra variable absent: grevlex_widen(n) to
-    grevlex_layout(n + 1).pack(e + (0,)), y last, and
-    elimination_lift(n) to elimination_layout(n).pack(e + (0,)), t in
-    front.  Adding the extra variable's unit to that is the packing of
-    e + (1,), and the shift down two fields takes a t-free packing
-    under the elimination layout back to the narrow one."""
+    """grevlex_widen(n) takes a monomial's packing in n variables to
+    grevlex_layout(n + 1).pack(e + (0,)), the extra variable y last and
+    absent, and adding y's unit gives the packing of e + (1,).  Widened
+    twice, as intersect puts h and then t last, it gives
+    grevlex_layout(n + 2).pack(e + (0, 0)).  Dropping the bottom two and
+    top two fields of any packing e + (a, b) in n + 2 variables, as
+    intersect sets h = 1 in its t-free elements, gives the narrow
+    packing of e."""
     n = data.draw(st.integers(1, 6))
     e = data.draw(st.tuples(*[st.integers(0, 300)] * n))
     narrow = grevlex_layout(n).pack(e)
-    for shift, wide in (
-        (grevlex_widen(n), grevlex_layout(n + 1)),
-        (elimination_lift(n), elimination_layout(n)),
-    ):
-        widened = shift(narrow)
-        assert widened == wide.pack(e + (0,))
-        assert widened + wide.units[n] == wide.pack(e + (1,))
-    assert elimination_layout(n).pack(e + (0,)) >> 2 * FIELD_BITS == narrow
+    wide = grevlex_layout(n + 1)
+    widened = grevlex_widen(n)(narrow)
+    assert widened == wide.pack(e + (0,))
+    assert widened + wide.units[n] == wide.pack(e + (1,))
+    wider = grevlex_layout(n + 2)
+    assert grevlex_widen(n + 1)(widened) == wider.pack(e + (0, 0))
+    a, b = data.draw(st.integers(0, 300)), data.draw(st.integers(0, 300))
+    mask = (1 << 2 * n * FIELD_BITS) - 1
+    assert (wider.pack(e + (a, b)) >> 2 * FIELD_BITS) & mask == narrow
