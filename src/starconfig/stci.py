@@ -19,9 +19,10 @@ twice.  The label check covers both: distinct ground-set entries put
 every level sum in the a-fold ideal, and covering plus divisibility
 give the lemma.  Each level sum is also reduced against every minimal
 prime of the a-fold ideal, which is exact, and each a-fold product
-gets a Rabinowitsch radical test against the certificate ideal.  An
-algebraic failure under a passing label check is reported as an
-internal inconsistency, never resolved silently.
+gets a Rabinowitsch radical test against the certificate ideal, grown
+by the products already proved to lie in its radical.  An algebraic
+failure under a passing label check is reported as an internal
+inconsistency, never resolved silently.
 """
 
 from __future__ import annotations
@@ -162,19 +163,29 @@ def verify_certificate(
     divisibility conditions on labels, which prove both directions;
     each a-fold product against the certificate radical, by
     Rabinowitsch; and each level sum reduced against every minimal
-    prime, which is exact.  The first algebraic check builds the level
-    sums and the certificate ideal, and each product, an entry outside
-    the ground set under some corruptions included, is expanded once,
-    with one deadline check.  Every polynomial checked is born packed,
-    in the form the Groebner core reads, with no tuple terms and no
-    Fraction: ``Arrangement.packed_product`` expands each product from
-    the forms' integer rows, ``sv_sums`` adds each level in one packed
-    dict, and each minimal prime's generators come from its integer
-    echelon rows.  Each of them also enters the Groebner core once:
-    the certificate ideal keeps its generators widened and reduced for
-    every Rabinowitsch run after the first, and the level sums and each
-    minimal prime's generators keep their packing across the (sum,
-    prime) reductions; all of it is dropped with the call.
+    prime, which is exact.  The radical tests go in groups by smallest
+    label, largest first, and lexicographically within a group; on the
+    canonical certificate that is level 0, 1, ..., j, cheapest first.
+    The order comes from the labels, not from the certificate's levels,
+    so it does not depend on what the label proof is checking.  Each
+    group runs against one ideal, built by its first check: the level
+    sums K plus every product whose test passed in an earlier group.
+    The answers stay exact both ways, since each added product lies in
+    rad(K) by an earlier exact answer, so rad(K + proven) = rad(K); a
+    product that fails or that the budget cuts is never added.  The
+    proven products make the later, costlier groups cheaper.  The first
+    algebraic check builds the level sums, and each product, an entry
+    outside the ground set under some corruptions included, is expanded
+    once, with one deadline check.  Every polynomial checked is born
+    packed, in the form the Groebner core reads, with no tuple terms
+    and no Fraction: ``Arrangement.packed_product`` expands each
+    product from the forms' integer rows, ``sv_sums`` adds each level
+    in one packed dict, and each minimal prime's generators come from
+    its integer echelon rows.  Each group's ideal keeps its generators
+    widened and reduced for every Rabinowitsch run after its first, and
+    the level sums and each minimal prime's generators keep their
+    packing across the (sum, prime) reductions; all of it is dropped
+    with the call.
     When the labels pass but an algebraic check fails, a cross-check
     reports the disagreement.  A budget turns remaining work into an
     inconclusive verdict, the label check, the expansions and a
@@ -217,24 +228,37 @@ def verify_certificate(
         return arr.packed_product(labels)
 
     @cache
-    def certificate():
-        """The level sums and their ideal, built by the first algebraic
-        check, so that a spent budget builds nothing."""
-        gens = sv_sums(cert, product)
-        return gens, Ideal(ring, gens)
+    def level_sums():
+        """The level sums, built by the first algebraic check, so that a
+        spent budget builds nothing."""
+        return sv_sums(cert, product)
+
+    proven = []  # products whose radical test passed in an earlier group
+
+    @cache
+    def ideal(count):
+        """The level sums and the first count proven products, built by
+        the first check of a group, so that a spent budget builds nothing."""
+        return Ideal(ring, level_sums() + tuple(proven[:count]))
 
     labels_ok = run("sv-partition", lambda: sv_check_partition(cert, deadline=deadline)[1])
 
     rejected = []  # (subject, route) of each failed algebraic check
-    for labels in combinations(arr.labels, a):
-        name = _product_label(labels)
-        if run(
-            f"radical-membership:{name}-in-certificate",
-            lambda labels=labels, name=name: None
-            if radical_member(product(labels), certificate()[1], deadline=deadline) else
-            f"{a}-fold product {name} is not in the radical of the certificate ideal",
-        ) is False:
-            rejected.append((name, "Rabinowitsch says"))
+    for b in range(arr.n - a + 1, 0, -1):
+        known = len(proven)
+        for rest in combinations(range(b + 1, arr.n + 1), a - 1):
+            labels = (b,) + rest
+            name = _product_label(labels)
+            ok = run(
+                f"radical-membership:{name}-in-certificate",
+                lambda: None
+                if radical_member(product(labels), ideal(known), deadline=deadline) else
+                f"{a}-fold product {name} is not in the radical of the certificate ideal",
+            )
+            if ok:
+                proven.append(product(labels))
+            elif ok is False:
+                rejected.append((name, "Rabinowitsch says"))
 
     @cache
     def primes():
@@ -244,7 +268,7 @@ def verify_certificate(
 
     def outside(u, name):
         """The witness of a minimal prime that does not contain level sum u, if any."""
-        g = certificate()[0][u]
+        g = level_sums()[u]
         p = next((p for p, pgens in primes() if not reduce(g, pgens).is_zero()), None)
         return None if p is None else (
             f"{name} is not in the minimal prime spanned by forms {list(p.support)}"

@@ -13,7 +13,7 @@ from starconfig import stci
 from starconfig.arrangements import Arrangement, random_generic_arrangement
 from starconfig.errors import GenericityError, UsageError
 from starconfig.fields import GF, QQ
-from starconfig.groebner import Ideal
+from starconfig.groebner import Ideal, radical_member
 from starconfig.stci import (
     CORRUPTION_MODES,
     CheckResult,
@@ -227,7 +227,8 @@ def test_budget_gives_inconclusive(coord_plus_sum, monkeypatch):
 def test_budget_cuts_a_running_radical_test():
     # these levels fail the label check, and over QQ the Rabinowitsch
     # run for l1*l2*l3 alone takes seconds: the budget must stop it
-    # mid-run, not only between checks
+    # mid-run, not only between checks.  The products of smallest
+    # label 2 and 3 run first, and fail
     arr = random_generic_arrangement(4, 5, QQ, seed=11)
     levels = [
         [(1, 4, 5), (2, 4, 5)],
@@ -239,9 +240,10 @@ def test_budget_cuts_a_running_radical_test():
     assert time.monotonic() - t0 < 2.5
     assert rep.holds is False and rep.status == "fails"
     assert rep.checks[0].name == "sv-partition" and rep.checks[0].ok is False
-    assert rep.checks[1] == CheckResult(
-        "radical-membership:l1*l2*l3-in-certificate", None, "budget exhausted"
-    )
+    name = "radical-membership:l1*l2*l3-in-certificate"
+    assert [c for c in rep.checks if c.name == name] == [
+        CheckResult(name, None, "budget exhausted")
+    ]
 
 
 def test_budget_cuts_the_label_check_and_skips_the_minimal_primes(monkeypatch):
@@ -341,6 +343,115 @@ def test_reports_agree_in_adapted_coordinates(field, seed, k, extra, pad, data):
                 continue
         plain, adapted = (_without_wall_time(verify_certificate(c)) for c in certs)
         assert adapted == plain, mode
+
+
+def _radical_checks(rep):
+    """The radical-membership checks of a report, with the labels of each."""
+    prefix, suffix = "radical-membership:", "-in-certificate"
+    return [
+        (c, [int(f[1:]) for f in c.name[len(prefix) : -len(suffix)].split("*")])
+        for c in rep.checks
+        if c.name.startswith(prefix)
+    ]
+
+
+@settings(max_examples=12, deadline=None)
+@given(
+    field=st.sampled_from([GF(7), GF(32003), QQ]),
+    seed=st.integers(0, 10 ** 6),
+    k=st.integers(3, 4),
+    extra=st.integers(0, 2),
+    data=st.data(),
+)
+def test_radical_tests_lean_only_on_proved_products(field, seed, k, extra, data):
+    """Each radical test runs against the level sums plus the products
+    proved in earlier groups, which have the same radical, so every
+    answer is the one a test against the level sums alone gives: at
+    every j, plain and under each corruption, and for a random
+    assignment of the products to levels at j = 1.  The groups go by
+    smallest label, largest first.  On the canonical levels every
+    product that a corruption fails has smallest label 1, so it is in
+    the last group; the random assignments fail products in earlier
+    groups, where leaning on them would change later answers."""
+    arr = random_generic_arrangement(k, k + extra, field=field, seed=seed)
+    ground = list(combinations(arr.labels, arr.n - 1))
+    count = data.draw(st.integers(1, 3), label="level count")
+    where = data.draw(
+        st.lists(st.integers(0, count - 1), min_size=len(ground), max_size=len(ground)),
+        label="levels",
+    )
+    parts = [SVPartition(arr, 1, [[p for p, u in zip(ground, where) if u == v] for v in range(count)])]
+    for j in range(1, k - 1):
+        cert = theorem_generators(arr, j)
+        parts += [cert] + [corrupt_certificate(cert, mode) for mode in CORRUPTION_MODES]
+    for part in parts:
+        a = arr.n - part.j
+        ideal = Ideal(arr.ring, sv_sums(part))
+        expected = set()
+        for labels in combinations(arr.labels, a):
+            name = "*".join(f"l{i}" for i in labels)
+            ok = radical_member(arr.product(labels), ideal)
+            witness = None if ok else (
+                f"{a}-fold product {name} is not in the radical of the certificate ideal"
+            )
+            expected.add((f"radical-membership:{name}-in-certificate", ok, witness))
+        checks = _radical_checks(verify_certificate(part))
+        assert {(c.name, c.ok, c.witness) for c, _ in checks} == expected, part.levels
+        smallest = [labels[0] for _, labels in checks]
+        assert smallest == sorted(smallest, reverse=True), part.levels
+
+
+def test_a_budget_cut_leaves_only_the_later_checks_unanswered(monkeypatch):
+    """A deadline that passes after N radical tests leaves those N
+    answered and every later check budget exhausted.  At (4,6,2) the
+    groups hold 1, 4 and 10 products, and each runs against the three
+    level sums plus the products of the groups before it."""
+    arr = random_generic_arrangement(4, 6, GF(32003), seed=0)
+    cert = theorem_generators(arr, 2)
+    original = stci.radical_member
+    for n_runs in (0, 1, 3, 5, 9, 15):
+        sizes = []
+        monkeypatch.setattr(
+            stci,
+            "radical_member",
+            lambda f, ideal, **kw: sizes.append(len(ideal.gens)) or original(f, ideal, **kw),
+        )
+
+        def deadline_after(deadline):
+            if len(sizes) >= n_runs:
+                raise TimeoutError
+
+        monkeypatch.setattr(stci, "check_deadline", deadline_after)
+        rep = verify_certificate(cert)
+        checks = _radical_checks(rep)
+        assert [labels[0] for _, labels in checks] == [3] + [2] * 4 + [1] * 10
+        assert [c.ok for c, _ in checks] == [True] * n_runs + [None] * (15 - n_runs)
+        assert all(c.witness == "budget exhausted" for c in rep.checks[1 + n_runs :])
+        assert rep.status == "inconclusive"
+        assert sizes == ([3] + [4] * 4 + [8] * 10)[:n_runs]
+
+
+def test_a_cut_product_is_never_leaned_on(monkeypatch):
+    """A Rabinowitsch run that the budget cuts answers nothing, so its
+    product stays out of the ideals of the groups after it."""
+    arr = random_generic_arrangement(4, 6, GF(32003), seed=0)
+    cut = arr.product((2, 3, 4, 5))
+    original = stci.radical_member
+    sizes = []
+
+    def run(f, ideal, **kw):
+        sizes.append(len(ideal.gens))
+        if f == cut:
+            raise TimeoutError
+        return original(f, ideal, **kw)
+
+    monkeypatch.setattr(stci, "radical_member", run)
+    rep = verify_certificate(theorem_generators(arr, 2))
+    assert [c for c in rep.checks if c.ok is not True] == [
+        CheckResult("radical-membership:l2*l3*l4*l5-in-certificate", None, "budget exhausted")
+    ]
+    assert rep.status == "inconclusive"
+    assert sizes == [3] + [4] * 4 + [7] * 10
 
 
 def test_deletion_keeps_construction_valid():
