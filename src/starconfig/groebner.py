@@ -38,14 +38,20 @@ instead of dividing by that coefficient, so the core works with a
 scalar multiple of the remainder.  The core stops as soon as a nonzero
 constant turns up, since the reduced basis is then (1,).
 
-Radical membership goes through the one-extra-variable trick:
-f lies in rad(I) iff 1 lies in I + <1 - y*f>, which is exact both ways.
-The adjoined system is answered by that stop, and it is built from
-the polynomials' own packings with no unpacking: a y-free monomial's
+Radical membership is answered by that stop, on one of two systems,
+both exact both ways.  When each generator of I is homogeneous, V(I)
+is a cone and rad(I) is homogeneous (Cox, Little & O'Shea, Ideals,
+Varieties, and Algorithms, ch. 8 section 3), so f lies in rad(I) iff
+each homogeneous part g of f does, and a part of positive degree does
+iff 1 lies in I + <g - 1>: a point of V(I) where g is not 0 scales to
+one where g = 1.  That system lives in the ring's own layout, with no
+extra variable.  Any other ideal goes through the one-extra-variable
+trick: f lies in rad(I) iff 1 lies in I + <1 - y*f>, built from the
+polynomials' own packings with no unpacking: a y-free monomial's
 packing in one more variable is its own shifted up one field
-(``orders.grevlex_widen``).  An ideal keeps its part of that system,
-widened and reduced, for every test after the first, so nothing is
-packed twice.
+(``orders.grevlex_widen``).  An ideal keeps its generators' part of
+its system, packed and reduced, for every test after the first, so
+nothing is packed twice.
 Intersections eliminate t from t*a + (1-t)*b, built the same way on
 the generators homogenized by h: widened twice, with h and then t
 last, a system homogeneous in (x, h) has its leading terms take the
@@ -60,6 +66,7 @@ neither system is sorted afresh.
 from __future__ import annotations
 
 from heapq import heapify, heappop, heappush
+from itertools import groupby
 from math import gcd, lcm
 from operator import mul
 from time import monotonic
@@ -381,9 +388,11 @@ def _interreduce(basis, p, layout):
 
 class Ideal:
     """An ideal given by generators, with two values cached: its reduced
-    Groebner basis, and the input that ``radical_member`` starts every
-    Rabinowitsch run on it from, its generators' packings widened to
-    one more variable, y, absent, and each reduced by those before it."""
+    Groebner basis, and the start of every ``radical_member`` run on it,
+    its generators' packings each reduced by those before it.  An ideal
+    whose generators are each homogeneous keeps them in its ring's own
+    layout; any other keeps them widened to one more variable, y,
+    absent, for the Rabinowitsch system."""
 
     def __init__(self, ring: Ring, gens):
         gens = tuple(gens)
@@ -393,7 +402,7 @@ class Ideal:
         self.ring = ring
         self.gens = gens
         self._gb = None
-        self._rabinowitsch = None
+        self._start = None
 
     def groebner_basis(self):
         """Reduced grevlex basis, computed once."""
@@ -486,41 +495,83 @@ def intersect(a: Ideal, b: Ideal) -> Ideal:
     return Ideal(ring, tuple(Polynomial(ring, None, (terms, terms[0][1])) for terms in kept))
 
 
+def _radical_start(ideal: Ideal):
+    """The ideal's homogeneity and the records every ``radical_member``
+    run on it starts from, built by its first call and kept: its
+    nonzero generators' packings, widened for y unless each is
+    homogeneous, each reduced by those before it, or ``_UNIT``.  A
+    packing is homogeneous when its first and last terms share their
+    top field, the total degree, since the terms are sorted by it."""
+    if ideal._start is None:
+        ring = ideal.ring
+        top = FIELD_BITS * (2 * ring.nvars - 1)
+        gens = [terms for terms, _ in (g.packed() for g in ideal.gens) if terms]
+        homogeneous = all(t[0][0] >> top == t[-1][0] >> top for t in gens)
+        if homogeneous:
+            layout = ring.layout
+        else:
+            layout = grevlex_layout(ring.nvars + 1)
+            widen = grevlex_widen(ring.nvars)
+            gens = [[(widen(m), c) for m, c in t] for t in gens]
+        ideal._start = homogeneous, _add_inputs([], gens, ring.field.characteristic, layout)
+    return ideal._start
+
+
 def radical_member(f: Polynomial, ideal: Ideal, deadline=None) -> bool:
     """Does f lie in the radical of the ideal?
 
-    Exact both ways: f is in rad(I) iff the ideal I + <1 - y*f> in one
-    more variable y, last under grevlex, is the whole ring.  That system
-    lives in ``grevlex_layout`` of one more variable, where a y-free
-    monomial is its own packing shifted up one field (``grevlex_widen``),
-    so it is built from the polynomials' own packings, one shift per
-    monomial, with every generator's terms still sorted.  The ideal's
-    generators, with y = 0, are widened and reduced by each other once,
-    by its first call, and kept on the ideal; every run starts from
-    those records and builds and reduces only y*f - 1, so it meets the
-    same S-pairs in the same order as a run on all the generators.  The
-    answer is whether the Groebner run stopped at a constant, so its
-    basis is never interreduced.  At or past deadline, a
-    ``time.monotonic()`` value, the Groebner run raises
-    ``TimeoutError`` when it pops an S-pair.
+    Exact both ways, by one of two systems that the ideal's generators
+    choose.  When each generator is homogeneous, V(I) is a cone, and
+    rad(I) is homogeneous (Cox, Little & O'Shea, Ideals, Varieties, and
+    Algorithms, ch. 8 section 3), so f lies in it iff each homogeneous
+    part of f does.  A nonzero constant does iff I is the whole ring,
+    that is, iff a generator is a nonzero constant.  A part g of degree
+    d > 0 does iff 1 lies in I + <g - 1>: if g^N lies in I then
+    1 = g^N mod g - 1, and if g(x) is not 0 at a point x of V(I), then
+    lambda*x, with lambda^d = 1/g(x) over the algebraic closure, is a
+    point of V(I) where g = 1.  That system lives in the ring's own
+    layout, g's packing followed by its constant.
+
+    Any other ideal takes the Rabinowitsch system: f is in rad(I) iff
+    I + <1 - y*f>, in one more variable y, last under grevlex, is the
+    whole ring.  It lives in ``grevlex_layout`` of one more variable,
+    where a y-free monomial is its own packing shifted up one field
+    (``grevlex_widen``), so it is built from the polynomials' own
+    packings, one shift per monomial, with every generator's terms
+    still sorted; y*f is refused at the degree limit.
+
+    Either way the ideal's generators are packed and reduced by each
+    other once, by its first call, and kept on the ideal; every run
+    starts from those records and builds and reduces only g - 1 or
+    y*f - 1, so it meets the same S-pairs in the same order as a run
+    on all the generators.  The answer is whether the Groebner run
+    stopped at a constant, so its basis is never interreduced.  At or
+    past deadline, a ``time.monotonic()`` value, the Groebner run
+    raises ``TimeoutError`` when it pops an S-pair.
     """
     if f.ring != ideal.ring:
         raise UsageError("element lives in a different ring")
     if f.is_zero():
         return True
-    nvars = f.ring.nvars
-    p = f.ring.field.characteristic
-    layout = grevlex_layout(nvars + 1)
-    widen = grevlex_widen(nvars)
-    # y*f - 1 spans the same ideal; its constant, -1 scaled by den, is
-    # the residue p - 1 over GF(p) and -den over QQ, and comes last
+    homogeneous, start = _radical_start(ideal)
+    ring = f.ring
+    p = ring.field.characteristic
     terms, den = f.packed()
-    rabinowitsch = _adjoin([(widen(m), c) for m, c in terms], layout)
-    rabinowitsch.append((0, p - den))
-    start = ideal._rabinowitsch
-    if start is None:
-        gens = [[(widen(m), c) for m, c in g.packed()[0]] for g in ideal.gens]
-        start = ideal._rabinowitsch = _add_inputs([], gens, p, layout)
+    # the constant, -1 scaled by den, is the residue p - 1 over GF(p)
+    # and -den over QQ, and is the last term of g - 1 and of y*f - 1
+    one = (0, p - den)
+    if not homogeneous:
+        layout = grevlex_layout(ring.nvars + 1)
+        widen = grevlex_widen(ring.nvars)
+        rabinowitsch = _adjoin([(widen(m), c) for m, c in terms], layout)
+        rabinowitsch.append(one)
+        return start is _UNIT or _groebner([rabinowitsch], p, layout, deadline, start) is _UNIT
     if start is _UNIT:
         return True
-    return _groebner([rabinowitsch], p, layout, deadline, start) is _UNIT
+    if terms[-1][0] == 0:
+        return False
+    top = FIELD_BITS * (2 * ring.nvars - 1)
+    return all(
+        _groebner([[*part, one]], p, ring.layout, deadline, start) is _UNIT
+        for _, part in groupby(terms, lambda term: term[0] >> top)
+    )

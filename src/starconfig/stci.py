@@ -19,8 +19,11 @@ twice.  The label check covers both: distinct ground-set entries put
 every level sum in the a-fold ideal, and covering plus divisibility
 give the lemma.  Each level sum is also reduced against every minimal
 prime of the a-fold ideal, which is exact, and each a-fold product
-gets a Rabinowitsch radical test against the certificate ideal, grown
-by the products already proved to lie in its radical.  An algebraic
+gets a radical test against the certificate ideal, grown by the
+products already proved to lie in its radical.  Every generator of that
+ideal is homogeneous, so the test adjoins no variable: the product f
+lies in the radical iff 1 lies in the ideal plus <f - 1> (see
+``radical_member``).  An algebraic
 failure under a passing label check is reported as an internal
 inconsistency, never resolved silently.
 """
@@ -162,7 +165,10 @@ def verify_certificate(
     checks run in one order: sv-partition, the covering and
     divisibility conditions on labels, which prove both directions;
     each a-fold product against the certificate radical, by
-    Rabinowitsch; and each level sum reduced against every minimal
+    ``radical_member``, which on these homogeneous ideals asks whether
+    1 lies in the ideal plus <f - 1>, with no extra variable, and
+    reports a failure as the route "Rabinowitsch says" all the same;
+    and each level sum reduced against every minimal
     prime, which is exact.  The radical tests go in groups by smallest
     label, largest first, and lexicographically within a group; on the
     canonical certificate that is level 0, 1, ..., j, cheapest first.
@@ -182,14 +188,14 @@ def verify_certificate(
     product from the forms' integer rows, ``sv_sums`` adds each level
     in one packed dict, and each minimal prime's generators come from
     its integer echelon rows.  Each group's ideal keeps its generators
-    widened and reduced for every Rabinowitsch run after its first, and
-    the level sums and each minimal prime's generators keep their
+    packed and reduced, in the ring's own layout, for every radical
+    test after its first, and the level sums and each minimal prime's generators keep their
     packing across the (sum, prime) reductions; all of it is dropped
     with the call.
     When the labels pass but an algebraic check fails, a cross-check
     reports the disagreement.  A budget turns remaining work into an
     inconclusive verdict, the label check, the expansions and a
-    Rabinowitsch run that it cuts included, and a spent budget builds
+    radical test's Groebner run that it cuts included, and a spent budget builds
     and fetches nothing more; it never flips a failure already found.
     The height comes first and runs outside the budget; at j = 0 and
     on input whose minors show every rank forms independent it is a
@@ -388,7 +394,7 @@ def sv_sums(partition: SVPartition, product=None):
     the number of levels.  product expands one label tuple, by default
     ``Arrangement.product``; ``verify_certificate`` passes one that
     expands with the packed kernel, keeps each expansion for its
-    Rabinowitsch tests and raises TimeoutError once its budget is
+    radical tests and raises TimeoutError once its budget is
     spent.  Each level is added by ``Ring.sum``, in one dict of packed
     terms over one common denominator, and its sum is born packed.
     """

@@ -38,7 +38,7 @@ from starconfig.orders import (
 from starconfig.polynomials import Polynomial, Ring
 
 import groebner_reference as ref
-from ideal_helpers import ideal_eq, radical_eq
+from ideal_helpers import ideal_eq, rabinowitsch_member, radical_eq
 from intersection_reference import intersect_reference
 
 
@@ -406,14 +406,14 @@ def test_radical_membership_basics(R):
     assert radical_member(x + y, I)
     assert not radical_member(z, I)
     assert radical_member(R.zero, I)
-    # with no generator to reduce it, y*f - 1 enters the core as packed
+    # with no generator to reduce it, x - 1 enters the core as packed
     assert not radical_member(x, Ideal(R, ()))
     assert not radical_member(R.one, Ideal(R, (R.zero,)))
 
 
 def test_radical_member_past_its_deadline_raises(R):
     x, _, _ = R.gens()
-    # x^2 and y*x - 1 reduce neither other, so the run pops an S-pair
+    # x^2 and x - 1 reduce neither other, so the run pops an S-pair
     ideal = Ideal(R, (x ** 2,))
     with pytest.raises(TimeoutError):
         radical_member(x, ideal, deadline=time.monotonic() - 1)
@@ -524,13 +524,13 @@ def _random_polys(draw, ring, count):
     return out
 
 
-def _random_homogeneous_polys(draw, ring, count):
+def _random_homogeneous_polys(draw, ring, count, low=0):
     """Polynomials of up to three terms, each homogeneous of a degree
-    from 0 to 3; a constant makes its ideal the unit ideal."""
+    from low to 3; a constant makes its ideal the unit ideal."""
     coeffs = _coeffs(ring.field)
     out = []
     for _ in range(count):
-        d = draw(st.integers(0, 3))
+        d = draw(st.integers(low, 3))
         monos = [e for e in product(range(d + 1), repeat=ring.nvars) if sum(e) == d]
         terms = draw(st.dictionaries(st.sampled_from(monos), coeffs, min_size=1, max_size=3))
         out.append(ring.from_dict(terms))
@@ -547,10 +547,15 @@ def test_padding_keeps_terms_sorted(data):
     """intersect and radical_member build their systems from a
     polynomial's own packing, with no sorting, and the monomials they
     hand the Groebner run are its terms padded for the extra variables,
-    descending.  radical_member's y*f pads each term with y^1, last in
-    one more variable.  intersect's g' pads each term e of g with h to
-    deg g - |e| and t^0, t*g' pads it with t^1, h and t last in two
-    more, and (1-t)*g' is the t-terms followed by g' itself."""
+    descending.  Against an ideal with an inhomogeneous generator,
+    radical_member's y*f pads each term with y^1, last in one more
+    variable.  Against a homogeneous ideal, here one with no
+    generators, each homogeneous part of f of positive degree, highest
+    first, gets a run of its own in the ring's own layout, its packing
+    followed by the constant, and an f with a constant part gets none.
+    intersect's g' pads each term e of g with h to deg g - |e| and
+    t^0, t*g' pads it with t^1, h and t last in two more, and (1-t)*g'
+    is the t-terms followed by g' itself."""
     field = data.draw(st.sampled_from([GF(101), QQ]))
     n = data.draw(st.integers(1, 6))
     ring = Ring(field, n)
@@ -560,24 +565,36 @@ def test_padding_keeps_terms_sorted(data):
     d = f.total_degree()
     captured = []
 
-    def spy(gens, *args):
-        captured.append([[m for m, _ in g] for g in gens])
+    def spy(gens, p, layout, *args):
+        captured.append((layout, [[m for m, _ in g] for g in gens]))
         raise _Captured
+
+    def each_part(gens, p, layout, *args):
+        captured.append((layout, [[m for m, _ in g] for g in gens]))
+        return groebner._UNIT
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(groebner, "_groebner", spy)
         with pytest.raises(_Captured):
-            radical_member(f, Ideal(ring, ()))
+            radical_member(f, Ideal(ring, (ring.gen(0) + 1,)))
         with pytest.raises(_Captured):
             intersect(Ideal(ring, (f,)), Ideal(ring, (f,)))
-    (rabinowitsch,), (high, both) = captured
-    wide = grevlex_layout(n + 1)
+        mp.setattr(groebner, "_groebner", each_part)
+        constant = not any(f.terms[-1][0])
+        assert radical_member(f, Ideal(ring, ())) is not constant
+    (wide, (rabinowitsch,)), (wider, (high, both)), *parts = captured
+    assert wide is grevlex_layout(n + 1)
     assert rabinowitsch == [wide.pack(e + (1,)) for e, _ in f.terms] + [0]
-    wider = grevlex_layout(n + 2)
+    assert wider is grevlex_layout(n + 2)
     low = [wider.pack(e + (d - sum(e), 0)) for e, _ in f.terms]
     assert high == [wider.pack(e + (d - sum(e), 1)) for e, _ in f.terms]
     assert both == high + low
-    for keys in (rabinowitsch, both):
+    degrees = [] if constant else sorted({sum(e) for e, _ in f.terms}, reverse=True)
+    assert parts == [
+        (ring.layout, [[ring.layout.pack(e) for e, _ in f.terms if sum(e) == k] + [0]])
+        for k in degrees
+    ]
+    for keys in [rabinowitsch, both] + [system[0] for _, system in parts]:
         assert keys == sorted(keys, reverse=True)
 
 
@@ -659,11 +676,59 @@ def test_radical_member_matches_tuple_reference(data):
     assert radical_member(f, ideal) == expected
 
 
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_radical_member_matches_rabinowitsch_oracle(data):
+    """A homogeneous ideal decides f in rad(I) with no extra variable,
+    part by part, and must answer as the Rabinowitsch oracle of
+    ``ideal_helpers``, which adjoins y through the public API.  The
+    ideals are random homogeneous ones of positive degrees, the same
+    with a constant generator, which makes the unit ideal, one without
+    generators, (0), or one whose first generator has a nonzero
+    constant added, which takes the Rabinowitsch system.  f is
+    homogeneous, a generator's leading homogeneous part, a sum of parts
+    of several degrees, with or without a constant, a combination of
+    the generators, zero or a nonzero constant."""
+    field = data.draw(st.sampled_from([GF(7), GF(32003), QQ]))
+    ring = Ring(field, 3, names=("x", "y", "z"))
+    kind = data.draw(st.sampled_from(["homogeneous", "unit", "empty", "zero", "inhomogeneous"]))
+    gens = []
+    if kind == "zero":
+        gens = [ring.zero]
+    elif kind != "empty":
+        gens = _random_homogeneous_polys(data.draw, ring, data.draw(st.integers(1, 3)), low=1)
+    if kind == "unit":
+        gens.insert(data.draw(st.integers(0, len(gens))), ring.constant(data.draw(st.integers(1, 6))))
+    elif kind == "inhomogeneous":
+        gens[0] = gens[0] + ring.constant(data.draw(st.integers(1, 6)))
+    ideal = Ideal(ring, gens)
+
+    def homogeneous():
+        return _random_homogeneous_polys(data.draw, ring, 1, low=1)[0]
+
+    shape = data.draw(st.sampled_from(["homogeneous", "part", "mixed", "combination", "zero", "constant"]))
+    if shape == "homogeneous":
+        f = homogeneous()
+    elif shape == "part" and not all(g.is_zero() for g in gens):
+        top = max(g.total_degree() for g in gens)
+        g = next(g for g in gens if g.total_degree() == top)
+        f = ring.from_dict({e: c for e, c in g.terms if sum(e) == top})
+    elif shape == "mixed":
+        f = homogeneous() + homogeneous() + ring.constant(data.draw(st.integers(0, 2)))
+    elif shape == "combination" and gens:
+        f = ring.sum(g * homogeneous() for g in gens)
+    elif shape == "zero":
+        f = ring.zero
+    else:
+        f = ring.constant(data.draw(st.integers(1, 6)))
+    assert radical_member(f, ideal) == rabinowitsch_member(f, ideal)
+
+
 @settings(max_examples=40, deadline=None)
 @given(data=st.data())
 def test_one_ideal_answers_many_radical_tests_like_fresh_ones(data):
     """One ideal keeps its packed, mutually reduced generators for every
-    Rabinowitsch run after the first, so a reused ideal must answer
+    radical test after the first, so a reused ideal must answer
     each element as a fresh ideal and the tuple reference do.  The
     generators may include a zero one, or g and g + c for a nonzero
     constant c, which reduce to a unit before any element is adjoined."""
@@ -688,7 +753,7 @@ def test_one_ideal_answers_many_radical_tests_like_fresh_ones(data):
         expected = _rabinowitsch_reference(f, shared) if not f.is_zero() else True
         assert radical_member(f, shared) == radical_member(f, Ideal(ring, gens)) == expected
         answers.append(expected)
-    assert shared._rabinowitsch is not None
+    assert shared._start is not None
     if extra == "unit":
         assert all(answers)
 
@@ -701,7 +766,7 @@ def test_warm_radical_input_still_meets_its_deadline(R):
     x, y, z = R.gens()
     ideal = Ideal(R, (x ** 2, R.zero, y ** 3))
     assert radical_member(x, ideal)
-    assert ideal._rabinowitsch is not None
+    assert ideal._start is not None
     for f in (x, z, x + y):
         with pytest.raises(TimeoutError):
             radical_member(f, ideal, deadline=time.monotonic() - 1)
@@ -715,8 +780,9 @@ def test_warm_radical_input_still_meets_its_deadline(R):
 def test_polynomial_keeps_only_its_own_packing(R):
     """A polynomial keeps its packing in its own ring's layout, which
     every later reduction reuses; the wider packings that
-    radical_member and intersect shift it into are neither kept nor
-    served in its place."""
+    radical_member, against an ideal with an inhomogeneous generator,
+    and intersect shift it into are neither kept nor served in its
+    place, and nor are the parts that a homogeneous ideal tests."""
     x, y, z = R.gens()
     f = x * y + R.constant(Fraction(2, 3)) * z
     wide = grevlex_layout(R.nvars + 1)
@@ -727,6 +793,8 @@ def test_polynomial_keeps_only_its_own_packing(R):
     assert own == ([(R.layout.pack((1, 1, 0)), 3), (R.layout.pack((0, 0, 1)), 2)], 3)
     assert own[0] != padded
     assert radical_member(f, Ideal(R, (x, z))) and not radical_member(f, Ideal(R, (x,)))
+    assert f._packed is own
+    assert radical_member(f, Ideal(R, (x, z + x * x))) and not radical_member(f, Ideal(R, (x + 1,)))
     assert f._packed is own
     assert intersect(Ideal(R, (f,)), Ideal(R, (x,))).gens == (x * f,)
     assert f._packed is own
@@ -766,13 +834,23 @@ def test_radical_member_reference_sees_both_answers():
 
 
 def test_radical_member_past_degree_limit_raises():
-    """y*f for f of degree DEGREE_LIMIT - 1 does not fit, and is refused
-    at its own degree before the Groebner run, whether or not the
-    ideal's generators would reduce it to a constant."""
+    """Against an ideal with an inhomogeneous generator, which takes the
+    Rabinowitsch system, y*f for f of degree DEGREE_LIMIT - 1 does not
+    fit, and is refused at its own degree before the Groebner run,
+    whether or not the ideal's generators would reduce it to a
+    constant: (x, y + x^2) is (x, y), which holds f.  A homogeneous
+    ideal adjoins no y: over (x, y) each part of f minus 1 reduces to a
+    constant, so f is a member, with no refusal.  Over (y,) the part
+    x^(DEGREE_LIMIT - 1) - 1 has no S-pair with y to take, but the pair
+    queue refuses their lcm, of degree DEGREE_LIMIT, when it is queued,
+    as it refuses any pair's (see test_pair_lcm_past_degree_limit_raises)."""
     for field in (GF(32003), QQ):
         ring = Ring(field, 2, names=("x", "y"))
         x, y = ring.gens()
         f = x ** (DEGREE_LIMIT - 1) + y
-        for ideal in (Ideal(ring, (x, y)), Ideal(ring, (y,))):
+        for ideal in (Ideal(ring, (x, y + x ** 2)), Ideal(ring, (y + x ** 2,))):
             with pytest.raises(UsageError, match=f"degree {DEGREE_LIMIT} .*limit {DEGREE_LIMIT}"):
                 radical_member(f, ideal)
+        assert radical_member(f, Ideal(ring, (x, y)))
+        with pytest.raises(UsageError, match=f"degree {DEGREE_LIMIT} .*limit {DEGREE_LIMIT}"):
+            radical_member(f, Ideal(ring, (y,)))

@@ -5,15 +5,18 @@ import time
 from dataclasses import asdict
 from itertools import combinations
 from math import comb
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from starconfig import stci
+from starconfig import groebner, stci
 from starconfig.arrangements import Arrangement, random_generic_arrangement
+from starconfig.cli import parse_arrangement
 from starconfig.errors import GenericityError, UsageError
 from starconfig.fields import GF, QQ
 from starconfig.groebner import Ideal, radical_member
+from starconfig.orders import grevlex_layout
 from starconfig.stci import (
     CORRUPTION_MODES,
     CheckResult,
@@ -204,6 +207,34 @@ def test_verify_computes_no_groebner_basis_of_an_ideal(coord_plus_sum, monkeypat
         assert rep.holds is True and rep.stci is True
         names = [c.name for c in rep.checks]
         assert names.count("sv-partition") == 1 and names[0] == "sv-partition"
+
+
+def test_verify_runs_every_groebner_call_in_the_ring_layout(monkeypatch):
+    """The certificate ideal's generators, the level sums and the
+    products already proved, are each homogeneous, and so is every
+    product tested, so each radical test is one Groebner run in the
+    ring's own layout, with no extra variable: at every j, plain and
+    under each corruption, over QQ with fractional coefficients and
+    over GF(32003)."""
+    calls = []
+    original = groebner._groebner
+
+    def spy(gens, p, layout, *args):
+        calls.append(layout)
+        return original(gens, p, layout, *args)
+
+    monkeypatch.setattr(groebner, "_groebner", spy)
+    fixture = Path(__file__).parent / "fixtures" / "fractional_five_forms.json"
+    fractional = parse_arrangement(fixture.read_text(encoding="utf-8"))
+    for arr in (fractional, random_generic_arrangement(4, 6, GF(32003), seed=0)):
+        for j in range(1, arr.rank() - 1):
+            cert = theorem_generators(arr, j)
+            for part in [cert] + [corrupt_certificate(cert, mode) for mode in CORRUPTION_MODES]:
+                calls.clear()
+                rep = verify_certificate(part)
+                tests = [c for c in rep.checks if c.name.startswith("radical-membership:")]
+                assert len(calls) == len(tests) == comb(arr.n, arr.n - j)
+                assert all(layout is grevlex_layout(arr.ring.nvars) for layout in calls)
 
 
 def test_unknown_corruption_mode(coord_plus_sum):
