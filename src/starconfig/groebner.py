@@ -1,7 +1,8 @@
 """Groebner bases and exact ideal arithmetic.
 
 Buchberger with the normal strategy (Giovini et al., ISSAC 1991), the
-coprimality criterion, and the chain criterion.  Every system lives in
+coprimality criterion, applied where a pair is made, so that a coprime
+pair is never queued, and the chain criterion.  Every system lives in
 a grevlex layout (see ``orders``), whose packed lcm starts with its
 degree, so the pair queue hands out the least lcm, degree first, and
 no division step raises the degree.  Minimalization
@@ -26,8 +27,9 @@ polynomial the core returns in that layout, a remainder or a basis
 element, is born packed over such an int, so Fractions appear only if
 its terms are read.  A monomial of total degree 2**15 or more does not
 fit and raises ``UsageError``: the check is made where a packing is
-made, by a layout's ``pack``, a product of forms, a pair's lcm and the
-product with an adjoined variable, and nowhere in the loops.
+made, by a layout's ``pack``, a product of forms, the lcm of a pair
+that is not coprime and the product with an adjoined variable, and
+nowhere in the loops.
 
 One division loop serves both fields.  It updates coefficients with
 plain ``-`` and ``*`` and normalizes each term once, when it is popped
@@ -38,20 +40,15 @@ instead of dividing by that coefficient, so the core works with a
 scalar multiple of the remainder.  The core stops as soon as a nonzero
 constant turns up, since the reduced basis is then (1,).
 
-Radical membership is answered by that stop, on one of two systems,
-both exact both ways.  When each generator of I is homogeneous, V(I)
-is a cone and rad(I) is homogeneous (Cox, Little & O'Shea, Ideals,
-Varieties, and Algorithms, ch. 8 section 3), so f lies in rad(I) iff
-each homogeneous part g of f does, and a part of positive degree does
-iff 1 lies in I + <g - 1>: a point of V(I) where g is not 0 scales to
-one where g = 1.  That system lives in the ring's own layout, with no
-extra variable.  Any other ideal goes through the one-extra-variable
-trick: f lies in rad(I) iff 1 lies in I + <1 - y*f>, built from the
-polynomials' own packings with no unpacking: a y-free monomial's
-packing in one more variable is its own shifted up one field
-(``orders.grevlex_widen``).  An ideal keeps its generators' part of
-its system, packed and reduced, for every test after the first, so
-nothing is packed twice.
+Radical membership is answered by that stop, in one layout per ideal
+that its generators fix (see ``radical_member``): the ring's own when
+each is homogeneous, where each homogeneous part g of f is tested by
+I + <g - 1>, and one more variable, y, otherwise, where f is tested by
+I + <1 - y*f>, built from the polynomials' own packings with no
+unpacking: a y-free monomial's packing in one more variable is its own
+shifted up one field (``orders.grevlex_widen``).  An ideal keeps its
+generators, packed in that layout and reduced, for every test after
+the first, so nothing is packed twice.
 Intersections eliminate t from t*a + (1-t)*b, built the same way on
 the generators homogenized by h: widened twice, with h and then t
 last, a system homogeneous in (x, h) has its leading terms take the
@@ -295,8 +292,14 @@ def _groebner(packed_gens, p, layout, deadline=None, start=()):
     generators are then fully reduced after them; S-pair remainders are
     only top-reduced, since a basis needs only irreducible leading
     terms.  Each pair's lcm is summed from the leading exponents kept
-    beside the records, with one guard test for the degree limit, and
-    the pair queue is keyed on the lcm, degree first.
+    beside the records.  A pair whose lcm is the product of its leading
+    monomials is never queued, since its S-polynomial reduces to zero
+    by the two alone (Buchberger's first criterion), so only the lcm of
+    a queued pair meets the guard test for the degree limit.  The pair
+    queue is keyed on the lcm, degree first.  The chain criterion counts
+    a pair as treated once it has left the queue or was never in it:
+    either way its S-polynomial has a standard representation (Becker &
+    Weispfenning, GTM 141).
 
     Returns ``_UNIT`` as soon as a reduced generator or an S-pair
     remainder is a nonzero constant: the ideal is then the whole ring,
@@ -310,28 +313,30 @@ def _groebner(packed_gens, p, layout, deadline=None, start=()):
     basis = _add_inputs(list(start), packed_gens, p, layout)
     if basis is _UNIT:
         return _UNIT
-    lm_exps = [unpack(lm) for lm, _ in basis]
-
-    def append(terms):
-        basis.append(_record(terms, p))
-        lm_exps.append(unpack(terms[0][0]))
-
-    def pair(i, j):
-        # the heap entry: the lcm, whose top field is its degree, i and j.
-        # The degree of an lcm stays below twice the limit, so no field
-        # carries and a guard bit is set exactly when it reaches the limit
-        a, b = lm_exps[i], lm_exps[j]
-        l = sum(map(mul, map(max, a, b), units))
-        if l & guard:
-            raise degree_error(sum(map(max, a, b)))
-        return l, i, j
-
+    lm_exps = []
     pending = set()
     heap = []
-    for j in range(len(basis)):
-        for i in range(j):
+
+    def queue_pairs(j):
+        # queue basis element j's pairs with those before it, each as the
+        # heap entry (lcm, i, j), unless the two leading monomials are
+        # coprime: the lcm is then their product.  The degree of an lcm
+        # stays below twice the limit, so no field carries and a guard
+        # bit is set exactly when it reaches the limit
+        lm = basis[j][0]
+        b = unpack(lm)
+        for i, a in enumerate(lm_exps):
+            l = sum(map(mul, map(max, a, b), units))
+            if l == basis[i][0] + lm:
+                continue
+            if l & guard:
+                raise degree_error(sum(map(max, a, b)))
             pending.add((i, j))
-            heappush(heap, pair(i, j))
+            heappush(heap, (l, i, j))
+        lm_exps.append(b)
+
+    for j in range(len(basis)):
+        queue_pairs(j)
 
     def chain_skippable(i, j, l):
         for k, (lmk, _) in enumerate(basis):
@@ -348,8 +353,6 @@ def _groebner(packed_gens, p, layout, deadline=None, start=()):
         l, i, j = heappop(heap)
         check_deadline(deadline)
         pending.discard((i, j))
-        if l == basis[i][0] + basis[j][0]:
-            continue
         if chain_skippable(i, j, l):
             continue
         r = _reduce(_spoly(l, basis[i], basis[j]), basis, p, layout, False)[0]
@@ -357,11 +360,8 @@ def _groebner(packed_gens, p, layout, deadline=None, start=()):
             continue
         if r[0][0] == 0:
             return _UNIT
-        append(r)
-        t = len(basis) - 1
-        for i2 in range(t):
-            pending.add((i2, t))
-            heappush(heap, pair(i2, t))
+        basis.append(_record(r, p))
+        queue_pairs(len(basis) - 1)
     return basis
 
 
@@ -388,11 +388,8 @@ def _interreduce(basis, p, layout):
 
 class Ideal:
     """An ideal given by generators, with two values cached: its reduced
-    Groebner basis, and the start of every ``radical_member`` run on it,
-    its generators' packings each reduced by those before it.  An ideal
-    whose generators are each homogeneous keeps them in its ring's own
-    layout; any other keeps them widened to one more variable, y,
-    absent, for the Rabinowitsch system."""
+    Groebner basis, and the layout and start of every ``radical_member``
+    run on it (see ``_radical_start``)."""
 
     def __init__(self, ring: Ring, gens):
         gens = tuple(gens)
@@ -468,7 +465,7 @@ def intersect(a: Ideal, b: Ideal) -> Ideal:
     layout = grevlex_layout(nvars + 2)
     widen_h, widen_t = grevlex_widen(nvars), grevlex_widen(nvars + 1)
     h = layout.units[nvars]
-    top = FIELD_BITS * (2 * nvars - 1)
+    top = ring.layout.degree_shift
 
     def homogenized(g):
         terms = g.packed()[0]
@@ -496,82 +493,77 @@ def intersect(a: Ideal, b: Ideal) -> Ideal:
 
 
 def _radical_start(ideal: Ideal):
-    """The ideal's homogeneity and the records every ``radical_member``
-    run on it starts from, built by its first call and kept: its
-    nonzero generators' packings, widened for y unless each is
-    homogeneous, each reduced by those before it, or ``_UNIT``.  A
-    packing is homogeneous when its first and last terms share their
-    top field, the total degree, since the terms are sorted by it."""
+    """The layout of every ``radical_member`` run on the ideal and the
+    records the run starts from, built by its first call and kept: the
+    ring's own layout when each generator is homogeneous, and one more
+    variable, y, otherwise; and its nonzero generators' packings in that
+    layout, each reduced by those before it, or ``_UNIT``.  A packing is
+    homogeneous when its first and last terms share their top field, the
+    total degree, since the terms are sorted by it."""
     if ideal._start is None:
         ring = ideal.ring
-        top = FIELD_BITS * (2 * ring.nvars - 1)
+        layout = ring.layout
+        top = layout.degree_shift
         gens = [terms for terms, _ in (g.packed() for g in ideal.gens) if terms]
-        homogeneous = all(t[0][0] >> top == t[-1][0] >> top for t in gens)
-        if homogeneous:
-            layout = ring.layout
-        else:
+        if not all(t[0][0] >> top == t[-1][0] >> top for t in gens):
             layout = grevlex_layout(ring.nvars + 1)
             widen = grevlex_widen(ring.nvars)
             gens = [[(widen(m), c) for m, c in t] for t in gens]
-        ideal._start = homogeneous, _add_inputs([], gens, ring.field.characteristic, layout)
+        ideal._start = layout, _add_inputs([], gens, ring.field.characteristic, layout)
     return ideal._start
 
 
 def radical_member(f: Polynomial, ideal: Ideal, deadline=None) -> bool:
     """Does f lie in the radical of the ideal?
 
-    Exact both ways, by one of two systems that the ideal's generators
-    choose.  When each generator is homogeneous, V(I) is a cone, and
-    rad(I) is homogeneous (Cox, Little & O'Shea, Ideals, Varieties, and
+    Exact both ways.  Every f lies in the radical of the whole ring,
+    so a unit ideal answers True first.  Otherwise one system is built
+    in the layout that the ideal's generators fix, and each of its
+    Groebner runs starts from the ideal's kept records and builds and
+    reduces only one more element, g - 1 or y*f - 1, so it meets the
+    same S-pairs in the same order as a run on all the generators.  f
+    is a member iff every run stops at a constant, so no basis is ever
+    interreduced.
+
+    When each generator is homogeneous, V(I) is a cone, and rad(I) is
+    homogeneous (Cox, Little & O'Shea, Ideals, Varieties, and
     Algorithms, ch. 8 section 3), so f lies in it iff each homogeneous
-    part of f does.  A nonzero constant does iff I is the whole ring,
-    that is, iff a generator is a nonzero constant.  A part g of degree
-    d > 0 does iff 1 lies in I + <g - 1>: if g^N lies in I then
-    1 = g^N mod g - 1, and if g(x) is not 0 at a point x of V(I), then
-    lambda*x, with lambda^d = 1/g(x) over the algebraic closure, is a
-    point of V(I) where g = 1.  That system lives in the ring's own
-    layout, g's packing followed by its constant.
+    part of f does.  A nonzero constant part does not, I being proper.
+    A part g of degree d > 0 does iff 1 lies in I + <g - 1>: if g^N
+    lies in I then 1 = g^N mod g - 1, and if g(x) is not 0 at a point
+    x of V(I), then lambda*x, with lambda^d = 1/g(x) over the
+    algebraic closure, is a point of V(I) where g = 1.  Each g - 1 is
+    g's packing, in the ring's own layout, followed by its constant.
 
     Any other ideal takes the Rabinowitsch system: f is in rad(I) iff
     I + <1 - y*f>, in one more variable y, last under grevlex, is the
-    whole ring.  It lives in ``grevlex_layout`` of one more variable,
-    where a y-free monomial is its own packing shifted up one field
-    (``grevlex_widen``), so it is built from the polynomials' own
-    packings, one shift per monomial, with every generator's terms
-    still sorted; y*f is refused at the degree limit.
+    whole ring.  A y-free monomial's packing there is its own shifted
+    up one field (``grevlex_widen``), so y*f - 1 is built from f's own
+    packing, one shift per monomial, with its terms still sorted; y*f
+    is refused at the degree limit.
 
-    Either way the ideal's generators are packed and reduced by each
-    other once, by its first call, and kept on the ideal; every run
-    starts from those records and builds and reduces only g - 1 or
-    y*f - 1, so it meets the same S-pairs in the same order as a run
-    on all the generators.  The answer is whether the Groebner run
-    stopped at a constant, so its basis is never interreduced.  At or
-    past deadline, a ``time.monotonic()`` value, the Groebner run
+    At or past deadline, a ``time.monotonic()`` value, a Groebner run
     raises ``TimeoutError`` when it pops an S-pair.
     """
     if f.ring != ideal.ring:
         raise UsageError("element lives in a different ring")
     if f.is_zero():
         return True
-    homogeneous, start = _radical_start(ideal)
+    layout, start = _radical_start(ideal)
+    if start is _UNIT:
+        return True
     ring = f.ring
     p = ring.field.characteristic
     terms, den = f.packed()
+    if layout is not ring.layout:
+        widen = grevlex_widen(ring.nvars)
+        parts = [_adjoin([(widen(m), c) for m, c in terms], layout)]
+    elif terms[-1][0]:
+        top = layout.degree_shift
+        parts = (part for _, part in groupby(terms, lambda term: term[0] >> top))
+    else:
+        return False
     # the constant, -1 scaled by den, is the residue p - 1 over GF(p)
     # and -den over QQ, and is the last term of g - 1 and of y*f - 1
     one = (0, p - den)
-    if not homogeneous:
-        layout = grevlex_layout(ring.nvars + 1)
-        widen = grevlex_widen(ring.nvars)
-        rabinowitsch = _adjoin([(widen(m), c) for m, c in terms], layout)
-        rabinowitsch.append(one)
-        return start is _UNIT or _groebner([rabinowitsch], p, layout, deadline, start) is _UNIT
-    if start is _UNIT:
-        return True
-    if terms[-1][0] == 0:
-        return False
-    top = FIELD_BITS * (2 * ring.nvars - 1)
-    return all(
-        _groebner([[*part, one]], p, ring.layout, deadline, start) is _UNIT
-        for _, part in groupby(terms, lambda term: term[0] >> top)
-    )
+    return all(_groebner([[*g, one]], p, layout, deadline, start) is _UNIT for g in parts)

@@ -18,7 +18,7 @@ variables for m = n - 1 down to 1, then the plain exponents.  So:
 - the product of two monomials is the sum of their ints;
 - a divides b iff ``(b - a) & guard == 0``, where ``guard`` holds the
   top bit of every field;
-- the top field is the total degree.
+- the top field is the total degree, ``m >> layout.degree_shift``.
 
 The top bit of a field must stay clear, so a monomial of total degree
 ``DEGREE_LIMIT`` (2**15) or more is refused with a ``UsageError``.
@@ -56,13 +56,14 @@ def degree_error(degree):
 class Layout:
     """The grevlex packing of nvars-variable monomials."""
 
-    __slots__ = ("units", "guard", "shifts")
+    __slots__ = ("units", "guard", "shifts", "degree_shift")
 
     def __init__(self, nvars):
         # from the top, field r for r < nvars is the sum over the first
         # nvars - r variables, so field 0 is the total degree; below them
         # come the exponents, in variable order
         top = 2 * nvars - 1
+        self.degree_shift = FIELD_BITS * top
         self.shifts = tuple(FIELD_BITS * (nvars - 1 - i) for i in range(nvars))
         self.units = tuple(
             sum(1 << FIELD_BITS * (top - r) for r in range(nvars - i)) + (1 << s)
@@ -99,7 +100,7 @@ def grevlex_widen(nvars):
     y's, 0.  So the wide int is the narrow one shifted up one field,
     for the 0 of y, with the narrow top field, the total degree, copied
     into the new top field."""
-    top = FIELD_BITS * (2 * nvars - 1)
+    top = grevlex_layout(nvars).degree_shift
     high = top + 2 * FIELD_BITS
 
     def widen(m):

@@ -379,14 +379,10 @@ class Polynomial:
 
 class ProductOfForms:
     """Expansion of a product of linear forms, each a coefficient row
-    over one field.
-
-    A repeated factor is multiplied in again, so it expands as a power.
-    A row with a single nonzero coefficient c at x_i, as every basis
-    form is in adapted coordinates, is no multiplication: it adds 1 to
-    the exponent of x_i and multiplies the scalar by c.  Those rows make
-    the one-term product that the expansion starts from, and only the
-    other rows are multiplied into it.
+    over one field, by multiplying the rows' forms in turn in tuple
+    terms; a product of no rows is 1.  A repeated factor is multiplied
+    in again, so it expands as a power.  Only ``packed_product`` takes a
+    row with a single nonzero coefficient as a shift of the monomial.
     """
 
     __slots__ = ("field", "factors")
@@ -398,17 +394,7 @@ class ProductOfForms:
     def expand(self, ring: Ring) -> Polynomial:
         if ring.field != self.field:
             raise UsageError("ring field does not match the forms' field")
-        field = self.field
-        exps, scalar = ring._zero_exps, field.one
-        dense = []
+        result = ring.one
         for row in self.factors:
-            form = ring.linear(row)
-            if len(form.terms) == 1:
-                (e, c), = form.terms
-                exps, scalar = mono_mul(exps, e), field.mul(scalar, c)
-            else:
-                dense.append(form)
-        result = Polynomial(ring, ((exps, scalar),))
-        for form in dense:
-            result = result * form
+            result = result * ring.linear(row)
         return result

@@ -167,7 +167,7 @@ def verify_certificate(
     each a-fold product against the certificate radical, by
     ``radical_member``, which on these homogeneous ideals asks whether
     1 lies in the ideal plus <f - 1>, with no extra variable, and
-    reports a failure as the route "Rabinowitsch says" all the same;
+    reports a failure as the route "the radical test says";
     and each level sum reduced against every minimal
     prime, which is exact.  The radical tests go in groups by smallest
     label, largest first, and lexicographically within a group; on the
@@ -264,7 +264,7 @@ def verify_certificate(
             if ok:
                 proven.append(product(labels))
             elif ok is False:
-                rejected.append((name, "Rabinowitsch says"))
+                rejected.append((name, "the radical test says"))
 
     @cache
     def primes():

@@ -178,7 +178,7 @@ def test_disagreeing_routes_fail_the_cross_check(coord_plus_sum, monkeypatch):
 
 
 def test_rejected_product_fails_the_cross_check(coord_plus_sum, monkeypatch):
-    # a Rabinowitsch run that wrongly rejects one a-fold product, while
+    # a radical test that wrongly rejects one a-fold product, while
     # the level partition still proves it lies in the certificate radical
     cert = theorem_generators(coord_plus_sum, 1)
     f = coord_plus_sum.product((1, 3, 4))
@@ -194,7 +194,7 @@ def test_rejected_product_fails_the_cross_check(coord_plus_sum, monkeypatch):
     ]
     cross = rep.checks[-1]
     assert "the level partition says True" in cross.witness
-    assert "Rabinowitsch says False" in cross.witness
+    assert "the radical test says False" in cross.witness
 
 
 def test_verify_computes_no_groebner_basis_of_an_ideal(coord_plus_sum, monkeypatch):
